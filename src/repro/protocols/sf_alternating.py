@@ -12,29 +12,27 @@ simplicity.  We implement the variant and let the ablation benchmark
 
 Because displays now mix 0s and 1s within every round, each listening
 round has (in expectation) half the population showing each symbol, and
-the per-pair step distribution differs slightly from block-SF's; the
-implementation below is agent-level and runs on the exact engine.  A
-vectorized fast path is also provided: by symmetry, in every listening
-round the number of non-sources displaying 1 is Binomial(n - s, 1/2)
-(first round) and then alternates deterministically per agent — the
-fast path tracks the two cohorts (agents that started with 0 vs 1).
+the per-pair step distribution differs slightly from block-SF's.  The
+engine below is the fast SF kernel with its own listening stage: the
+displays change every round, so it draws one per-round binomial instead
+of one per phase; boosting, ``run`` and ``run_batch`` are SF's.
 """
 
 from __future__ import annotations
 
-from typing import List, Union
+from typing import Optional, Union
 
 import numpy as np
 
-from ..exceptions import ConfigurationError
 from ..model.config import PopulationConfig
 from ..noise import NoiseMatrix
 from ..types import RngLike, coerce_rng
 from .parameters import SFSchedule
-from .sf_fast import SFRunResult, observe_one_probability
+from .sf_fast import FastSourceFilter, Observer
+from .ssf import majority_with_ties
 
 
-class FastAlternatingSourceFilter:
+class FastAlternatingSourceFilter(FastSourceFilter):
     """Vectorized alternating-display Source Filter.
 
     The listening stage lasts ``2 * ceil(m/h)`` rounds like SF's two
@@ -45,10 +43,11 @@ class FastAlternatingSourceFilter:
     * Counter0 — observed 0s in rounds where it displayed 1,
 
     then forms the weak opinion ``1{Counter1 > Counter0}`` and enters the
-    identical Majority Boosting phase.  Sources display their preference
-    throughout the listening stage, split their counting rounds evenly
-    (even rounds count 1s, odd rounds count 0s) so their comparison stays
-    symmetric.
+    identical Majority Boosting phase (inherited from
+    :class:`~repro.protocols.FastSourceFilter`, as are ``run`` and
+    ``run_batch``).  Sources display their preference throughout the
+    listening stage, split their counting rounds evenly (even rounds
+    count 1s, odd rounds count 0s) so their comparison stays symmetric.
     """
 
     def __init__(
@@ -58,99 +57,41 @@ class FastAlternatingSourceFilter:
         schedule: SFSchedule = None,
         constant: float = None,
     ) -> None:
-        self.config = config
-        if isinstance(noise, NoiseMatrix):
-            if noise.size != 2:
-                raise ConfigurationError("SF uses the binary alphabet")
-            noise = noise.uniform_delta
-        self.delta = float(noise)
-        if not 0.0 <= self.delta <= 0.5:
-            raise ConfigurationError(
-                f"uniform delta must lie in [0, 0.5], got {self.delta}"
-            )
-        if schedule is None:
-            kwargs = {} if constant is None else {"constant": constant}
-            schedule = SFSchedule.from_config(config, self.delta, **kwargs)
-        self.schedule = schedule
+        super().__init__(config, noise, schedule=schedule, constant=constant)
 
-    def draw_weak_opinions(self, rng: RngLike = None) -> np.ndarray:
+    def draw_weak_opinions(
+        self,
+        rng: RngLike = None,
+        *,
+        replicas: Optional[int] = None,
+        observe: Optional[Observer] = None,
+    ) -> np.ndarray:
         """Simulate the listening stage round by round (displays change
         every round, so the per-phase binomial shortcut does not apply;
         the per-round one does)."""
         generator = coerce_rng(rng)
-        cfg, sched = self.config, self.schedule
-        n, h = cfg.n, cfg.h
+        observe = observe or self._observe_uniform
+        cfg, h = self.config, self.config.h
         num_sources = cfg.num_sources
-        num_free = n - num_sources
-
-        # b[i] = first-round display of non-source cohort member i.
-        coins = generator.integers(0, 2, size=num_free).astype(np.int8)
-        ones_at_even = int(np.sum(coins == 1))  # non-sources displaying 1 on even t
-
-        counter1 = np.zeros(n, dtype=np.int64)
-        counter0 = np.zeros(n, dtype=np.int64)
-        rounds = 2 * sched.phase_rounds
-        for t in range(rounds):
+        # coins[:, i] = first-round display of non-source i.
+        coins = generator.integers(
+            0, 2, size=(replicas or 1, cfg.n - num_sources)
+        ).astype(np.int8)
+        displays = np.zeros((coins.shape[0], cfg.n), dtype=np.int8)
+        displays[:, cfg.s0 : num_sources] = 1
+        counting_ones = np.empty(displays.shape, dtype=bool)
+        counter1 = np.zeros(displays.shape, dtype=np.int64)
+        counter0 = np.zeros(displays.shape, dtype=np.int64)
+        for t in range(2 * self.schedule.phase_rounds):
             parity = t % 2
-            free_ones = ones_at_even if parity == 0 else num_free - ones_at_even
-            k1 = cfg.s1 + free_ones
-            q1 = observe_one_probability(k1, n, self.delta)
-            observed_ones = generator.binomial(h, q1, size=n)
-            observed_zeros = h - observed_ones
-            # Which agents count 1s this round? Non-sources displaying 0,
-            # plus sources on even rounds.
-            counting_ones = np.empty(n, dtype=bool)
-            counting_ones[:num_sources] = parity == 0
-            counting_ones[num_sources:] = (coins ^ parity) == 0
-            counter1[counting_ones] += observed_ones[counting_ones]
-            counter0[~counting_ones] += observed_zeros[~counting_ones]
-
-        weak = (counter1 > counter0).astype(np.int8)
-        ties = counter1 == counter0
-        if ties.any():
-            weak[ties] = generator.integers(0, 2, size=int(ties.sum())).astype(np.int8)
-        return weak
-
-    def boost_step(
-        self, opinions: np.ndarray, window: int, rng: RngLike = None
-    ) -> np.ndarray:
-        """Identical to SF's boosting sub-phase."""
-        generator = coerce_rng(rng)
-        n = self.config.n
-        k = int(np.sum(opinions == 1))
-        q = observe_one_probability(k, n, self.delta)
-        counts = generator.binomial(window, q, size=n)
-        new = np.where(2 * counts > window, 1, 0).astype(np.int8)
-        ties = 2 * counts == window
-        if ties.any():
-            new[ties] = generator.integers(0, 2, size=int(ties.sum())).astype(np.int8)
-        return new
-
-    def run(self, rng: RngLike = None) -> SFRunResult:
-        """One full execution; result type shared with :class:`FastSourceFilter`."""
-        generator = coerce_rng(rng)
-        cfg, sched = self.config, self.schedule
-        correct = cfg.correct_opinion
-        weak = self.draw_weak_opinions(generator)
-        weak_fraction = float(np.mean(weak == correct)) if correct is not None else 0.5
-
-        opinions = weak.copy()
-        trace: List[float] = []
-        short_window = sched.subphase_rounds * sched.h
-        for _ in range(sched.num_subphases):
-            opinions = self.boost_step(opinions, short_window, generator)
-            if correct is not None:
-                trace.append(float(np.mean(opinions == correct)))
-        opinions = self.boost_step(opinions, sched.final_rounds * sched.h, generator)
-        if correct is not None:
-            trace.append(float(np.mean(opinions == correct)))
-
-        converged = correct is not None and bool(np.all(opinions == correct))
-        return SFRunResult(
-            converged=converged,
-            total_rounds=sched.total_rounds,
-            weak_opinions=weak,
-            weak_fraction_correct=weak_fraction,
-            final_opinions=opinions,
-            boost_trace=trace,
-        )
+            displays[:, num_sources:] = coins ^ parity
+            observed_ones = generator.binomial(
+                h, observe(displays, t, 1), size=displays.shape
+            )
+            # Non-sources displaying 0 count 1s; so do sources on even t.
+            counting_ones[:, :num_sources] = parity == 0
+            counting_ones[:, num_sources:] = displays[:, num_sources:] == 0
+            counter1 += np.where(counting_ones, observed_ones, 0)
+            counter0 += np.where(counting_ones, 0, h - observed_ones)
+        weak = majority_with_ties(counter1, counter0, generator)
+        return weak if replicas else weak[0]

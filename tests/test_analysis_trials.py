@@ -199,3 +199,42 @@ class TestRunTrials:
     def test_trials_must_be_positive(self):
         with pytest.raises(ValueError):
             run_trials(FakeRunner(), 0)
+
+
+def _fast_engine(protocol, **kwargs):
+    from repro import PopulationConfig, SourceCounts
+    from repro.engines import create_engine
+
+    config = PopulationConfig(n=128, sources=SourceCounts(0, 8), h=16)
+    return create_engine(
+        "fast", protocol, config, 0.2 if protocol == "sf" else 0.05, **kwargs
+    )
+
+
+class TestRunTrialsFallsBackWhenTheEngineCannotBatch:
+    """Configurations ``run_batch`` rejects run trial by trial instead."""
+
+    def _check(self, protocol, **kwargs):
+        engine = _fast_engine(protocol, **kwargs)
+        assert not engine.can_batch
+        stats = run_trials(engine, 4, seed=0)
+        baseline = run_trials(_fast_engine(protocol, **kwargs), 4, seed=0, batch=False)
+        assert stats == baseline
+
+    def test_fault_model(self):
+        from repro.faults import ByzantineDisplayFault
+
+        self._check(
+            "sf", fault_model=ByzantineDisplayFault(fraction=0.05, mode="fixed")
+        )
+
+    def test_graph_topology(self):
+        self._check("sf", topology="regular")
+
+    def test_ssf_sample_loss(self):
+        self._check("ssf", sample_loss=0.1)
+
+    def test_batchable_engine_still_batches(self):
+        engine = _fast_engine("sf", sample_loss=0.1)
+        assert engine.can_batch
+        assert run_trials(engine, 3, seed=0).trials == 3
