@@ -6,7 +6,6 @@ import abc
 import dataclasses
 import pickle
 import time
-import warnings
 from typing import Dict, List, Optional
 
 from ..analysis import (
@@ -229,23 +228,6 @@ class Experiment(abc.ABC):
         from ..engines import create_engine
 
         return create_engine(self.engine, protocol, config, delta, **kwargs)
-
-    def _sf_engine(self, config, delta, **kwargs):
-        """Deprecated spelling of :meth:`_engine_handle`.
-
-        .. deprecated::
-            Use :meth:`_engine_handle` / the
-            :func:`repro.engines.create_engine` registry; this shim
-            keeps old subclasses working but warns so construction
-            converges on the registry.
-        """
-        warnings.warn(
-            "Experiment._sf_engine is deprecated; use "
-            "Experiment._engine_handle (repro.engines.create_engine)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._engine_handle(config, delta, **kwargs)
 
     def _next_scope(self) -> str:
         """Checkpoint scope for the next trial batch of this run.

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import warnings
 from typing import Optional, Union
 
 try:  # Python >= 3.8 always has typing.Protocol
@@ -193,17 +192,3 @@ class EngineRunner(Protocol):
         """Execute one run and return its report."""
         ...
 
-
-def as_generator(rng: RngLike) -> np.random.Generator:
-    """Deprecated alias of :func:`coerce_rng` (kept for compatibility).
-
-    .. deprecated::
-        Use :func:`coerce_rng`; this shim will keep working but warns so
-        the two call families stay reconciled.
-    """
-    warnings.warn(
-        "repro.types.as_generator is deprecated; use repro.types.coerce_rng",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return coerce_rng(rng)

@@ -1,7 +1,6 @@
-"""The unified engine registry: capabilities, canonical run contract, shims."""
+"""The unified engine registry: capabilities and the canonical run contract."""
 
 import pickle
-import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +16,7 @@ from repro.engines import (
 from repro.exceptions import ConfigurationError, UnsupportedFeatureError
 from repro.faults import ByzantineDisplayFault, IdentityFaultModel
 from repro.protocols import SFSchedule
-from repro.types import as_generator, merge_rng_seed
+from repro.types import merge_rng_seed
 
 
 def _config(n=48, s0=1, s1=3, h=4):
@@ -221,34 +220,6 @@ class TestNetCapabilityErrors:
             drop_probability=0.1, byzantine_fraction=0.05, round_timeout=2.0,
         )
         assert handle.name == "net"
-
-
-class TestDeprecatedShims:
-    def test_sf_engine_shim_warns_exactly_once_and_delegates(self):
-        from repro.experiments import get_experiment
-
-        experiment = get_experiment("E1")
-        config = _config()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            handle = experiment._sf_engine(config, 0.2)
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert "_engine_handle" in str(deprecations[0].message)
-        assert isinstance(handle, EngineHandle)
-        assert handle.name == experiment.engine
-
-    def test_as_generator_shim_warns_exactly_once(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            generator = as_generator(7)
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert isinstance(generator, np.random.Generator)
 
 
 try:

@@ -6,7 +6,6 @@ import pytest
 from repro.types import (
     Role,
     SourceCounts,
-    as_generator,
     coerce_rng,
     coerce_seed,
     seed_of,
@@ -76,16 +75,6 @@ class TestCoerceRng:
         a = coerce_rng(1).integers(0, 2**32)
         b = coerce_rng(2).integers(0, 2**32)
         assert a != b
-
-
-class TestDeprecatedAsGenerator:
-    def test_warns_and_delegates(self):
-        with pytest.warns(DeprecationWarning, match="coerce_rng"):
-            gen = as_generator(7)
-        assert np.array_equal(
-            gen.integers(0, 1000, size=5),
-            coerce_rng(7).integers(0, 1000, size=5),
-        )
 
 
 class TestSeedOf:
