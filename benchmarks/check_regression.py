@@ -1,21 +1,25 @@
 """Benchmark regression gate: thresholds + staleness for BENCH_*.json.
 
-The repo commits machine-readable benchmark records at its root
-(``BENCH_engine_throughput.json``, ``BENCH_count_engine.json``,
-``BENCH_service_load.json``, ``BENCH_net_roundtrip.json``,
-``BENCH_topology_pull.json``).  This module is the CI gate over them:
+The repo commits machine-readable benchmark records at its root;
+:data:`RECORDS` lists each one with the benchmark module that
+regenerates it and the sources it measures.  This module is the CI gate
+over them:
 
 * **Thresholds** — the committed numbers must back the performance
   claims the docs make: the batched exact engine is never slower than
   the serial loop at n = 1024 (a regression fixed once and kept fixed),
   and the count-level engine is at least 10x the batched exact engine's
-  extrapolated per-round cost at n = 10^6 (in practice it is >10^3x).
-  The run service's content-addressed cache must serve a hit at least
-  10x faster than cold recomputation, and the HTTP front-end must
-  sustain a floor of ``GET /health`` requests per second.  The
-  networked deployment must keep a 64-peer cluster progressing at a
-  floor of full PULL rounds per second.
-* **Staleness** — each record stores a digest of the engine source
+  extrapolated per-round cost at n = 10^6 (in practice it is >10^3x)
+  while staying O(|Sigma|) in memory at n = 10^8.  The run service's
+  content-addressed cache must serve a hit at least 10x faster than
+  cold recomputation, and the HTTP front-end must sustain a floor of
+  ``GET /health`` requests per second.  The networked deployment must
+  keep a 64-peer cluster progressing at a floor of full PULL rounds per
+  second, the topology samplers must stay on the vectorized gather path
+  (with EXT4 compared on at least three graph families), and the
+  adversary search must keep its SPRT trial-savings and
+  evaluations-per-second floors.
+* **Staleness** — each gated record stores a digest of the source
   files that produced it.  When those sources change, the digest stops
   matching and the gate fails until the benchmarks are re-run and the
   refreshed JSONs committed — numbers in the repo can never silently
@@ -32,7 +36,7 @@ import hashlib
 import json
 import pathlib
 import sys
-from typing import Dict, List
+from typing import Dict, List, Optional, Tuple
 
 REPO_ROOT = pathlib.Path(__file__).parent.parent
 
@@ -62,47 +66,29 @@ SERVICE_SOURCES = [
     "src/repro/engines.py",
 ]
 
-#: Source files whose behavior the net-roundtrip record measures — the
-#: whole networked-deployment package, globbed so a new module under
-#: src/repro/net/ invalidates the record without a list edit here.
-def _net_sources() -> List[str]:
-    return sorted(
-        str(path.relative_to(REPO_ROOT))
-        for path in (REPO_ROOT / "src" / "repro" / "net").glob("*.py")
-    )
-
-
-#: Source files whose behavior the topology-pull record measures — the
-#: whole topology package plus the graph builders, globbed so a new
-#: sampler module invalidates the record without a list edit here.
-def _topology_sources() -> List[str]:
-    globbed = sorted(
-        str(path.relative_to(REPO_ROOT))
-        for path in (REPO_ROOT / "src" / "repro" / "topology").glob("*.py")
-    )
-    return globbed + ["src/repro/model/structured.py"]
-
-
-#: Source files whose behavior the adversary-search record measures —
-#: the whole search package plus the sequential-testing module its
-#: SPRT savings claim depends on, globbed so a new module under
-#: src/repro/adversary_search/ invalidates the record without an edit.
-def _adversary_sources() -> List[str]:
-    globbed = sorted(
-        str(path.relative_to(REPO_ROOT))
-        for path in (
-            REPO_ROOT / "src" / "repro" / "adversary_search"
-        ).glob("*.py")
-    )
-    return globbed + ["src/repro/analysis/sequential.py"]
-
-
-ENGINE_THROUGHPUT_JSON = REPO_ROOT / "BENCH_engine_throughput.json"
-COUNT_ENGINE_JSON = REPO_ROOT / "BENCH_count_engine.json"
-SERVICE_LOAD_JSON = REPO_ROOT / "BENCH_service_load.json"
-NET_ROUNDTRIP_JSON = REPO_ROOT / "BENCH_net_roundtrip.json"
-TOPOLOGY_PULL_JSON = REPO_ROOT / "BENCH_topology_pull.json"
-ADVERSARY_SEARCH_JSON = REPO_ROOT / "BENCH_adversary_search.json"
+#: Every committed record: the benchmark module that regenerates it and
+#: the sources its ``sources_digest`` covers (``None``: no digest).  An
+#: entry with a ``*`` is a glob, so a new module in that package
+#: invalidates the record without an edit here.  The net record covers
+#: the networked-deployment package, the topology record the topology
+#: package plus the graph builders, and the adversary record the search
+#: package plus the sequential-testing module its SPRT savings claim
+#: depends on.
+RECORDS: Dict[str, Tuple[str, Optional[List[str]]]] = {
+    "BENCH_engine_throughput.json": ("bench_engine_throughput.py", ENGINE_SOURCES),
+    "BENCH_telemetry_overhead.json": ("bench_telemetry_overhead.py", None),
+    "BENCH_count_engine.json": ("bench_count_engine.py", ENGINE_SOURCES),
+    "BENCH_service_load.json": ("bench_service_load.py", SERVICE_SOURCES),
+    "BENCH_net_roundtrip.json": ("bench_net_roundtrip.py", ["src/repro/net/*.py"]),
+    "BENCH_topology_pull.json": (
+        "bench_topology_pull.py",
+        ["src/repro/topology/*.py", "src/repro/model/structured.py"],
+    ),
+    "BENCH_adversary_search.json": (
+        "bench_adversary_search.py",
+        ["src/repro/adversary_search/*.py", "src/repro/analysis/sequential.py"],
+    ),
+}
 
 #: Gate thresholds (see module docstring).
 MIN_BATCHED_SPEEDUP_N1024 = 1.0
@@ -132,104 +118,48 @@ MIN_SPRT_TRIAL_SAVINGS = 1.3
 MIN_ADVERSARY_EVALS_PER_SEC = 1.0
 
 
-def engine_sources_digest() -> str:
-    """Stable digest of the engine sources (content, not mtimes)."""
+def sources_digest(record: str) -> str:
+    """Stable digest of the sources ``record`` measures (content, not
+    mtimes)."""
     hasher = hashlib.sha256()
-    for relative in ENGINE_SOURCES:
-        path = REPO_ROOT / relative
-        hasher.update(relative.encode())
-        hasher.update(b"\0")
-        hasher.update(path.read_bytes() if path.exists() else b"<missing>")
-        hasher.update(b"\0")
+    for entry in RECORDS[record][1]:
+        if "*" in entry:
+            paths = sorted(
+                str(path.relative_to(REPO_ROOT)) for path in REPO_ROOT.glob(entry)
+            )
+        else:
+            paths = [entry]
+        for relative in paths:
+            path = REPO_ROOT / relative
+            hasher.update(relative.encode())
+            hasher.update(b"\0")
+            hasher.update(path.read_bytes() if path.exists() else b"<missing>")
+            hasher.update(b"\0")
     return hasher.hexdigest()
 
 
-def service_sources_digest() -> str:
-    """Stable digest of the service sources (content, not mtimes)."""
-    hasher = hashlib.sha256()
-    for relative in SERVICE_SOURCES:
-        path = REPO_ROOT / relative
-        hasher.update(relative.encode())
-        hasher.update(b"\0")
-        hasher.update(path.read_bytes() if path.exists() else b"<missing>")
-        hasher.update(b"\0")
-    return hasher.hexdigest()
-
-
-def net_sources_digest() -> str:
-    """Stable digest of src/repro/net/*.py (content, not mtimes)."""
-    hasher = hashlib.sha256()
-    for relative in _net_sources():
-        path = REPO_ROOT / relative
-        hasher.update(relative.encode())
-        hasher.update(b"\0")
-        hasher.update(path.read_bytes())
-        hasher.update(b"\0")
-    return hasher.hexdigest()
-
-
-def topology_sources_digest() -> str:
-    """Stable digest of the topology sources (content, not mtimes)."""
-    hasher = hashlib.sha256()
-    for relative in _topology_sources():
-        path = REPO_ROOT / relative
-        hasher.update(relative.encode())
-        hasher.update(b"\0")
-        hasher.update(path.read_bytes() if path.exists() else b"<missing>")
-        hasher.update(b"\0")
-    return hasher.hexdigest()
-
-
-def adversary_sources_digest() -> str:
-    """Stable digest of the adversary-search sources (content)."""
-    hasher = hashlib.sha256()
-    for relative in _adversary_sources():
-        path = REPO_ROOT / relative
-        hasher.update(relative.encode())
-        hasher.update(b"\0")
-        hasher.update(path.read_bytes() if path.exists() else b"<missing>")
-        hasher.update(b"\0")
-    return hasher.hexdigest()
-
-
-#: Which benchmark module regenerates each committed record.
-_BENCH_FOR = {
-    "BENCH_engine_throughput.json": "bench_engine_throughput.py",
-    "BENCH_count_engine.json": "bench_count_engine.py",
-    "BENCH_service_load.json": "bench_service_load.py",
-    "BENCH_net_roundtrip.json": "bench_net_roundtrip.py",
-    "BENCH_topology_pull.json": "bench_topology_pull.py",
-    "BENCH_adversary_search.json": "bench_adversary_search.py",
-}
-
-
-def _load(path: pathlib.Path) -> Dict[str, object]:
+def _load(record: str) -> Dict[str, object]:
+    path = REPO_ROOT / record
     if not path.exists():
-        bench = _BENCH_FOR.get(path.name, "the benchmarks")
         raise AssertionError(
-            f"{path.name} is missing — run the benchmark "
-            f"(PYTHONPATH=src python -m pytest benchmarks/{bench} "
+            f"{record} is missing — run the benchmark "
+            f"(PYTHONPATH=src python -m pytest benchmarks/{RECORDS[record][0]} "
             f"-q --benchmark-disable) and commit the refreshed record"
         )
     return json.loads(path.read_text())
 
 
-def _check_staleness(
-    payload: Dict[str, object],
-    name: str,
-    errors: List[str],
-    digest_fn=engine_sources_digest,
-):
+def _check_staleness(record: str, payload: Dict[str, object], errors: List[str]):
     recorded = payload.get("sources_digest")
-    current = digest_fn()
+    current = sources_digest(record)
     if recorded is None:
         errors.append(
-            f"{name}: no sources_digest recorded — re-run the benchmarks "
+            f"{record}: no sources_digest recorded — re-run the benchmarks "
             f"so the record is tied to the engine sources"
         )
     elif recorded != current:
         errors.append(
-            f"{name}: stale — engine sources changed since this record "
+            f"{record}: stale — engine sources changed since this record "
             f"was measured (digest {recorded[:12]}… != {current[:12]}…); "
             f"re-run the benchmarks and commit the refreshed JSON"
         )
@@ -238,9 +168,13 @@ def _check_staleness(
 def check(verbose: bool = True) -> List[str]:
     """Run every gate; return the list of failures (empty = pass)."""
     errors: List[str] = []
+    records = {}
+    for record, (_, sources) in RECORDS.items():
+        if sources is not None:
+            records[record] = _load(record)
+            _check_staleness(record, records[record], errors)
 
-    throughput = _load(ENGINE_THROUGHPUT_JSON)
-    _check_staleness(throughput, ENGINE_THROUGHPUT_JSON.name, errors)
+    throughput = records["BENCH_engine_throughput.json"]
     n1024 = [
         case
         for case in throughput.get("cases", [])
@@ -248,7 +182,7 @@ def check(verbose: bool = True) -> List[str]:
     ]
     if not n1024:
         errors.append(
-            f"{ENGINE_THROUGHPUT_JSON.name}: no batched_vs_serial case at "
+            f"BENCH_engine_throughput.json: no batched_vs_serial case at "
             f"n=1024 — the regression that motivated the gate is unmeasured"
         )
     for case in n1024:
@@ -263,8 +197,7 @@ def check(verbose: bool = True) -> List[str]:
         elif verbose:
             print(f"  PASS  {label}: speedup {speedup:.2f}x")
 
-    count = _load(COUNT_ENGINE_JSON)
-    _check_staleness(count, COUNT_ENGINE_JSON.name, errors)
+    count = records["BENCH_count_engine.json"]
     vs_batched = [
         case
         for case in count.get("cases", [])
@@ -273,7 +206,7 @@ def check(verbose: bool = True) -> List[str]:
     ]
     if not vs_batched:
         errors.append(
-            f"{COUNT_ENGINE_JSON.name}: no count_vs_batched_per_round "
+            f"BENCH_count_engine.json: no count_vs_batched_per_round "
             f"case at n=1e6 — the tentpole speedup claim is unmeasured"
         )
     for case in vs_batched:
@@ -297,7 +230,7 @@ def check(verbose: bool = True) -> List[str]:
     ]
     if not large:
         errors.append(
-            f"{COUNT_ENGINE_JSON.name}: no count_sf_full_run case at "
+            f"BENCH_count_engine.json: no count_sf_full_run case at "
             f"n=1e8 — the O(|Sigma|) memory/scale claim is unmeasured"
         )
     for case in large:
@@ -313,11 +246,7 @@ def check(verbose: bool = True) -> List[str]:
                 f"peak {peak / 1e6:.2f} MB"
             )
 
-    service = _load(SERVICE_LOAD_JSON)
-    _check_staleness(
-        service, SERVICE_LOAD_JSON.name, errors,
-        digest_fn=service_sources_digest,
-    )
+    service = records["BENCH_service_load.json"]
     hit_cases = [
         case
         for case in service.get("cases", [])
@@ -325,7 +254,7 @@ def check(verbose: bool = True) -> List[str]:
     ]
     if not hit_cases:
         errors.append(
-            f"{SERVICE_LOAD_JSON.name}: no run_cache_hit case — the "
+            f"BENCH_service_load.json: no run_cache_hit case — the "
             f"content-addressed cache claim is unmeasured"
         )
     for case in hit_cases:
@@ -348,7 +277,7 @@ def check(verbose: bool = True) -> List[str]:
     ]
     if not health_cases:
         errors.append(
-            f"{SERVICE_LOAD_JSON.name}: no health_throughput case — the "
+            f"BENCH_service_load.json: no health_throughput case — the "
             f"per-request overhead is unmeasured"
         )
     for case in health_cases:
@@ -364,10 +293,7 @@ def check(verbose: bool = True) -> List[str]:
                 f"(p99 {case.get('p99_ms')} ms)"
             )
 
-    net = _load(NET_ROUNDTRIP_JSON)
-    _check_staleness(
-        net, NET_ROUNDTRIP_JSON.name, errors, digest_fn=net_sources_digest
-    )
+    net = records["BENCH_net_roundtrip.json"]
     roundtrip_cases = [
         case
         for case in net.get("cases", [])
@@ -375,7 +301,7 @@ def check(verbose: bool = True) -> List[str]:
     ]
     if not roundtrip_cases:
         errors.append(
-            f"{NET_ROUNDTRIP_JSON.name}: no cluster_roundtrip case at "
+            f"BENCH_net_roundtrip.json: no cluster_roundtrip case at "
             f"64 peers — the deployment's round throughput is unmeasured"
         )
     for case in roundtrip_cases:
@@ -392,11 +318,7 @@ def check(verbose: bool = True) -> List[str]:
                 f"({case.get('datagrams_per_sec')} datagrams/s)"
             )
 
-    topology = _load(TOPOLOGY_PULL_JSON)
-    _check_staleness(
-        topology, TOPOLOGY_PULL_JSON.name, errors,
-        digest_fn=topology_sources_digest,
-    )
+    topology = records["BENCH_topology_pull.json"]
     sampler_cases = [
         case
         for case in topology.get("cases", [])
@@ -404,7 +326,7 @@ def check(verbose: bool = True) -> List[str]:
     ]
     if not sampler_cases:
         errors.append(
-            f"{TOPOLOGY_PULL_JSON.name}: no sampler_throughput case — "
+            f"BENCH_topology_pull.json: no sampler_throughput case — "
             f"the CSR neighbor-sampling hot path is unmeasured"
         )
     for case in sampler_cases:
@@ -427,7 +349,7 @@ def check(verbose: bool = True) -> List[str]:
     }
     if len(comparison_families) < MIN_TOPOLOGY_FAMILIES:
         errors.append(
-            f"{TOPOLOGY_PULL_JSON.name}: sf_vs_hybrid covers only "
+            f"BENCH_topology_pull.json: sf_vs_hybrid covers only "
             f"{sorted(comparison_families)} — the EXT4 comparison needs "
             f"at least {MIN_TOPOLOGY_FAMILIES} graph families"
         )
@@ -438,11 +360,7 @@ def check(verbose: bool = True) -> List[str]:
             f"{sorted(comparison_families)}"
         )
 
-    adversary = _load(ADVERSARY_SEARCH_JSON)
-    _check_staleness(
-        adversary, ADVERSARY_SEARCH_JSON.name, errors,
-        digest_fn=adversary_sources_digest,
-    )
+    adversary = records["BENCH_adversary_search.json"]
     savings_cases = [
         case
         for case in adversary.get("cases", [])
@@ -450,7 +368,7 @@ def check(verbose: bool = True) -> List[str]:
     ]
     if not savings_cases:
         errors.append(
-            f"{ADVERSARY_SEARCH_JSON.name}: no sprt_trial_savings case — "
+            f"BENCH_adversary_search.json: no sprt_trial_savings case — "
             f"the SPRT-gated screening claim is unmeasured"
         )
     for case in savings_cases:
@@ -474,7 +392,7 @@ def check(verbose: bool = True) -> List[str]:
     ]
     if not throughput_cases:
         errors.append(
-            f"{ADVERSARY_SEARCH_JSON.name}: no search_throughput case — "
+            f"BENCH_adversary_search.json: no search_throughput case — "
             f"the end-to-end search cost is unmeasured"
         )
     for case in throughput_cases:

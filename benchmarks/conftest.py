@@ -18,200 +18,59 @@ import pytest
 
 from repro.analysis import format_table, write_csv
 
+from .check_regression import RECORDS, REPO_ROOT, sources_digest
+
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
-#: Machine-readable engine-throughput measurements, filled in by
-#: ``bench_engine_throughput.py`` via :func:`record_engine_throughput`
-#: and flushed to ``BENCH_engine_throughput.json`` at the repo root when
-#: the session ends (only if any were recorded this session).
-ENGINE_THROUGHPUT_RESULTS: List[Dict[str, object]] = []
+#: Cases the benchmarks queue for each committed ``BENCH_*.json`` record
+#: (see :data:`benchmarks.check_regression.RECORDS`), written to the
+#: repo root when the session ends.
+RECORD_CASES: Dict[str, List[Dict[str, object]]] = {name: [] for name in RECORDS}
 
-ENGINE_THROUGHPUT_JSON = pathlib.Path(__file__).parent.parent / (
-    "BENCH_engine_throughput.json"
-)
+#: Tests ``-k``/``-m`` filtered out of this session.
+DESELECTED: List[object] = []
 
 
-#: Telemetry-overhead measurements, filled in by
-#: ``bench_telemetry_overhead.py`` and flushed to
-#: ``BENCH_telemetry_overhead.json`` at the repo root alongside the
-#: engine-throughput record.
-TELEMETRY_OVERHEAD_RESULTS: List[Dict[str, object]] = []
+def _recorder(record: str):
+    def record_case(case: Dict[str, object]) -> None:
+        """Queue one measurement for the end-of-session JSON record."""
+        RECORD_CASES[record].append(case)
 
-TELEMETRY_OVERHEAD_JSON = pathlib.Path(__file__).parent.parent / (
-    "BENCH_telemetry_overhead.json"
-)
+    return record_case
 
 
-#: Count-engine scaling measurements, filled in by
-#: ``bench_count_engine.py`` via :func:`record_count_engine` and flushed
-#: to ``BENCH_count_engine.json`` at the repo root; gated by
-#: ``benchmarks/check_regression.py`` in CI.
-COUNT_ENGINE_RESULTS: List[Dict[str, object]] = []
-
-COUNT_ENGINE_JSON = pathlib.Path(__file__).parent.parent / (
-    "BENCH_count_engine.json"
-)
+record_engine_throughput = _recorder("BENCH_engine_throughput.json")
+record_telemetry_overhead = _recorder("BENCH_telemetry_overhead.json")
+record_count_engine = _recorder("BENCH_count_engine.json")
+record_service_load = _recorder("BENCH_service_load.json")
+record_net_roundtrip = _recorder("BENCH_net_roundtrip.json")
+record_topology_pull = _recorder("BENCH_topology_pull.json")
+record_adversary_search = _recorder("BENCH_adversary_search.json")
 
 
-#: Service load measurements, filled in by ``bench_service_load.py``
-#: via :func:`record_service_load` and flushed to
-#: ``BENCH_service_load.json`` at the repo root; gated by
-#: ``benchmarks/check_regression.py`` in CI (cache-hit speedup floor,
-#: request-throughput floor).
-SERVICE_LOAD_RESULTS: List[Dict[str, object]] = []
-
-SERVICE_LOAD_JSON = pathlib.Path(__file__).parent.parent / (
-    "BENCH_service_load.json"
-)
-
-
-#: Networked-deployment round-trip measurements, filled in by
-#: ``bench_net_roundtrip.py`` via :func:`record_net_roundtrip` and
-#: flushed to ``BENCH_net_roundtrip.json`` at the repo root; gated by
-#: ``benchmarks/check_regression.py`` in CI (rounds/sec floor).
-NET_ROUNDTRIP_RESULTS: List[Dict[str, object]] = []
-
-NET_ROUNDTRIP_JSON = pathlib.Path(__file__).parent.parent / (
-    "BENCH_net_roundtrip.json"
-)
-
-
-#: Topology-sampler throughput + EXT4 comparison records, filled in by
-#: ``bench_topology_pull.py`` via :func:`record_topology_pull` and
-#: flushed to ``BENCH_topology_pull.json`` at the repo root; gated by
-#: ``benchmarks/check_regression.py`` in CI (samples/sec floor, >= 3
-#: graph families compared).
-TOPOLOGY_PULL_RESULTS: List[Dict[str, object]] = []
-
-TOPOLOGY_PULL_JSON = pathlib.Path(__file__).parent.parent / (
-    "BENCH_topology_pull.json"
-)
-
-
-#: Adversary-search cost records (SPRT trial savings, search
-#: throughput), filled in by ``bench_adversary_search.py`` via
-#: :func:`record_adversary_search` and flushed to
-#: ``BENCH_adversary_search.json`` at the repo root; gated by
-#: ``benchmarks/check_regression.py`` in CI (savings floor,
-#: evaluations/sec floor).
-ADVERSARY_SEARCH_RESULTS: List[Dict[str, object]] = []
-
-ADVERSARY_SEARCH_JSON = pathlib.Path(__file__).parent.parent / (
-    "BENCH_adversary_search.json"
-)
-
-
-def record_engine_throughput(case: Dict[str, object]) -> None:
-    """Queue one throughput measurement for the end-of-session JSON."""
-    ENGINE_THROUGHPUT_RESULTS.append(case)
-
-
-def record_telemetry_overhead(case: Dict[str, object]) -> None:
-    """Queue one telemetry-overhead measurement for the session JSON."""
-    TELEMETRY_OVERHEAD_RESULTS.append(case)
-
-
-def record_count_engine(case: Dict[str, object]) -> None:
-    """Queue one count-engine measurement for the end-of-session JSON."""
-    COUNT_ENGINE_RESULTS.append(case)
-
-
-def record_service_load(case: Dict[str, object]) -> None:
-    """Queue one service-load measurement for the end-of-session JSON."""
-    SERVICE_LOAD_RESULTS.append(case)
-
-
-def record_net_roundtrip(case: Dict[str, object]) -> None:
-    """Queue one cluster round-trip measurement for the session JSON."""
-    NET_ROUNDTRIP_RESULTS.append(case)
-
-
-def record_topology_pull(case: Dict[str, object]) -> None:
-    """Queue one topology-sampler measurement for the session JSON."""
-    TOPOLOGY_PULL_RESULTS.append(case)
-
-
-def record_adversary_search(case: Dict[str, object]) -> None:
-    """Queue one adversary-search measurement for the session JSON."""
-    ADVERSARY_SEARCH_RESULTS.append(case)
+def pytest_deselected(items):
+    DESELECTED.extend(items)
 
 
 def pytest_sessionfinish(session, exitstatus):
-    # The digest ties each record to the engine sources it measured so
-    # the check_regression gate can fail on stale numbers.
-    from .check_regression import engine_sources_digest
-
-    digest = engine_sources_digest()
-    if ENGINE_THROUGHPUT_RESULTS:
+    # A failed or filtered session measured only part of a record, so
+    # it must not overwrite the committed one.
+    if exitstatus != 0 or DESELECTED:
+        return
+    for record, cases in RECORD_CASES.items():
+        if not cases:
+            continue
         payload = {
-            "benchmark": "engine_throughput",
+            "benchmark": record[len("BENCH_"):-len(".json")],
             "python": platform.python_version(),
             "machine": platform.machine(),
-            "sources_digest": digest,
-            "cases": ENGINE_THROUGHPUT_RESULTS,
         }
-        ENGINE_THROUGHPUT_JSON.write_text(json.dumps(payload, indent=2) + "\n")
-    if TELEMETRY_OVERHEAD_RESULTS:
-        payload = {
-            "benchmark": "telemetry_overhead",
-            "python": platform.python_version(),
-            "machine": platform.machine(),
-            "cases": TELEMETRY_OVERHEAD_RESULTS,
-        }
-        TELEMETRY_OVERHEAD_JSON.write_text(json.dumps(payload, indent=2) + "\n")
-    if COUNT_ENGINE_RESULTS:
-        payload = {
-            "benchmark": "count_engine",
-            "python": platform.python_version(),
-            "machine": platform.machine(),
-            "sources_digest": digest,
-            "cases": COUNT_ENGINE_RESULTS,
-        }
-        COUNT_ENGINE_JSON.write_text(json.dumps(payload, indent=2) + "\n")
-    if SERVICE_LOAD_RESULTS:
-        from .check_regression import service_sources_digest
-
-        payload = {
-            "benchmark": "service_load",
-            "python": platform.python_version(),
-            "machine": platform.machine(),
-            "sources_digest": service_sources_digest(),
-            "cases": SERVICE_LOAD_RESULTS,
-        }
-        SERVICE_LOAD_JSON.write_text(json.dumps(payload, indent=2) + "\n")
-    if NET_ROUNDTRIP_RESULTS:
-        from .check_regression import net_sources_digest
-
-        payload = {
-            "benchmark": "net_roundtrip",
-            "python": platform.python_version(),
-            "machine": platform.machine(),
-            "sources_digest": net_sources_digest(),
-            "cases": NET_ROUNDTRIP_RESULTS,
-        }
-        NET_ROUNDTRIP_JSON.write_text(json.dumps(payload, indent=2) + "\n")
-    if TOPOLOGY_PULL_RESULTS:
-        from .check_regression import topology_sources_digest
-
-        payload = {
-            "benchmark": "topology_pull",
-            "python": platform.python_version(),
-            "machine": platform.machine(),
-            "sources_digest": topology_sources_digest(),
-            "cases": TOPOLOGY_PULL_RESULTS,
-        }
-        TOPOLOGY_PULL_JSON.write_text(json.dumps(payload, indent=2) + "\n")
-    if ADVERSARY_SEARCH_RESULTS:
-        from .check_regression import adversary_sources_digest
-
-        payload = {
-            "benchmark": "adversary_search",
-            "python": platform.python_version(),
-            "machine": platform.machine(),
-            "sources_digest": adversary_sources_digest(),
-            "cases": ADVERSARY_SEARCH_RESULTS,
-        }
-        ADVERSARY_SEARCH_JSON.write_text(json.dumps(payload, indent=2) + "\n")
+        if RECORDS[record][1] is not None:
+            # Ties the record to the sources it measured, so the
+            # check_regression gate can fail on stale numbers.
+            payload["sources_digest"] = sources_digest(record)
+        payload["cases"] = cases
+        (REPO_ROOT / record).write_text(json.dumps(payload, indent=2) + "\n")
 
 
 def emit_table(
