@@ -25,6 +25,12 @@ from typing import Callable, Dict, List, Optional, Union
 
 import numpy as np
 
+from ..baselines import (
+    NoisyMajorityDynamics,
+    NoisyVoterModel,
+    ThreeMajorityDynamics,
+    UndecidedStateDynamics,
+)
 from ..faults import ByzantineDisplayFault, CrashFault
 from ..model import (
     BatchedPullEngine,
@@ -468,6 +474,46 @@ def _async_ssf() -> Dict[str, object]:
     )
 
 
+def _zealot_baselines() -> Dict[str, object]:
+    seed = 41
+    # (n, s0, s1, h, delta, run keywords): minority zealots under
+    # noise, a correct-0 population, and a run past consensus.
+    setups = [
+        (64, 2, 6, 5, 0.02, {"max_rounds": 60, "patience": 2}),
+        (24, 3, 0, 4, 0.01, {"max_rounds": 200, "patience": 2}),
+        (24, 0, 3, 4, 0.01, {"max_rounds": 40, "stop_on_consensus": False}),
+    ]
+    models = (NoisyVoterModel, NoisyMajorityDynamics,
+              ThreeMajorityDynamics, UndecidedStateDynamics)
+    parts: List[Union[int, np.ndarray]] = []
+    summary: Dict[str, object] = {}
+    for offset, model in enumerate(models):
+        rounds = []
+        for n, s0, s1, h, delta, keywords in setups:
+            config = PopulationConfig(n=n, sources=SourceCounts(s0, s1), h=h)
+            result = model(config, delta).run(
+                rng=seed + offset, record_trace=True, **keywords
+            )
+            parts += [
+                result.final_opinions,
+                np.asarray(result.trace, dtype=np.float64),
+                result.rounds_executed,
+                -1 if result.consensus_round is None
+                else result.consensus_round,
+                int(result.converged),
+                int(result.strict_converged),
+            ]
+            rounds.append(int(result.rounds_executed))
+        summary[model.__name__] = rounds
+    return _record(
+        "+".join(model.__name__ for model in models),
+        seed,
+        {"setups": [list(setup) for setup in setups]},
+        trajectory_digest(*parts),
+        summary,
+    )
+
+
 #: The committed conformance fixtures, one JSON file per entry.
 GOLDEN_SCENARIOS: List[GoldenScenario] = [
     GoldenScenario(
@@ -529,6 +575,11 @@ GOLDEN_SCENARIOS: List[GoldenScenario] = [
         "async_ssf",
         "AsyncPullEngine driving the asynchronous SSF",
         _async_ssf,
+    ),
+    GoldenScenario(
+        "zealot_baselines",
+        "Voter, h-majority, 3-majority and USD zealot baselines, traced",
+        _zealot_baselines,
     ),
 ]
 
