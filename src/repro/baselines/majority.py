@@ -12,71 +12,21 @@ comparison (E9) quantifies this.
 
 from __future__ import annotations
 
-from typing import List
-
 import numpy as np
 
-from ..model.config import PopulationConfig
-from ..types import RngLike, coerce_rng
-from .base import ConsensusMonitor, DynamicsResult, observe_probability
+from .base import ZealotDynamics
 
 
-class NoisyMajorityDynamics:
+class NoisyMajorityDynamics(ZealotDynamics):
     """Repeated majority-of-h-samples under uniform binary PULL noise."""
 
-    def __init__(self, config: PopulationConfig, delta: float) -> None:
-        if not 0.0 <= delta <= 0.5:
-            raise ValueError(f"delta must lie in [0, 0.5], got {delta}")
-        self.config = config
-        self.delta = delta
-
-    def run(
-        self,
-        max_rounds: int,
-        rng: RngLike = None,
-        stop_on_consensus: bool = True,
-        patience: int = 0,
-        record_trace: bool = False,
-    ) -> DynamicsResult:
-        """Simulate up to ``max_rounds`` rounds."""
-        generator = coerce_rng(rng)
-        cfg = self.config
-        n, s0, s1, h = cfg.n, cfg.s0, cfg.s1, cfg.h
-        correct = cfg.correct_opinion
-        num_free = n - s0 - s1
-
-        free = generator.integers(0, 2, size=num_free).astype(np.int8)
-        monitor = ConsensusMonitor()
-        trace: List[float] = []
-        t = 0
-        for t in range(max_rounds):
-            k = s1 + int(np.sum(free == 1))
-            q = observe_probability(k, n, self.delta)
-            counts = generator.binomial(h, q, size=num_free)
-            free = np.where(2 * counts > h, 1, 0).astype(np.int8)
-            ties = 2 * counts == h
-            if ties.any():
-                free[ties] = generator.integers(0, 2, size=int(ties.sum())).astype(
-                    np.int8
-                )
-            unanimous = bool(np.all(free == correct))
-            monitor.update(t, unanimous)
-            if record_trace:
-                num_correct = int(np.sum(free == correct)) + (s1 if correct == 1 else s0)
-                trace.append(num_correct / n)
-            if stop_on_consensus and monitor.stable_for(t, patience):
-                break
-
-        final = np.concatenate(
-            [np.zeros(s0, dtype=np.int8), np.ones(s1, dtype=np.int8), free]
-        )
-        converged = bool(np.all(free == correct))
-        strict = converged and (s0 == 0 if correct == 1 else s1 == 0)
-        return DynamicsResult(
-            converged=converged,
-            strict_converged=strict,
-            consensus_round=monitor.consensus_start if converged else None,
-            rounds_executed=t + 1,
-            final_opinions=final,
-            trace=trace,
-        )
+    def _step(self, free: np.ndarray, generator: np.random.Generator) -> np.ndarray:
+        h = self.config.h
+        counts = generator.binomial(h, self._observe_one(free), size=free.size)
+        free = np.where(2 * counts > h, 1, 0).astype(np.int8)
+        ties = 2 * counts == h
+        if ties.any():
+            free[ties] = generator.integers(0, 2, size=int(ties.sum())).astype(
+                np.int8
+            )
+        return free

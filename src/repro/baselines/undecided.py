@@ -15,86 +15,38 @@ either; with noise it additionally stalls at a noisy-equilibrium mix.
 
 from __future__ import annotations
 
-from typing import List
-
 import numpy as np
 
-from ..model.config import PopulationConfig
-from ..types import RngLike, coerce_rng
-from .base import ConsensusMonitor, DynamicsResult
+from .base import ZealotDynamics
 
 #: Third symbol: the undecided tag.
 UNDECIDED = 2
 
 
-class UndecidedStateDynamics:
+class UndecidedStateDynamics(ZealotDynamics):
     """USD with zealots over a noisy 3-letter PULL channel (one sample/round)."""
 
-    def __init__(self, config: PopulationConfig, delta: float) -> None:
-        if not 0.0 <= delta <= 1.0 / 3.0:
-            raise ValueError(f"delta must lie in [0, 1/3], got {delta}")
-        self.config = config
-        self.delta = delta
+    max_delta = 1.0 / 3.0
+    max_delta_label = "1/3"
 
-    def run(
-        self,
-        max_rounds: int,
-        rng: RngLike = None,
-        stop_on_consensus: bool = True,
-        patience: int = 0,
-        record_trace: bool = False,
-    ) -> DynamicsResult:
-        """Simulate up to ``max_rounds`` rounds."""
-        generator = coerce_rng(rng)
+    def _step(self, free: np.ndarray, generator: np.random.Generator) -> np.ndarray:
         cfg = self.config
-        n, s0, s1 = cfg.n, cfg.s0, cfg.s1
-        correct = cfg.correct_opinion
-        num_free = n - s0 - s1
-
-        # Free agents start opinionated at random (0/1).
-        free = generator.integers(0, 2, size=num_free).astype(np.int8)
-        monitor = ConsensusMonitor()
-        trace: List[float] = []
-        t = 0
-        for t in range(max_rounds):
-            counts = np.array(
-                [
-                    s0 + int(np.sum(free == 0)),
-                    s1 + int(np.sum(free == 1)),
-                    int(np.sum(free == UNDECIDED)),
-                ],
-                dtype=float,
-            )
-            q = self.delta + (counts / n) * (1.0 - 3.0 * self.delta)
-            observed = generator.choice(3, size=num_free, p=q / q.sum())
-            new = free.copy()
-            # Opinionated agent seeing the opposite opinion -> undecided.
-            opinionated = free != UNDECIDED
-            clash = opinionated & (observed != UNDECIDED) & (observed != free)
-            new[clash] = UNDECIDED
-            # Undecided agent seeing an opinion -> adopt it.
-            adopt = (free == UNDECIDED) & (observed != UNDECIDED)
-            new[adopt] = observed[adopt].astype(np.int8)
-            free = new
-
-            unanimous = bool(np.all(free == correct))
-            monitor.update(t, unanimous)
-            if record_trace:
-                num_correct = int(np.sum(free == correct)) + (s1 if correct == 1 else s0)
-                trace.append(num_correct / n)
-            if stop_on_consensus and monitor.stable_for(t, patience):
-                break
-
-        final = np.concatenate(
-            [np.zeros(s0, dtype=np.int8), np.ones(s1, dtype=np.int8), free]
+        counts = np.array(
+            [
+                cfg.s0 + int(np.sum(free == 0)),
+                cfg.s1 + int(np.sum(free == 1)),
+                int(np.sum(free == UNDECIDED)),
+            ],
+            dtype=float,
         )
-        converged = bool(np.all(free == correct))
-        strict = converged and (s0 == 0 if correct == 1 else s1 == 0)
-        return DynamicsResult(
-            converged=converged,
-            strict_converged=strict,
-            consensus_round=monitor.consensus_start if converged else None,
-            rounds_executed=t + 1,
-            final_opinions=final,
-            trace=trace,
-        )
+        q = self.delta + (counts / cfg.n) * (1.0 - 3.0 * self.delta)
+        observed = generator.choice(3, size=free.size, p=q / q.sum())
+        new = free.copy()
+        # Opinionated agent seeing the opposite opinion -> undecided.
+        opinionated = free != UNDECIDED
+        clash = opinionated & (observed != UNDECIDED) & (observed != free)
+        new[clash] = UNDECIDED
+        # Undecided agent seeing an opinion -> adopt it.
+        adopt = (free == UNDECIDED) & (observed != UNDECIDED)
+        new[adopt] = observed[adopt].astype(np.int8)
+        return new

@@ -15,16 +15,12 @@ non-zealot independently adopts 1 with probability
 
 from __future__ import annotations
 
-from typing import List
-
 import numpy as np
 
-from ..model.config import PopulationConfig
-from ..types import RngLike, coerce_rng
-from .base import ConsensusMonitor, DynamicsResult, observe_probability
+from .base import ZealotDynamics
 
 
-class NoisyVoterModel:
+class NoisyVoterModel(ZealotDynamics):
     """Voter dynamics with zealots under uniform binary PULL noise.
 
     ``h`` is accepted for interface parity but the voter rule uses a
@@ -33,55 +29,6 @@ class NoisyVoterModel:
     samples.
     """
 
-    def __init__(self, config: PopulationConfig, delta: float) -> None:
-        if not 0.0 <= delta <= 0.5:
-            raise ValueError(f"delta must lie in [0, 0.5], got {delta}")
-        self.config = config
-        self.delta = delta
-
-    def run(
-        self,
-        max_rounds: int,
-        rng: RngLike = None,
-        stop_on_consensus: bool = True,
-        patience: int = 0,
-        record_trace: bool = False,
-    ) -> DynamicsResult:
-        """Simulate up to ``max_rounds`` rounds."""
-        generator = coerce_rng(rng)
-        cfg = self.config
-        n, s0, s1 = cfg.n, cfg.s0, cfg.s1
-        num_z = s0 + s1
-        correct = cfg.correct_opinion
-        num_free = n - num_z
-
-        # Positional layout: zealots first (s0 zeros then s1 ones).
-        free = generator.integers(0, 2, size=num_free).astype(np.int8)
-        monitor = ConsensusMonitor()
-        trace: List[float] = []
-        t = 0
-        for t in range(max_rounds):
-            k = s1 + int(np.sum(free == 1))
-            q = observe_probability(k, n, self.delta)
-            free = (generator.random(num_free) < q).astype(np.int8)
-            unanimous = bool(np.all(free == correct))
-            monitor.update(t, unanimous)
-            if record_trace:
-                num_correct = int(np.sum(free == correct)) + (s1 if correct == 1 else s0)
-                trace.append(num_correct / n)
-            if stop_on_consensus and monitor.stable_for(t, patience):
-                break
-
-        final = np.concatenate(
-            [np.zeros(s0, dtype=np.int8), np.ones(s1, dtype=np.int8), free]
-        )
-        converged = bool(np.all(free == correct))
-        strict = converged and (s0 == 0 if correct == 1 else s1 == 0)
-        return DynamicsResult(
-            converged=converged,
-            strict_converged=strict,
-            consensus_round=monitor.consensus_start if converged else None,
-            rounds_executed=t + 1,
-            final_opinions=final,
-            trace=trace,
-        )
+    def _step(self, free: np.ndarray, generator: np.random.Generator) -> np.ndarray:
+        q = self._observe_one(free)
+        return (generator.random(free.size) < q).astype(np.int8)
