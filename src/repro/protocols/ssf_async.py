@@ -17,73 +17,26 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..exceptions import ProtocolError
 from ..model.async_engine import AsyncPullProtocol
-from ..model.population import Population
-from ..types import RngLike, coerce_rng
-from .parameters import SSFSchedule
 from .ssf import (
     SYMBOL_NONSOURCE_1,
     SYMBOL_SOURCE_0,
     SYMBOL_SOURCE_1,
+    SelfStabilizingSourceFilterProtocol,
     majority_with_ties,
 )
 
 
-class AsyncSelfStabilizingSourceFilter(AsyncPullProtocol):
-    """Algorithm 2 on the asynchronous engine."""
+class AsyncSelfStabilizingSourceFilter(
+    SelfStabilizingSourceFilterProtocol, AsyncPullProtocol
+):
+    """Algorithm 2 on the asynchronous engine.
 
-    alphabet_size = 4
+    The per-agent state, ``reset``, ``install_state`` and the read-outs
+    are the synchronous protocol's; only how one agent displays and
+    wakes differs.
+    """
 
-    def __init__(self, schedule: SSFSchedule) -> None:
-        self.schedule = schedule
-        self._population: Population = None
-        self._rng: np.random.Generator = None
-        self._memory: np.ndarray = None
-        self._fill: np.ndarray = None
-        self._weak: np.ndarray = None
-        self._opinions: np.ndarray = None
-
-    @property
-    def memory_capacity(self) -> int:
-        """The buffer size parameter ``m``."""
-        return self.schedule.m
-
-    def reset(self, population: Population, rng: RngLike = None) -> None:
-        self._population = population
-        self._rng = coerce_rng(rng)
-        n = population.n
-        self._memory = np.zeros((n, 4), dtype=np.int64)
-        self._fill = np.zeros(n, dtype=np.int64)
-        opinions = self._rng.integers(0, 2, size=n).astype(np.int8)
-        mask = population.is_source
-        opinions[mask] = population.preferences[mask]
-        self._opinions = opinions
-        self._weak = opinions.copy()
-
-    def install_state(
-        self,
-        opinions: np.ndarray,
-        weak_opinions: np.ndarray,
-        memory_counts: np.ndarray,
-    ) -> None:
-        """Adversarial initialization (same contract as the sync SSF)."""
-        if self._population is None:
-            raise ProtocolError("protocol must be reset before corruption")
-        n = self._population.n
-        opinions = np.asarray(opinions, dtype=np.int8)
-        weak = np.asarray(weak_opinions, dtype=np.int8)
-        memory = np.asarray(memory_counts, dtype=np.int64)
-        if opinions.shape != (n,) or weak.shape != (n,) or memory.shape != (n, 4):
-            raise ProtocolError("adversarial state has wrong shape")
-        if memory.min() < 0 or memory.sum(axis=1).max() > self.memory_capacity:
-            raise ProtocolError("adversarial memories must hold <= m messages")
-        self._opinions = opinions.copy()
-        self._weak = weak.copy()
-        self._memory = memory.copy()
-        self._fill = memory.sum(axis=1)
-
-    # ------------------------------------------------------------------
     def display_of(self, agent: int) -> int:
         pop = self._population
         if pop.is_source[agent]:
@@ -112,16 +65,3 @@ class AsyncSelfStabilizingSourceFilter(AsyncPullProtocol):
         self._opinions[agent] = new_opinion
         self._memory[agent] = 0
         self._fill[agent] = 0
-
-    def opinions(self) -> np.ndarray:
-        return self._opinions
-
-    @property
-    def weak_opinions(self) -> np.ndarray:
-        """Current weak-opinion vector."""
-        return self._weak
-
-    @property
-    def memory_fill(self) -> np.ndarray:
-        """Messages currently buffered per agent (agent-level spelling)."""
-        return self._fill

@@ -161,3 +161,27 @@ class TestAsyncSSF:
             protocol.install_state(
                 np.zeros(cfg.n), np.zeros(cfg.n), bad_memory
             )
+
+    def test_rejects_schedule_built_for_another_h(self):
+        cfg, pop, _ = setup(h=8)
+        schedule = SSFSchedule.from_config(
+            PopulationConfig(n=cfg.n, sources=SourceCounts(0, 2), h=16), 0.05
+        )
+        protocol = AsyncSelfStabilizingSourceFilter(schedule)
+        with pytest.raises(ProtocolError, match="h=16.*h=8"):
+            protocol.reset(pop)
+
+    def test_is_an_async_protocol_sharing_the_sync_state(self):
+        from repro.protocols import SelfStabilizingSourceFilterProtocol
+
+        cfg, pop, _ = setup()
+        protocol = AsyncSelfStabilizingSourceFilter(
+            SSFSchedule.from_config(cfg, 0.05)
+        )
+        assert isinstance(protocol, AsyncPullProtocol)
+        assert isinstance(protocol, SelfStabilizingSourceFilterProtocol)
+        protocol.reset(pop, np.random.default_rng(0))
+        sync = SelfStabilizingSourceFilterProtocol(protocol.schedule)
+        sync.reset(pop, np.random.default_rng(0))
+        assert np.array_equal(protocol.opinions(), sync.opinions())
+        assert np.array_equal(protocol.weak_opinions, sync.weak_opinions)
