@@ -65,7 +65,7 @@ def pytest_sessionfinish(session, exitstatus):
             "python": platform.python_version(),
             "machine": platform.machine(),
         }
-        if RECORDS[record][1] is not None:
+        if RECORDS[record].sources is not None:
             # Ties the record to the sources it measured, so the
             # check_regression gate can fail on stale numbers.
             payload["sources_digest"] = sources_digest(record)
