@@ -25,13 +25,15 @@ from typing import Callable, Dict, List, Optional, Union
 
 import numpy as np
 
+from ..analysis import MeanFieldHandoff, run_trials
 from ..baselines import (
     NoisyMajorityDynamics,
     NoisyVoterModel,
     ThreeMajorityDynamics,
     UndecidedStateDynamics,
 )
-from ..faults import ByzantineDisplayFault, CrashFault
+from ..engines import create_engine
+from ..faults import ByzantineDisplayFault, CrashFault, NoiseMisspecification
 from ..model import (
     BatchedPullEngine,
     Population,
@@ -42,6 +44,8 @@ from ..model.async_engine import AsyncPullEngine
 from ..noise import NoiseMatrix
 from ..protocols import (
     BatchedSourceFilter,
+    CountSelfStabilizingSourceFilter,
+    CountSourceFilter,
     FastAlternatingSourceFilter,
     FastSelfStabilizingSourceFilter,
     FastSourceFilter,
@@ -514,6 +518,109 @@ def _zealot_baselines() -> Dict[str, object]:
     )
 
 
+def _count_parts(result) -> List[Union[int, np.ndarray]]:
+    trace = result.trace
+    return [
+        int(result.converged),
+        -1 if result.consensus_round is None else result.consensus_round,
+        result.rounds_executed,
+        result.final_opinion_counts,
+        np.array([r.round_index for r in trace], dtype=np.int64),
+        np.array([r.fraction_correct for r in trace], dtype=np.float64),
+        np.array([r.num_correct for r in trace], dtype=np.int64),
+    ]
+
+
+def _trial_parts(stats) -> List[Union[int, np.ndarray]]:
+    return [
+        stats.trials,
+        stats.successes,
+        np.asarray(stats.values, dtype=np.float64),
+        stats.failed_trials,
+    ]
+
+
+def _certify_handle(protocol: str, n: int):
+    """The count-engine targets the certify benchmark workload runs."""
+    if protocol == "sf":
+        config = PopulationConfig(n=n, sources=SourceCounts(1, 3), h=16)
+        return create_engine("count", "sf", config, 0.2)
+    config = PopulationConfig(n=n, sources=SourceCounts(0, 1), h=n)
+    return create_engine("count", "ssf", config, 0.1)
+
+
+def _count_sf() -> Dict[str, object]:
+    seed = 43
+    # (n, delta, protocol keywords): three population scales, the
+    # mean-field handoff, and a true channel so much noisier than
+    # assumed that the run fails.
+    setups = [
+        (1_000, 0.2, {}),
+        (10**6, 0.2, {}),
+        (10**8, 0.2, {}),
+        (10**6, 0.2, {"handoff": MeanFieldHandoff()}),
+        (1_000, 0.2, {"fault_model": NoiseMisspecification.uniform(0.47)}),
+    ]
+    parts: List[Union[int, np.ndarray]] = []
+    converged = []
+    for offset, (n, delta, keywords) in enumerate(setups):
+        config = PopulationConfig(n=n, sources=SourceCounts(1, 3), h=16)
+        protocol = CountSourceFilter(config, delta, **keywords)
+        result = protocol.run(rng=seed + offset, record_trace=True)
+        parts += _count_parts(result)
+        parts += [protocol.weak_count,
+                  np.asarray(protocol.boost_trace, dtype=np.float64)]
+        converged.append(bool(result.converged))
+    successes = []
+    for n in (10**6, 10**8):
+        stats = run_trials(_certify_handle("sf", n), 25, seed=seed)
+        parts += _trial_parts(stats)
+        successes.append(stats.successes)
+    return _record(
+        "CountPullEngine+CountSourceFilter",
+        seed,
+        {"setups": [[n, delta, sorted(keywords)] for n, delta, keywords in setups],
+         "s0": 1, "s1": 3, "h": 16, "run_trials": [25, [10**6, 10**8]]},
+        trajectory_digest(*parts),
+        {"converged": converged, "run_trials_successes": successes},
+    )
+
+
+def _count_ssf() -> Dict[str, object]:
+    seed = 47
+    # (n, s1, h, delta, run keywords): a small population to
+    # consensus, the certify scale, and a run cut mid-epoch.
+    small = PopulationConfig(n=256, sources=SourceCounts(0, 2), h=16)
+    cut = 2 * SSFSchedule.from_config(small, 0.05).epoch_rounds + 3
+    setups = [
+        (256, 2, 16, 0.05, {}),
+        (10**6, 1, 10**6, 0.1, {}),
+        (256, 2, 16, 0.05, {"max_rounds": cut, "stop_on_consensus": False}),
+    ]
+    parts: List[Union[int, np.ndarray]] = []
+    converged, rounds = [], []
+    for offset, (n, s1, h, delta, keywords) in enumerate(setups):
+        config = PopulationConfig(n=n, sources=SourceCounts(0, s1), h=h)
+        protocol = CountSelfStabilizingSourceFilter(config, delta)
+        result = protocol.run(rng=seed + offset, record_trace=True, **keywords)
+        parts += _count_parts(result)
+        parts += [protocol.weak_count]
+        converged.append(bool(result.converged))
+        rounds.append(int(result.rounds_executed))
+    stats = run_trials(_certify_handle("ssf", 10**6), 25, seed=seed)
+    parts += _trial_parts(stats)
+    return _record(
+        "CountPullEngine+CountSelfStabilizingSourceFilter",
+        seed,
+        {"setups": [[n, s1, h, delta, sorted(keywords)]
+                    for n, s1, h, delta, keywords in setups],
+         "max_rounds_cut": cut, "run_trials": [25, [10**6]]},
+        trajectory_digest(*parts),
+        {"converged": converged, "rounds_executed": rounds,
+         "run_trials_successes": stats.successes},
+    )
+
+
 #: The committed conformance fixtures, one JSON file per entry.
 GOLDEN_SCENARIOS: List[GoldenScenario] = [
     GoldenScenario(
@@ -580,6 +687,18 @@ GOLDEN_SCENARIOS: List[GoldenScenario] = [
         "zealot_baselines",
         "Voter, h-majority, 3-majority and USD zealot baselines, traced",
         _zealot_baselines,
+    ),
+    GoldenScenario(
+        "count_sf",
+        "CountPullEngine driving SF at n = 1e3..1e8, traced, plus "
+        "certify-scale run_trials",
+        _count_sf,
+    ),
+    GoldenScenario(
+        "count_ssf",
+        "CountPullEngine driving SSF at n = 256 and 1e6, one run cut by "
+        "max_rounds, plus certify-scale run_trials",
+        _count_ssf,
     ),
 ]
 
