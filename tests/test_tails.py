@@ -5,13 +5,14 @@ Cross-validated against the repo's exact O(n) oracles
 :func:`repro.theory.exact_majority_advantage`) and Monte Carlo.
 """
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.theory import exact_majority_advantage
+from repro.theory import exact_majority_advantage, tails
 from repro.theory.tails import (
     EXACT_COMPARISON_LIMIT,
     binomial_tail_ge,
@@ -187,3 +188,80 @@ class TestMultinomialPairGt:
             multinomial_pair_gt_probability(10, 0.8, 0.3)  # mass > 1
         with pytest.raises(ConfigurationError):
             multinomial_pair_gt_probability(-1, 0.1, 0.1)
+
+
+# ----------------------------------------------------------------------
+# The normal branch above EXACT_COMPARISON_LIMIT: a measured error bound
+# ----------------------------------------------------------------------
+#: Worst absolute error of each comparison law's normal branch against
+#: its exact convolution, measured over total trials 16 385 .. 2**20
+#: (the multinomial law: .. 2**16, its exact form being a Python loop),
+#: delta 0.001 .. 0.45 and means -2 .. +2 standard deviations.  Both
+#: maxima sit at the switch, at delta = 0.001 and mean -2 sd, and shrink
+#: about as 1/trials (docs/performance.md).
+BINOMIAL_NORMAL_ERROR = 4.5e-3
+MULTINOMIAL_NORMAL_ERROR = 1.9e-3
+
+
+def _normal_and_exact(monkeypatch, law, *args):
+    """``law(*args)`` on its normal branch, then on its exact one."""
+    normal = law(*args)
+    with monkeypatch.context() as patch:
+        patch.setattr(tails, "EXACT_COMPARISON_LIMIT", 2**62)
+        exact = law(*args)
+    return normal, exact
+
+
+def _at_z(z, fixed_mean, variance_of, scale):
+    """The shifted probability putting the comparison's mean at ``z`` sd."""
+    p = fixed_mean
+    for _ in range(50):
+        p = min(max(fixed_mean + z * math.sqrt(variance_of(p)) / scale, 0.0), 1.0)
+    return p
+
+
+class TestNormalApproximationError:
+    def test_binomial_comparison_error_is_bounded(self, monkeypatch):
+        worst = 0.0
+        for total, delta, z in itertools.product(
+            (EXACT_COMPARISON_LIMIT + 1, 2**17, 2**20),
+            (0.001, 0.01, 0.1, 0.45),
+            (-2.0, -1.5, -0.5, 0.5, 1.5, 2.0),
+        ):
+            t1, t0 = total - total // 2, total // 2
+            p1 = _at_z(
+                z, t0 * delta / t1,
+                lambda p: t1 * p * (1 - p) + t0 * delta * (1 - delta), t1,
+            )
+            normal, exact = _normal_and_exact(
+                monkeypatch, binomial_vs_binomial_probability, t1, p1, t0, delta
+            )
+            worst = max(worst, abs(normal - exact))
+        assert worst <= BINOMIAL_NORMAL_ERROR
+        # The bound is the measured worst case, not a loose one.
+        assert worst > 0.9 * BINOMIAL_NORMAL_ERROR
+
+    def test_multinomial_comparison_error_is_bounded(self, monkeypatch):
+        worst = 0.0
+        for total, delta, z in itertools.product(
+            (EXACT_COMPARISON_LIMIT + 1, 2**16),
+            (0.001, 0.1, 0.45),
+            (-2.0, -0.5, 0.5, 2.0),
+        ):
+            p_plus = _at_z(
+                z, delta, lambda p: total * (p + delta - (p - delta) ** 2), total
+            )
+            normal, exact = _normal_and_exact(
+                monkeypatch, multinomial_pair_gt_probability, total, p_plus, delta
+            )
+            worst = max(worst, abs(normal - exact))
+        assert worst <= MULTINOMIAL_NORMAL_ERROR
+        assert worst > 0.9 * MULTINOMIAL_NORMAL_ERROR
+
+    def test_exact_branch_below_the_switch(self, monkeypatch):
+        # At the limit itself the law is already the exact convolution.
+        half = EXACT_COMPARISON_LIMIT // 2
+        normal, exact = _normal_and_exact(
+            monkeypatch, binomial_vs_binomial_probability, half, 0.0015, half, 0.001
+        )
+        assert normal == exact
