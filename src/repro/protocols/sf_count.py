@@ -111,6 +111,9 @@ class CountSourceFilter(CountProtocol):
             + [("boost", sched.subphase_rounds)] * sched.num_subphases
             + [("boost_final", sched.final_rounds)]
         )
+        # Read every stage: bound once rather than recomputed.
+        self._total_rounds = sched.total_rounds
+        self._correct = config.correct_opinion
         self._stage_index = 0
         self._phase0_samples = 0
         self._q1 = 0.0
@@ -122,6 +125,16 @@ class CountSourceFilter(CountProtocol):
     # CountProtocol interface
     # ------------------------------------------------------------------
     def reset(self, rng: np.random.Generator) -> None:
+        # Bound here, once per run: repro.theory.amplification pulls in
+        # repro.analysis, which reaches back into repro.protocols — a
+        # module-level import would close that cycle.
+        from ..theory.tails import (
+            binomial_vs_binomial_probability,
+            majority_success_probability,
+        )
+
+        self._weak_law = binomial_vs_binomial_probability
+        self._boost_law = majority_success_probability
         cfg = self.config
         self._stage_index = 0
         self._phase0_samples = 0
@@ -157,14 +170,6 @@ class CountSourceFilter(CountProtocol):
         q: np.ndarray,
         rng: np.random.Generator,
     ) -> None:
-        # Imported lazily: repro.theory.amplification pulls in
-        # repro.analysis, which reaches back into repro.protocols — a
-        # module-level import here would close that cycle.
-        from ..theory.tails import (
-            binomial_vs_binomial_probability,
-            majority_success_probability,
-        )
-
         cfg = self.config
         n = cfg.n
         kind = self._stages[self._stage_index][0]
@@ -176,17 +181,17 @@ class CountSourceFilter(CountProtocol):
         elif kind == "phase1":
             # Counter0 counts observed 0s while non-sources show 1s; the
             # weak opinion is the counter comparison, i.i.d. per agent.
-            p_weak = binomial_vs_binomial_probability(
-                self._phase0_samples, self._q1, samples, float(q[0])
+            p_weak = self._price(
+                self._weak_law, self._phase0_samples, self._q1, samples, float(q[0])
             )
             self.weak_count = self._draw(n, p_weak, rng)
             self.opinion_count = self.weak_count
         else:
-            p_one = majority_success_probability(float(q[1]), samples)
+            p_one = self._price(self._boost_law, float(q[1]), samples)
             self.opinion_count = self._draw(n, p_one, rng)
-            if cfg.correct_opinion is not None:
+            if self._correct is not None:
                 ones = self.opinion_count
-                correct = ones if cfg.correct_opinion == 1 else n - ones
+                correct = ones if self._correct == 1 else n - ones
                 self.boost_trace.append(correct / n)
         self._stage_index = min(self._stage_index + 1, len(self._stages) - 1)
 
@@ -195,15 +200,7 @@ class CountSourceFilter(CountProtocol):
         return np.array([n - self.opinion_count, self.opinion_count], dtype=np.int64)
 
     def finished(self, round_index: int) -> bool:
-        return round_index >= self.schedule.total_rounds
-
-    # ------------------------------------------------------------------
-    def _draw(self, n: int, p: float, rng: np.random.Generator) -> int:
-        """One population-level draw, mean-field fast-forwarded if gated."""
-        p = min(max(p, 0.0), 1.0)
-        if self.handoff is not None and self.handoff.use_deterministic(p, n):
-            return min(n, max(0, int(round(n * p))))
-        return int(rng.binomial(n, p))
+        return round_index >= self._total_rounds
 
     # ------------------------------------------------------------------
     # Engine-seam convenience (repeat_trials / run_trials compatible)

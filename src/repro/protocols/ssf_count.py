@@ -115,6 +115,15 @@ class CountSelfStabilizingSourceFilter(CountProtocol):
     # CountProtocol interface
     # ------------------------------------------------------------------
     def reset(self, rng: np.random.Generator) -> None:
+        # Bound here, once per run: a module-level theory import would
+        # close the protocols -> theory -> analysis -> protocols cycle.
+        from ..theory.tails import (
+            majority_success_probability,
+            multinomial_pair_gt_probability,
+        )
+
+        self._opinion_law = majority_success_probability
+        self._weak_law = multinomial_pair_gt_probability
         cfg = self.config
         # Clean start: random opinions (sources pinned on preference),
         # weak opinions copy opinions — one shared draw keeps the joint
@@ -145,24 +154,19 @@ class CountSelfStabilizingSourceFilter(CountProtocol):
         q: np.ndarray,
         rng: np.random.Generator,
     ) -> None:
-        # Lazy: a module-level theory import would close the
-        # protocols -> theory -> analysis -> protocols cycle.
-        from ..theory.tails import (
-            majority_success_probability,
-            multinomial_pair_gt_probability,
-        )
-
         cfg, sched = self.config, self.schedule
         self._fill += gap * sched.h
         if self._fill < sched.m:
             # Truncated gap (engine hit max_rounds): buffers not yet due.
             return
         samples = self._fill
-        p_op = majority_success_probability(
-            float(q[SYMBOL_NONSOURCE_1] + q[SYMBOL_SOURCE_1]), samples
+        p_op = self._price(
+            self._opinion_law,
+            float(q[SYMBOL_NONSOURCE_1] + q[SYMBOL_SOURCE_1]), samples,
         )
-        p_weak = multinomial_pair_gt_probability(
-            samples, float(q[SYMBOL_SOURCE_1]), float(q[SYMBOL_SOURCE_0])
+        p_weak = self._price(
+            self._weak_law,
+            samples, float(q[SYMBOL_SOURCE_1]), float(q[SYMBOL_SOURCE_0]),
         )
         self.opinion_count = self._draw(cfg.n, p_op, rng)
         self.weak_count = self._draw(cfg.n - cfg.num_sources, p_weak, rng)
@@ -171,13 +175,6 @@ class CountSelfStabilizingSourceFilter(CountProtocol):
     def opinion_counts(self) -> np.ndarray:
         n = self.config.n
         return np.array([n - self.opinion_count, self.opinion_count], dtype=np.int64)
-
-    # ------------------------------------------------------------------
-    def _draw(self, n: int, p: float, rng: np.random.Generator) -> int:
-        p = min(max(p, 0.0), 1.0)
-        if self.handoff is not None and self.handoff.use_deterministic(p, n):
-            return min(n, max(0, int(round(n * p))))
-        return int(rng.binomial(n, p))
 
     # ------------------------------------------------------------------
     # Engine-seam convenience (repeat_trials / run_trials compatible)

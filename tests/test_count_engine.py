@@ -18,8 +18,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import MeanFieldEngine, MeanFieldHandoff
+from repro.analysis import MeanFieldEngine, MeanFieldHandoff, run_trials
+from repro.engines import create_engine
 from repro.exceptions import ConfigurationError
+from repro.telemetry import MemorySink, Telemetry
+from repro.theory import tails
 from repro.faults import ByzantineDisplayFault, IdentityFaultModel
 from repro.model import PopulationConfig
 from repro.model.count_engine import CountProtocol, CountPullEngine
@@ -180,6 +183,119 @@ class TestCountPullEngineValidation:
             _toy_config(64), 0.1, fault_model=null
         ).run(rng=0)
         assert result.final_opinion_counts.sum() == 64
+
+
+class TestCountRunTelemetry:
+    def test_phase_recorded_when_run_fails(self):
+        class _LateBadGap(_Ramp):
+            """Two good gaps, then an invalid one."""
+
+            def gap(self, round_index):
+                return 2 if round_index < 4 else 0
+
+        sink = MemorySink()
+        with pytest.raises(ConfigurationError, match="gap"):
+            CountPullEngine(_toy_config(), 0.1).run(
+                _LateBadGap(10, step=4), max_rounds=20,
+                telemetry=Telemetry([sink]),
+            )
+        assert sink.rounds_recorded == 2
+        assert len(sink.phases["count.run"]) == 1
+        assert "count.runs" not in sink.counters
+
+
+# ----------------------------------------------------------------------
+# Per-run pricing memo: each distinct state priced once, nothing leaks
+# ----------------------------------------------------------------------
+def _counting(monkeypatch, owner, name, calls):
+    original = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(name)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+def _outcome(protocol, result):
+    return (
+        result.converged,
+        result.consensus_round,
+        result.rounds_executed,
+        result.final_opinion_counts.tolist(),
+        [(r.round_index, r.fraction_correct, r.num_correct) for r in result.trace],
+        protocol.weak_count,
+        list(getattr(protocol, "boost_trace", [])),
+    )
+
+
+class TestCountPricingMemo:
+    def test_sf_prices_each_state_once(self, monkeypatch):
+        # 188 stages, nearly all repeating the consensus state: an
+        # unmemoized run evaluates a tail law on every one of them.
+        config = PopulationConfig(n=10**8, sources=SourceCounts(1, 3), h=16)
+        protocol = CountSourceFilter(config, 0.2)
+        laws, rows = [], []
+        for law in ("majority_success_probability",
+                    "binomial_vs_binomial_probability"):
+            _counting(monkeypatch, tails, law, laws)
+        _counting(monkeypatch, NoiseMatrix, "observation_probabilities", rows)
+        result = protocol.run(rng=0)
+        assert result.converged
+        assert len(protocol._stages) == 188
+        assert laws.count("binomial_vs_binomial_probability") == 1
+        assert len(laws) <= 10
+        assert len(rows) <= 10
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: CountSourceFilter(
+                PopulationConfig(n=10**6, sources=SourceCounts(1, 3), h=16), 0.2
+            ),
+            lambda: CountSelfStabilizingSourceFilter(
+                PopulationConfig(n=256, sources=SourceCounts(0, 2), h=16), 0.05
+            ),
+        ],
+        ids=["sf", "ssf"],
+    )
+    def test_reused_protocol_matches_fresh(self, build):
+        shared = build()
+        for seed in range(5):
+            fresh = build()
+            expected = _outcome(fresh, fresh.run(rng=seed, record_trace=True))
+            got = _outcome(shared, shared.run(rng=seed, record_trace=True))
+            assert got == expected
+
+    def test_workers_match_serial_after_a_run(self):
+        # The protocol crosses the process boundary holding the bound
+        # tail laws and the last run's memo.
+        config = PopulationConfig(n=10**6, sources=SourceCounts(1, 3), h=16)
+        handle = create_engine("count", "sf", config, 0.2)
+        handle.run(seed=0)
+        serial = run_trials(handle, 6, seed=3)
+        pooled = run_trials(handle, 6, seed=3, workers=2)
+        assert (serial.trials, serial.successes, serial.values) == (
+            pooled.trials, pooled.successes, pooled.values
+        )
+
+    def test_advance_sees_read_only_q(self):
+        seen = []
+
+        class _ReadOnlyCheck(_Ramp):
+            def advance(self, round_index, gap, q, rng):
+                assert not q.flags.writeable
+                with pytest.raises(ValueError):
+                    q[0] = 0.5
+                seen.append(q)
+                super().advance(round_index, gap, q, rng)
+
+        CountPullEngine(_toy_config(), 0.1).run(
+            _ReadOnlyCheck(10, step=4), max_rounds=12
+        )
+        assert len(seen) == 6
+        # The consensus state repeats, so its q is the memoized array.
+        assert seen[-1] is seen[-2]
 
 
 # ----------------------------------------------------------------------
