@@ -56,8 +56,9 @@ class EngineSpec:
 
     ``agent_blind`` engines collapse the population to exchangeable
     counts (or the deterministic limit) and therefore cannot compose
-    with per-agent fault models — nor with graph topologies, which is
-    why every agent-blind engine has ``supports_topology=False``;
+    with per-agent fault models — nor with graph topologies;
+    ``supports_topology`` lists the protocols on which the engine
+    samples from a graph, so it is empty for every agent-blind engine;
     ``supports_batch`` marks engines with a vectorized ``run_batch``
     replica axis.
     """
@@ -68,7 +69,7 @@ class EngineSpec:
     supports_faults: bool
     supports_batch: bool
     agent_blind: bool
-    supports_topology: bool = False
+    supports_topology: Tuple[str, ...] = ()
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-friendly capability row (used by the service /health)."""
@@ -79,7 +80,7 @@ class EngineSpec:
             "supports_faults": self.supports_faults,
             "supports_batch": self.supports_batch,
             "agent_blind": self.agent_blind,
-            "supports_topology": self.supports_topology,
+            "supports_topology": list(self.supports_topology),
         }
 
 
@@ -93,7 +94,7 @@ _REGISTRY: Dict[str, EngineSpec] = {
             supports_faults=True,
             supports_batch=True,
             agent_blind=False,
-            supports_topology=True,
+            supports_topology=("sf",),
         ),
         EngineSpec(
             name="count",
@@ -118,7 +119,7 @@ _REGISTRY: Dict[str, EngineSpec] = {
             supports_faults=True,
             supports_batch=False,
             agent_blind=False,
-            supports_topology=True,
+            supports_topology=("sf", "ssf"),
         ),
         EngineSpec(
             name="batched",
@@ -127,7 +128,7 @@ _REGISTRY: Dict[str, EngineSpec] = {
             supports_faults=True,
             supports_batch=True,
             agent_blind=False,
-            supports_topology=True,
+            supports_topology=("sf",),
         ),
         EngineSpec(
             name="async",
@@ -207,11 +208,16 @@ def create_engine(
     :class:`~repro.exceptions.UnsupportedFeatureError` when a non-null
     ``fault_model`` is passed to an agent-blind engine (except uniform
     ``NoiseMisspecification`` on the count engines, whose whole effect
-    is an effective noise level), when a graph
-    topology is passed to an engine without ``supports_topology``, or
+    is an effective noise level), when a graph topology is passed for a
+    protocol the engine's ``supports_topology`` does not list, or
     when both a graph topology and a non-null fault model are given.
     """
     spec = engine_spec(name)
+    if protocol not in spec.protocols:
+        raise ConfigurationError(
+            f"engine {name!r} supports protocol(s) "
+            f"{', '.join(spec.protocols)}; got {protocol!r}"
+        )
     topology = engine_kwargs.pop("topology", None)
     if topology is not None:
         from .topology import create_topology
@@ -220,17 +226,22 @@ def create_engine(
         if sampler.is_uniform:
             # Uniform sampling == the legacy path on every engine.
             topology = None
-        elif not spec.supports_topology:
+        elif protocol not in spec.supports_topology:
+            capable = ", ".join(
+                other.name
+                for other in _REGISTRY.values()
+                if protocol in other.supports_topology
+            )
             if spec.agent_blind:
                 raise UnsupportedFeatureError(
                     f"engine {name!r} is agent-blind (it tracks symbol "
                     f"counts, not agents) and cannot sample from a graph "
-                    f"topology; use a topology-capable engine "
-                    f"(fast, serial, batched)"
+                    f"topology; use a topology-capable engine ({capable})"
                 )
             raise UnsupportedFeatureError(
-                f"engine {name!r} does not support graph topologies; "
-                f"topology-capable engines: fast, serial, batched"
+                f"engine {name!r} does not support graph topologies for "
+                f"protocol {protocol!r}; topology-capable engines for "
+                f"{protocol!r}: {capable}"
             )
         elif fault_model is not None and not getattr(
             fault_model, "is_null", False
@@ -240,11 +251,6 @@ def create_engine(
                 "(the fault seam reasons about the globally-sampled "
                 "population); drop one of the two"
             )
-    if protocol not in spec.protocols:
-        raise ConfigurationError(
-            f"engine {name!r} supports protocol(s) "
-            f"{', '.join(spec.protocols)}; got {protocol!r}"
-        )
     if (
         fault_model is not None
         and not getattr(fault_model, "is_null", False)

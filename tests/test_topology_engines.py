@@ -120,6 +120,17 @@ class TestCapabilityGrid:
             with pytest.raises(UnsupportedFeatureError, match="agent-blind"):
                 create_engine(engine, "sf", CONFIG, DELTA, topology="regular")
 
+    def test_graph_acceptance_matches_capability_column(self):
+        for row in capability_table():
+            for protocol in row["protocols"]:
+                args = (row["name"], protocol, CONFIG, DELTA)
+                if protocol in row["supports_topology"]:
+                    handle = create_engine(*args, topology="regular")
+                    assert handle.protocol == protocol
+                else:
+                    with pytest.raises(UnsupportedFeatureError, match="graph"):
+                        create_engine(*args, topology="regular")
+
     def test_agent_blind_engines_accept_complete(self):
         # Uniform specs collapse to None before the capability check.
         handle = create_engine(
@@ -161,7 +172,7 @@ class TestCapabilityGrid:
             protocol.run_batch(replicas=2, rng=0)
 
     def test_spec_serialization_includes_topology(self):
-        assert engine_spec("fast").to_dict()["supports_topology"] is True
+        assert engine_spec("fast").to_dict()["supports_topology"] == ["sf"]
 
 
 class TestStructuredFastEngine:
