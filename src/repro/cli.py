@@ -635,12 +635,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     from .verify import run_verify
 
     scale = "full" if args.full else "quick"
-    report = run_verify(
-        scale,
-        goldens_dir=args.goldens_dir,
-        update_goldens=args.update_goldens,
-        checks=args.only,
-    )
+    try:
+        report = run_verify(
+            scale,
+            goldens_dir=args.goldens_dir,
+            update_goldens=args.update_goldens,
+            checks=args.only,
+        )
+    except ConfigurationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(report.render())
     return 0 if report.passed else 1
 
@@ -900,7 +904,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--only",
         nargs="*",
         default=None,
-        help="restrict the matrix to these check names (goldens always run)",
+        help="restrict the matrix to these leg names (goldens always run; "
+        "an unknown name is an error)",
     )
     verify.set_defaults(func=_cmd_verify)
 

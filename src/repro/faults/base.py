@@ -16,8 +16,8 @@ round loop at its two natural seams:
 The null path is sacred: engines run byte-identical code when
 ``fault_model is None``, and :class:`IdentityFaultModel` draws no
 randomness and returns every array unchanged, so it is bit-for-bit
-equivalent to no fault model (the ``faults`` verify leg enforces this
-across all engine generations).
+equivalent to no fault model (the ``exact`` verify leg enforces this on
+every engine the capability table lets take a fault model).
 
 Fault models never touch what the adversary contract of
 :mod:`repro.model.adversary` protects: source roles and preferences.
@@ -192,7 +192,7 @@ class IdentityFaultModel(FaultModel):
     """The do-nothing fault model — bit-identical to ``fault_model=None``.
 
     Exists so the wiring itself can be conformance-tested: the
-    ``faults`` verify leg runs every engine generation with this model
+    ``exact`` verify leg runs every fault-capable engine with this model
     and asserts byte-identical results against the no-model run.
     """
 
