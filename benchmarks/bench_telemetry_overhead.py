@@ -4,11 +4,11 @@ Two guarantees back the telemetry layer:
 
 * **Disabled is near-free.**  With ``telemetry=None`` the engines route
   through the :data:`~repro.telemetry.NULL_TELEMETRY` singleton; the
-  per-round cost is one ``enabled`` attribute check.  Measured here
-  against a reference replica of the pre-telemetry
-  :class:`~repro.model.batched_engine.BatchedPullEngine` round loop and
-  gated at 5% — the CI smoke job fails if instrumentation ever leaks
-  real work onto the disabled path.
+  per-stage cost is one ``enabled`` attribute check.  Measured here
+  against a reference replica of the
+  :class:`~repro.model.batched_engine.BatchedPullEngine` stage loop
+  without telemetry and gated at 5% — the CI smoke job fails if
+  instrumentation ever leaks real work onto the disabled path.
 * **Enabled is observational only.**  Recording costs time (the
   per-round opinion reductions) but never touches the RNG streams, so
   the results are bit-identical either way (asserted here and in
@@ -38,54 +38,56 @@ OVERHEAD_LIMIT_PCT = 5.0
 
 
 def _reference_batched_run(population, noise, protocol, max_rounds, replicas, seed):
-    """The pre-telemetry BatchedPullEngine round loop, spawn mode.
+    """The BatchedPullEngine stage loop without telemetry, spawn mode.
 
-    A faithful replica of the seed engine's hot path — same generators,
-    same draws, same consensus bookkeeping, no telemetry or tracing —
-    serving as the baseline the instrumented (but disabled) engine is
-    measured against.
+    A faithful replica of the engine's hot path — same generators, same
+    draws, same once-per-stage consensus bookkeeping, no telemetry or
+    tracing — serving as the baseline the instrumented (but disabled)
+    engine is measured against.
     """
     generators = _spawn_generators(replicas, seed, None)
     n, h = population.n, population.h
     correct = population.correct_opinion
     protocol.reset(population, generators)
 
-    active = np.arange(replicas)
+    members = np.arange(replicas)
     streak = np.zeros(replicas, dtype=np.int64)
     consensus_start = np.full(replicas, -1, dtype=np.int64)
-    rounds_executed = np.zeros(replicas, dtype=np.int64)
+    num_correct = np.count_nonzero(protocol.opinions() == correct, axis=1)
+    sampled = np.empty((replicas, n, h), dtype=np.int64)
+    uniforms = np.empty((replicas, n, h))
+    offsets = (members * n)[:, None, None]
+    draws = list(zip(generators, sampled, uniforms))
 
-    for t in range(max_rounds):
-        if active.size == 0 or protocol.finished(t):
+    start = 0
+    for stage, stop in enumerate(protocol.stage_ends()):
+        end = min(stop, max_rounds)
+        if start >= end:
             break
-        displayed = np.asarray(protocol.displays(t))
-        num_active = active.size
-        all_active = num_active == replicas
-        sampled = np.empty((num_active, n * h), dtype=np.int64)
-        uniforms = np.empty((num_active, n * h))
-        for i, r in enumerate(active):
-            g = generators[r]
-            sampled[i] = g.integers(0, n, size=(n, h)).reshape(n * h)
-            uniforms[i] = g.random(n * h)
-        gathered = np.take_along_axis(
-            displayed if all_active else displayed[active], sampled, axis=1
-        )
-        observations = noise.corrupt_with_uniforms(
-            gathered, uniforms, dtype=np.int8
-        ).reshape(num_active, n, h)
-        protocol.receive(t, observations, active)
-        rounds_executed[active] = t + 1
-
-        if correct is not None:
-            opinions = protocol.opinions()
-            active_opinions = opinions if all_active else opinions[active]
-            all_correct = np.all(active_opinions == correct, axis=1)
-            streak[active] = np.where(all_correct, streak[active] + 1, 0)
-            consensus_start[active] = np.where(
-                all_correct,
-                np.where(consensus_start[active] < 0, t, consensus_start[active]),
-                -1,
+        rows = np.asarray(protocol.stage_displays(stage))[members]
+        ones = np.zeros((replicas, n, h), dtype=np.int32)
+        for _ in range(start, end):
+            for g, picked, _ in draws:
+                picked[...] = g.integers(0, n, size=(n, h))
+            for g, _, uniform in draws:
+                g.random(out=uniform)
+            sampled += offsets
+            ones += noise.corrupt_with_uniforms(
+                rows.reshape(-1).take(sampled), uniforms, dtype=np.int8
             )
+        held = end - 1 if end == stop else end
+        stages = [(num_correct.copy(), start, held - start)]
+        if end == stop:
+            protocol.end_stage(stage, ones.sum(axis=2), members)
+            num_correct = np.count_nonzero(protocol.opinions() == correct, axis=1)
+            stages.append((num_correct, end - 1, 1))
+        for counts, first, ran in stages:
+            ok = counts == n
+            consensus_start = np.where(
+                ok, np.where(consensus_start < 0, first, consensus_start), -1
+            )
+            streak = np.where(ok, streak + ran, 0)
+        start = stop
     return protocol.opinions()
 
 

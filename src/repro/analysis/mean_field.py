@@ -193,7 +193,7 @@ class MeanFieldHandoff:
     deviations of the critical point: by Hoeffding, the probability a
     single approved draw deviates by more than its distance to the gate
     is at most ``2*exp(-2 * width_constant^2) < 1e-55``.  The gate is
-    validated empirically by the ``count`` leg of
+    validated empirically by the ``handoff`` leg of
     ``repro-spreading verify`` (hybrid vs fully stochastic success
     probabilities under one false-positive budget).
     """

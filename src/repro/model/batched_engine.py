@@ -11,6 +11,14 @@ replica still follows the literal model — explicit sample indices, one
 independent noise event per observation — only the Python-level loop
 over replicas is amortized.
 
+The protocol contract is per *stage*: a run of rounds in which displays
+(before faults) and opinions stay fixed, so a round only samples,
+corrupts and counts.  The engine runs each stage as a tight round loop,
+accumulates the observations, and hands the protocol one per-agent
+tally at the stage's end.  Consensus, early stopping, traces, recovery
+trackers and telemetry are settled once per stage: inside a stage each
+replica's verdict can only change on the last round.
+
 Two seeding disciplines are offered (``rng_mode``):
 
 ``"spawn"`` (default)
@@ -20,8 +28,8 @@ Two seeding disciplines are offered (``rng_mode``):
     **bit-identical** to ``R`` serial :class:`PullEngine` runs with the
     matching spawned seeds, and invariant under any split of ``R``
     across batched calls (pass the corresponding ``seed_sequences``).
-    Sampling costs ``O(R)`` generator calls per round; everything else
-    is fully batched.
+    Each round costs one ``integers`` (or ``sampler.sample``) call and
+    one ``random`` call per replica; everything else is fully batched.
 
 ``"shared"``
     All replicas' samples are drawn from a single generator in one
@@ -56,12 +64,15 @@ SeedLike = Union[int, np.random.SeedSequence, None]
 class BatchedPullProtocol(abc.ABC):
     """Interface a protocol must implement to run on :class:`BatchedPullEngine`.
 
-    The contract mirrors :class:`~repro.model.engine.PullProtocol` with a
-    leading replica axis: state arrays are ``(R, n)`` and each round's
-    observations arrive as one ``(A, n, h)`` block for the ``A`` replicas
-    still active.  Any replica-local coin flips (tie-breaking) must be
-    drawn from that replica's generator so that ``"spawn"`` runs stay
-    bit-identical to serial ones.
+    State arrays carry a leading replica axis, ``(R, n)``.  A protocol
+    is a sequence of stages; stage ``k`` covers rounds
+    ``[stage_ends()[k-1], stage_ends()[k])`` (stage 0 starts at round 0)
+    and shows the same displays every round.  After the stage's last
+    round, :meth:`end_stage` receives every agent's count of observed 1s
+    over the stage (a sum of observations, so the contract is binary).
+    Any replica-local coin flips (tie-breaking) must be drawn from that
+    replica's generator so that ``"spawn"`` runs stay bit-identical to
+    serial ones.
     """
 
     #: Size of the communication alphabet Sigma (symbols ``0..d-1``).
@@ -74,30 +85,29 @@ class BatchedPullProtocol(abc.ABC):
         """(Re-)initialize state for ``len(rngs)`` replicas of ``population``."""
 
     @abc.abstractmethod
-    def displays(self, round_index: int) -> np.ndarray:
-        """Messages displayed this round — ``(R, n)`` ints in Sigma.
+    def stage_ends(self) -> Sequence[int]:
+        """Increasing round index each stage ends before; the last is the horizon."""
+
+    @abc.abstractmethod
+    def stage_displays(self, stage: int) -> np.ndarray:
+        """Messages displayed in every round of ``stage`` — ``(R, n)`` ints.
 
         A read-only broadcast view is acceptable when all replicas
         display the same messages.
         """
 
     @abc.abstractmethod
-    def receive(
-        self, round_index: int, observations: np.ndarray, replicas: np.ndarray
-    ) -> None:
-        """Process noisy observations for the active replicas.
+    def end_stage(self, stage: int, ones: np.ndarray, replicas: np.ndarray) -> None:
+        """Update opinions once ``stage`` has run all its rounds.
 
-        ``observations`` is ``(A, n, h)``; ``replicas`` holds the ``A``
-        replica indices the rows belong to (ascending).
+        ``ones`` is ``(A, n)``: how many of its noisy observations during
+        the stage each agent saw as 1.  ``replicas`` holds the ``A``
+        replicas that ran every round of the stage (ascending).
         """
 
     @abc.abstractmethod
     def opinions(self) -> np.ndarray:
         """Current opinion matrix, ``(R, n)`` ints in {0, 1}."""
-
-    def finished(self, round_index: int) -> bool:
-        """True when the protocol has a fixed horizon and it has passed."""
-        return False
 
 
 def _spawn_generators(
@@ -123,6 +133,25 @@ def _spawn_generators(
         )
     root = rng if isinstance(rng, np.random.SeedSequence) else np.random.SeedSequence(rng)
     return [np.random.default_rng(s) for s in root.spawn(replicas)]
+
+
+def _batch_generator(
+    rng: SeedLike,
+    seed_sequences: Optional[Sequence[np.random.SeedSequence]],
+    replicas: int,
+) -> np.random.Generator:
+    """The generator for batch-wide draws (a graph, a faulty subset):
+    child ``R`` of the root seed sequence, so it never collides with a
+    replica stream."""
+    if seed_sequences is not None:
+        root = seed_sequences[0].spawn(1)[0]
+    elif isinstance(rng, np.random.SeedSequence):
+        # _spawn_generators already consumed children 0..R-1 of this
+        # very object, so the next spawn is child R.
+        root = rng.spawn(1)[0]
+    else:
+        root = np.random.SeedSequence(rng).spawn(replicas + 1)[-1]
+    return np.random.default_rng(root)
 
 
 class BatchedPullEngine:
@@ -181,11 +210,11 @@ class BatchedPullEngine:
             held for ``consensus_patience + 1`` consecutive rounds.
         telemetry:
             Optional :class:`~repro.telemetry.Telemetry` recorder.  Per
-            round, one ``round`` event with the active-replica count and
-            the batch-mean correct fraction; per run, a
-            ``batched_engine.run`` phase timer and replica counters.
-            RNG-neutral: results are bit-identical with telemetry on or
-            off.
+            executed round, one ``round`` event with the active-replica
+            count and the batch-mean correct fraction (emitted when the
+            round's stage ends); per run, a ``batched_engine.run`` phase
+            timer and replica counters.  RNG-neutral: results are
+            bit-identical with telemetry on or off.
         fault_model:
             Optional :class:`~repro.faults.FaultModel`.  One faulty
             subset is resolved per *batch* (from a generator spawned off
@@ -263,17 +292,9 @@ class BatchedPullEngine:
                         f"replica-safe evolution stream in the batched "
                         f"engine; use the serial PullEngine"
                     )
-                if seed_sequences is not None:
-                    topo_root = seed_sequences[0].spawn(1)[0]
-                elif isinstance(rng, np.random.SeedSequence):
-                    # Children 0..R-1 belong to the replicas; the next
-                    # spawn is child R (the fault-model slot, free here).
-                    topo_root = rng.spawn(1)[0]
-                else:
-                    topo_root = np.random.SeedSequence(rng).spawn(
-                        num_replicas + 1
-                    )[-1]
-                sampler.ensure_bound(n, np.random.default_rng(topo_root))
+                sampler.ensure_bound(
+                    n, _batch_generator(rng, seed_sequences, num_replicas)
+                )
 
         protocol.reset(population, generators)
 
@@ -281,16 +302,10 @@ class BatchedPullEngine:
         n_eval = n
         trackers = None
         if fault_model is not None:
-            if seed_sequences is not None:
-                fault_root = seed_sequences[0].spawn(1)[0]
-            elif isinstance(rng, np.random.SeedSequence):
-                # _spawn_generators already consumed children 0..R-1 of
-                # this very object, so the next spawn is child R.
-                fault_root = rng.spawn(1)[0]
-            else:
-                fault_root = np.random.SeedSequence(rng).spawn(num_replicas + 1)[-1]
             fault_model.reset(
-                population, protocol.alphabet_size, np.random.default_rng(fault_root)
+                population,
+                protocol.alphabet_size,
+                _batch_generator(rng, seed_sequences, num_replicas),
             )
             eval_mask = fault_model.evaluation_mask()
             if eval_mask is not None:
@@ -310,160 +325,94 @@ class BatchedPullEngine:
                     for _ in range(num_replicas)
                 ]
 
+        def count_correct(rows: np.ndarray) -> np.ndarray:
+            """Judged agents holding the correct opinion, per replica."""
+            opinions = protocol.opinions()[rows]
+            judged = opinions if eval_mask is None else opinions[:, eval_mask]
+            return np.count_nonzero(judged == correct, axis=1)
+
+        def settle(rows: np.ndarray, counts: np.ndarray, first: int, ran) -> None:
+            """Consensus bookkeeping for ``ran`` rounds from round ``first``
+            that each found ``counts`` judged agents correct."""
+            ok = counts == n_eval
+            since = consensus_start[rows]
+            consensus_start[rows] = np.where(ok, np.where(since < 0, first, since), -1)
+            streak[rows] = np.where(ok, streak[rows] + ran, 0)
+
         active = np.arange(num_replicas)
         streak = np.zeros(num_replicas, dtype=np.int64)
         consensus_start = np.full(num_replicas, -1, dtype=np.int64)
         rounds_executed = np.zeros(num_replicas, dtype=np.int64)
         traces: List[List[RoundRecord]] = [[] for _ in range(num_replicas)]
+        judging = correct is not None
+        num_correct = count_correct(active) if judging else None
 
         timer = tele.phase("batched_engine.run", replicas=num_replicas) if tele.enabled else None
         if timer is not None:
             timer.__enter__()
-        for t in range(max_rounds):
-            if active.size == 0:
+        start = 0
+        for stage, stop in enumerate(protocol.stage_ends()):
+            end = min(stop, max_rounds)
+            if start >= end or active.size == 0:
                 break
-            if protocol.finished(t):
-                # Mirror the serial engine: a horizon hit before round t
-                # means only t rounds were executed.
-                rounds_executed[active] = t
-                break
-            displayed = np.asarray(protocol.displays(t))  # (R, n)
-            num_active = active.size
-            all_active = num_active == num_replicas
-            rows = displayed if all_active else displayed[active]
-            visible = (
-                fault_model.visible_agents(t) if fault_model is not None else None
+            # Rounds before `held` judge the opinions the stage began
+            # with; only a completed stage's last round sees its update.
+            # A replica whose streak reaches patience + 1 before `held`
+            # stops after round `last`, inside the stage.
+            held = end - 1 if end == stop else end
+            entry, last = active, np.full(active.size, end - 1)
+            if stop_on_consensus and judging:
+                leave = start + consensus_patience - streak[entry]
+                early = (num_correct[entry] == n_eval) & (leave < held)
+                last[early] = leave[early]
+            ones = self._run_stage(
+                protocol.stage_displays(stage), start, end, entry, last,
+                generators, bulk, sampler, fault_model,
             )
-            pool = n if visible is None else visible.size
-            if rng_mode == "spawn":
-                sampled = np.empty((num_active, n * h), dtype=np.int64)
-                uniforms = np.empty((num_active, n * h))
-                if fault_model is not None:
-                    faulted_rows: list = [None] * num_active
-                    rows_changed = False
-                for i, r in enumerate(active):
-                    g = generators[r]
-                    if fault_model is not None:
-                        # Replica r's transform draws come from its own
-                        # generator *before* its sampling draws — the
-                        # serial engine's order, so spawn bit-identity
-                        # survives deterministic faults.
-                        row = rows[i]
-                        faulted = fault_model.transform_displays(t, row, g)
-                        rows_changed |= faulted is not row
-                        faulted_rows[i] = faulted
-                    if sampler is not None:
-                        sampled[i] = sampler.sample(None, h, g).reshape(n * h)
-                    else:
-                        sampled[i] = g.integers(0, pool, size=(n, h)).reshape(n * h)
-                    uniforms[i] = g.random(n * h)
-                if fault_model is not None and rows_changed:
-                    rows = np.stack(faulted_rows)
-            else:
-                if fault_model is not None:
-                    faulted_rows = [None] * num_active
-                    rows_changed = False
-                    for i in range(num_active):
-                        row = rows[i]
-                        faulted = fault_model.transform_displays(t, row, bulk)
-                        rows_changed |= faulted is not row
-                        faulted_rows[i] = faulted
-                    if rows_changed:
-                        rows = np.stack(faulted_rows)
-                if sampler is not None:
-                    sampled = np.empty((num_active, n * h), dtype=np.int64)
-                    for i in range(num_active):
-                        sampled[i] = sampler.sample(None, h, bulk).reshape(n * h)
-                else:
-                    sampled = bulk.integers(
-                        0, pool, size=(num_active, n * h), dtype=np.int32
-                    )
-                uniforms = bulk.random(num_active * n * h)
-            if visible is not None:
-                sampled = visible[sampled]
-            if rows.ndim == 2 and rows.strides[0] == 0:
-                # Broadcast displays (all replicas show the same messages,
-                # e.g. SF listening phases): one 1-D gather, no row offsets.
-                gathered = rows[0].take(sampled)
-            else:
-                # Row-wise gather as one flat 1-D take — measurably
-                # cheaper than np.take_along_axis at large n*h.
-                rows_c = np.ascontiguousarray(rows)
-                offsets = np.arange(num_active, dtype=np.int64) * rows_c.shape[1]
-                gathered = rows_c.reshape(-1).take(sampled + offsets[:, None])
-            channel = self._matrix_at(t) if self._matrix_at else self.noise
-            if fault_model is not None:
-                channel = fault_model.channel(t, channel)
-            observations = channel.corrupt_with_uniforms(
-                gathered, uniforms, dtype=np.int8
-            ).reshape(num_active, n, h)
-            protocol.receive(t, observations, active)
-            rounds_executed[active] = t + 1
-
-            if correct is not None:
-                opinions = protocol.opinions()
-                active_opinions = opinions if all_active else opinions[active]
-                judged = (
-                    active_opinions
-                    if eval_mask is None
-                    else active_opinions[:, eval_mask]
-                )
-                all_correct = np.all(judged == correct, axis=1)
-                streak[active] = np.where(all_correct, streak[active] + 1, 0)
-                consensus_start[active] = np.where(
-                    all_correct,
-                    np.where(consensus_start[active] < 0, t, consensus_start[active]),
-                    -1,
-                )
+            rounds_executed[entry] = last + 1
+            active = entry[last == end - 1]
+            if end == stop and active.size:
+                protocol.end_stage(stage, ones.sum(axis=2), active)
+            if judging:
+                before = num_correct[entry]
+                if end == stop:
+                    num_correct[active] = count_correct(active)
                 if record_trace or tele.enabled or trackers is not None:
-                    num_correct = np.sum(judged == correct, axis=1)
-                    if trackers is not None:
-                        for i, r in enumerate(active):
-                            trackers[r].observe(
-                                t, 1.0 - int(num_correct[i]) / n_eval
-                            )
-                    if record_trace:
-                        for i, r in enumerate(active):
-                            traces[r].append(
-                                RoundRecord(
-                                    t,
-                                    int(num_correct[i]) / n_eval,
-                                    int(num_correct[i]),
-                                )
-                            )
-                    if tele.enabled:
-                        tele.round(
-                            t,
-                            active_replicas=int(num_active),
-                            mean_fraction_correct=float(num_correct.mean()) / n_eval,
-                            converged_replicas=int(np.count_nonzero(all_correct)),
-                        )
+                    _record_stage(
+                        start, held, end, entry, last, before, num_correct[entry],
+                        n_eval, traces if record_trace else None, trackers, tele,
+                    )
+                # First the rounds judged on the entry opinions, then a
+                # completed stage's last round.  Zero such rounds leave the
+                # state as it was: `before` is what the previous round found.
+                settle(entry, before, start, np.minimum(last + 1, held) - start)
+                if end == stop:
+                    settle(active, num_correct[active], end - 1, 1)
                 if stop_on_consensus:
-                    keep = streak[active] < consensus_patience + 1
-                    if not keep.all():
-                        active = active[keep]
+                    active = active[streak[active] < consensus_patience + 1]
+            start = stop
 
+        # `num_correct` always describes the final opinions: it is
+        # recounted after every stage-end update, and nothing else
+        # changes an opinion.
         final = np.asarray(protocol.opinions())
+        converged = num_correct == n_eval if judging else np.zeros(num_replicas, bool)
         seed = seed_of(rng) if seed_sequences is None else None
-        results: List[SimulationResult] = []
-        for r in range(num_replicas):
-            opinions_r = final[r].copy()
-            judged_r = opinions_r if eval_mask is None else opinions_r[eval_mask]
-            converged = correct is not None and bool(np.all(judged_r == correct))
-            results.append(
-                SimulationResult(
-                    converged=converged,
-                    consensus_round=(
-                        int(consensus_start[r])
-                        if converged and consensus_start[r] >= 0
-                        else None
-                    ),
-                    rounds_executed=int(rounds_executed[r]),
-                    final_opinions=opinions_r,
-                    trace=traces[r],
-                    seed=seed,
-                )
+        results = [
+            SimulationResult(
+                converged=bool(converged[r]),
+                consensus_round=(
+                    int(consensus_start[r])
+                    if converged[r] and consensus_start[r] >= 0
+                    else None
+                ),
+                rounds_executed=int(rounds_executed[r]),
+                final_opinions=final[r].copy(),
+                trace=traces[r],
+                seed=seed,
             )
+            for r in range(num_replicas)
+        ]
         if timer is not None:
             timer.__exit__(None, None, None)
             tele.counter("batched_engine.runs")
@@ -477,3 +426,105 @@ class BatchedPullEngine:
 
             emit_recovery_batch(trackers, tele)
         return results
+
+    def _run_stage(
+        self, displays, start, end, entry, last, generators, bulk, sampler, fault_model
+    ) -> np.ndarray:
+        """Run rounds ``start..end-1`` of one stage; replica ``entry[i]``
+        runs through round ``last[i]``.  Returns the ``(A, n, h)`` sum of
+        the observations of the ``A`` replicas that ran every round."""
+        n, h = self.population.n, self.population.h
+        members, member_last = entry, last
+        ones = np.zeros((entry.size, n, h), dtype=np.int32)
+        leaves = start - 1  # set the buffers up on the first round
+        for t in range(start, end):
+            if t > leaves:
+                keep = member_last >= t
+                members, member_last = members[keep], member_last[keep]
+                ones = ones[keep]
+                if members.size == 0:
+                    break
+                leaves = int(member_last.min())
+                rows = np.asarray(displays)[members]
+                sampled = np.empty((members.size, n, h), dtype=np.int64)
+                uniforms = np.empty((members.size, n, h))
+                offsets = (np.arange(members.size, dtype=np.int64) * n)[:, None, None]
+                # Each member's generator (the bulk one in shared mode)
+                # and its rows of the sample and variate buffers.
+                draws = [
+                    (generators[r] if bulk is None else bulk, sampled[i], uniforms[i])
+                    for i, r in enumerate(members)
+                ]
+            round_rows, pool, visible = rows, n, None
+            if fault_model is not None:
+                visible = fault_model.visible_agents(t)
+                if visible is not None:
+                    pool = visible.size
+                # Replica r's transform draws precede its sampling draws
+                # — the serial engine's order.
+                faulted = [
+                    fault_model.transform_displays(t, row, g)
+                    for row, (g, _, _) in zip(rows, draws)
+                ]
+                if any(out is not row for out, row in zip(faulted, rows)):
+                    round_rows = np.stack(faulted)
+            # Spawn-mode generators are independent, so drawing every
+            # replica's samples before any variates keeps each stream.
+            picks = sampled
+            if sampler is not None:
+                for g, picked, _ in draws:
+                    picked[...] = sampler.sample(None, h, g)
+            elif bulk is None:
+                for g, picked, _ in draws:
+                    picked[...] = g.integers(0, pool, size=(n, h))
+            else:
+                picks = bulk.integers(0, pool, size=sampled.shape, dtype=np.int32)
+            if bulk is None:
+                for g, _, uniform in draws:
+                    g.random(out=uniform)
+            else:
+                bulk.random(out=uniforms)
+            if visible is not None:
+                picks = visible[picks]
+            # One flat 1-D take — cheaper than take_along_axis.
+            picks += offsets
+            gathered = round_rows.reshape(-1).take(picks)
+            channel = self._matrix_at(t) if self._matrix_at else self.noise
+            if fault_model is not None:
+                channel = fault_model.channel(t, channel)
+            ones += channel.corrupt_with_uniforms(gathered, uniforms, dtype=np.int8)
+        return ones
+
+
+def _record_stage(
+    start, held, end, entry, last, before, after, n_eval, traces, trackers, tele
+) -> None:
+    """Trace records, tracker observations and ``round`` events for the
+    rounds of one stage.
+
+    Replica ``entry[i]`` ran rounds ``start..last[i]`` with ``before[i]``
+    correct agents through the rounds before ``held`` and ``after[i]``
+    from then on.  Between those boundaries nothing changes, so each
+    run of equal rounds is summarized once.
+    """
+    cuts = sorted({start, held, end, *(last + 1).tolist()})
+    for first, stop in zip(cuts, cuts[1:]):
+        live = last >= first
+        if not live.any():
+            break
+        counts = (before if first < held else after)[live]
+        replicas, values = entry[live].tolist(), counts.tolist()
+        if tele.enabled:
+            summary = dict(
+                active_replicas=len(values),
+                mean_fraction_correct=float(counts.mean()) / n_eval,
+                converged_replicas=int(np.count_nonzero(counts == n_eval)),
+            )
+        for t in range(first, stop):
+            for r, value in zip(replicas, values):
+                if trackers is not None:
+                    trackers[r].observe(t, 1.0 - value / n_eval)
+                if traces is not None:
+                    traces[r].append(RoundRecord(t, value / n_eval, value))
+            if tele.enabled:
+                tele.round(t, **summary)

@@ -15,8 +15,9 @@ This module provides the engine seam: :class:`CountPullEngine` drives a
 :mod:`repro.protocols.ssf_count` for the SF/SSF adapters) through gap
 batches, computing the single-observation distribution ``q = p @ N``
 from the display counts and the noise matrix each gap.  Statistical
-equivalence with the agent-level engines is enforced by the ``count``
-leg of ``repro-spreading verify`` and by ``tests/test_count_engine.py``.
+equivalence with the agent-level engines is enforced by the ``laws``
+and ``reliability`` legs of ``repro-spreading verify`` and by
+``tests/test_count_engine.py``.
 
 Prices are pure functions of the state, and a run revisits states: once
 SF reaches consensus every later boosting sub-phase displays the same

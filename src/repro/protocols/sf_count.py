@@ -22,7 +22,7 @@ replaces the Binomial draw by its expectation whenever the success
 probability is far from the critical bias 1/2 — there the O(sqrt(n))
 fluctuation cannot change which basin the trajectory is in, so the
 deterministic fast-forward is statistically indistinguishable (the
-``count`` leg of ``repro-spreading verify`` validates the gate).
+``handoff`` leg of ``repro-spreading verify`` validates the gate).
 """
 
 from __future__ import annotations

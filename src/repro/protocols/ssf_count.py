@@ -24,7 +24,7 @@ share the same multinomial draw, so the *joint* per-epoch law of
 the display chain depends only on the weak count and buffers are zeroed
 at every flush, so all marginal trajectories remain exact; only
 same-epoch weak/opinion cross-correlations are approximated.  The
-``count`` verify leg bounds the effect statistically.
+``laws`` and ``reliability`` verify legs bound the effect statistically.
 """
 
 from __future__ import annotations

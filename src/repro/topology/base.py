@@ -193,9 +193,8 @@ class GraphTopology(TopologySampler):
 
     Subclasses implement :meth:`_build` and hand the realized adjacency
     to :meth:`_set_adjacency` (a networkx graph or a neighbor-list
-    sequence).  Sampling is fully vectorized: one broadcast
-    ``integers`` draw of per-agent offsets, one gather through the CSR
-    ``indices`` array.
+    sequence).  Sampling is fully vectorized: one ``integers`` draw of
+    per-agent offsets, one gather through the CSR ``indices`` array.
     """
 
     def __init__(self) -> None:
@@ -203,6 +202,8 @@ class GraphTopology(TopologySampler):
         self._indptr: Optional[np.ndarray] = None
         self._indices: Optional[np.ndarray] = None
         self._degrees: Optional[np.ndarray] = None
+        #: The common degree when every agent has it, else ``None``.
+        self._degree: Optional[int] = None
 
     # ------------------------------------------------------------------
     def _set_adjacency(self, neighbor_lists) -> None:
@@ -233,6 +234,7 @@ class GraphTopology(TopologySampler):
             degrees[agent] = block.size
             chunks.append(block)
         self._degrees = degrees
+        self._degree = int(degrees[0]) if (degrees == degrees[0]).all() else None
         self._indices = np.concatenate(chunks)
         self._indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(degrees, out=self._indptr[1:])
@@ -257,8 +259,12 @@ class GraphTopology(TopologySampler):
             agents = np.asarray(agents, dtype=np.int64)
             degrees = self._degrees[agents]
             starts = self._indptr[agents]
-        m = degrees.shape[0]
-        offsets = generator.integers(0, degrees[:, None], size=(m, h))
+        # A scalar bound (regular graphs, cycles) takes NumPy's fill path,
+        # which makes the same Lemire draw per element as the per-row
+        # broadcast path at about a third of the cost: the stream is
+        # unchanged (tests/test_topology.py pins this).
+        bound = degrees[:, None] if self._degree is None else self._degree
+        offsets = generator.integers(0, bound, size=(degrees.shape[0], h))
         return self._indices[starts[:, None] + offsets]
 
     def degrees(self) -> np.ndarray:

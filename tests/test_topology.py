@@ -149,6 +149,73 @@ class TestChurnTopology:
             assert sampled.min() >= 0 and sampled.max() < 16
 
 
+def per_row_sample(sampler, agents, h, generator):
+    """The per-row-bound draw ``GraphTopology.sample`` made for every
+    graph before constant-degree graphs took a scalar bound."""
+    rows = np.arange(sampler.n) if agents is None else np.asarray(agents)
+    degrees = sampler.degrees()[rows]
+    offsets = generator.integers(0, degrees[:, None], size=(rows.size, h))
+    return sampler._indices[sampler._indptr[rows][:, None] + offsets]
+
+
+class TestScalarBoundSampling:
+    """Constant-degree graphs draw offsets with a scalar bound.  NumPy's
+    fill and broadcast paths make the same draw per element, so the
+    stream must match the per-row draw exactly; this is a fact about
+    NumPy's implementation, so it is checked on every supported version.
+    """
+
+    @pytest.mark.parametrize("make", [
+        lambda: RandomRegularTopology(degree=8).bind(256, 4),
+        lambda: RandomRegularTopology(degree=5).bind(40, 1),
+        lambda: LatticeTopology("cycle").bind(33),
+    ], ids=["regular-8", "regular-5", "cycle"])
+    @pytest.mark.parametrize(
+        "agents", [None, [0, 3, 3, 7, 31, 2]], ids=["all", "subset"]
+    )
+    def test_constant_degree_stream_matches_per_row(self, make, agents):
+        sampler = make()
+        assert sampler._degree == int(sampler.degrees()[0])
+        fast, reference = np.random.default_rng(9), np.random.default_rng(9)
+        for h in (8, 3, 1):
+            assert np.array_equal(
+                sampler.sample(agents, h, fast),
+                per_row_sample(sampler, agents, h, reference),
+            )
+            # The generators must also be left in the same state.
+            assert np.array_equal(fast.random(5), reference.random(5))
+
+    @pytest.mark.parametrize("make", [
+        lambda: GeometricTopology().bind(200, 3),  # degrees 1..13
+        lambda: LatticeTopology("grid").bind(30),  # degrees 2..4
+    ], ids=["geometric", "grid"])
+    def test_unequal_degrees_take_per_row_path(self, make):
+        sampler = make()
+        assert sampler.degrees().min() < sampler.degrees().max()
+        assert sampler._degree is None
+        fast, reference = np.random.default_rng(2), np.random.default_rng(2)
+        assert np.array_equal(
+            sampler.sample(None, 6, fast), per_row_sample(sampler, None, 6, reference)
+        )
+
+    def test_churn_recomputes_the_flag(self):
+        sampler = ChurnTopology(degree=4, churn_rate=0.3).bind(20, 0)
+        generator = np.random.default_rng(1)
+        sampler.sample(None, 2, generator)
+        assert sampler._degree == 4
+        sampler.begin_round(0, generator)
+        sampler.sample(None, 2, generator)
+        assert len(set(sampler.degrees().tolist())) > 1
+        assert sampler._degree is None
+        state = generator.bit_generator.state
+        reference = np.random.default_rng(0)
+        reference.bit_generator.state = state
+        assert np.array_equal(
+            sampler.sample(None, 5, generator),
+            per_row_sample(sampler, None, 5, reference),
+        )
+
+
 class TestFactory:
     def test_string_dispatch_covers_all_kinds(self):
         for kind in TOPOLOGY_KINDS:
