@@ -29,7 +29,8 @@ def bootstrap_ci(
     """Percentile-bootstrap confidence interval.
 
     Returns ``(point_estimate, low, high)`` for ``statistic`` over
-    ``values``.
+    ``values``.  ``statistic`` must accept ``axis=``, as the NumPy
+    reductions do: it reduces all ``resamples`` rows in one call.
     """
     arr = np.asarray(list(values), dtype=float)
     if arr.size == 0:
@@ -41,7 +42,7 @@ def bootstrap_ci(
     if arr.size == 1:
         return point, point, point
     indices = generator.integers(0, arr.size, size=(resamples, arr.size))
-    stats = np.apply_along_axis(statistic, 1, arr[indices])
+    stats = statistic(arr[indices], axis=1)
     alpha = (1.0 - confidence) / 2.0
     low, high = np.percentile(stats, [100 * alpha, 100 * (1 - alpha)])
     return point, float(low), float(high)

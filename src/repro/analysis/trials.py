@@ -34,6 +34,10 @@ from ..types import RngLike, coerce_seed
 from .resilience import ResilienceConfig, run_resilient_trials
 from .stats import bootstrap_ci, median_and_iqr, wilson_interval
 
+#: Seed of the bootstrap in :meth:`TrialStats.summary`, so a summary is a
+#: function of its values: a cached result equals its recomputation.
+_SUMMARY_BOOTSTRAP_SEED = 0
+
 
 @register_record
 @dataclasses.dataclass
@@ -87,7 +91,7 @@ class TrialStats:
         if self.values:
             med, q25, q75 = median_and_iqr(self.values)
             out.update({"median": med, "q25": q25, "q75": q75})
-            point, low, high = bootstrap_ci(self.values)
+            _, low, high = bootstrap_ci(self.values, rng=_SUMMARY_BOOTSTRAP_SEED)
             out.update({"ci_low": low, "ci_high": high})
         return out
 

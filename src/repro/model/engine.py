@@ -291,22 +291,19 @@ class PullEngine:
             opinions = protocol.opinions()
             if correct is not None:
                 judged = opinions if eval_mask is None else opinions[eval_mask]
-                all_correct = bool(np.all(judged == correct))
-                if all_correct:
+                # One count is both the consensus test and the metric.
+                num_correct = int(np.count_nonzero(judged == correct))
+                if num_correct == n_eval:
                     if consensus_start is None:
                         consensus_start = t
                     streak += 1
                 else:
                     consensus_start = None
                     streak = 0
-                if record_trace or tele.enabled or tracker is not None:
-                    num_correct = int(np.sum(judged == correct))
-                    if tracker is not None:
-                        tracker.observe(t, 1.0 - num_correct / n_eval)
-                    if record_trace:
-                        trace.append(
-                            RoundRecord(t, num_correct / n_eval, num_correct)
-                        )
+                if tracker is not None:
+                    tracker.observe(t, 1.0 - num_correct / n_eval)
+                if record_trace:
+                    trace.append(RoundRecord(t, num_correct / n_eval, num_correct))
                 if stop_on_consensus and streak >= consensus_patience + 1:
                     break
             if tele.enabled:

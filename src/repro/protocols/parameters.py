@@ -19,6 +19,7 @@ EXPERIMENTS.md for the calibration evidence).  Logarithms are natural.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 from ..exceptions import ConfigurationError
@@ -155,12 +156,13 @@ class SFSchedule:
         """Duration of the long, final boosting sub-phase: ``ceil(m/h)``."""
         return self.phase_rounds
 
-    @property
+    # Computed once: the agent-level protocol reads these every round.
+    @functools.cached_property
     def boosting_rounds(self) -> int:
         """Total rounds of the Majority Boosting phase."""
         return self.subphase_rounds * self.num_subphases + self.final_rounds
 
-    @property
+    @functools.cached_property
     def total_rounds(self) -> int:
         """Total rounds of one SF execution."""
         return 2 * self.phase_rounds + self.boosting_rounds

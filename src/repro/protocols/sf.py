@@ -51,6 +51,7 @@ class SourceFilterProtocol(PullProtocol):
         self._boost_counts_1: np.ndarray = None
         self._boost_total: int = 0
         self._subphases_done: int = 0
+        self._listening_displays: dict = None
 
     # ------------------------------------------------------------------
     def reset(self, population: Population, rng: RngLike = None) -> None:
@@ -69,6 +70,15 @@ class SourceFilterProtocol(PullProtocol):
         self._boost_counts_1 = np.zeros(n, dtype=np.int64)
         self._boost_total = 0
         self._subphases_done = 0
+        # Phase 0 and Phase 1 displays never change within a run: sources
+        # show their preference, everyone else 0 (Phase 0) or 1 (Phase 1).
+        mask = population.is_source
+        self._listening_displays = {}
+        for stage, filler in (("phase0", 0), ("phase1", 1)):
+            out = np.full(n, filler, dtype=np.int64)
+            out[mask] = population.preferences[mask]
+            out.flags.writeable = False
+            self._listening_displays[stage] = out
 
     def _require_reset(self) -> None:
         if self._population is None:
@@ -76,21 +86,15 @@ class SourceFilterProtocol(PullProtocol):
 
     # ------------------------------------------------------------------
     def displays(self, round_index: int) -> np.ndarray:
+        """This round's displays.  The result is read-only in the listening
+        phases and the live opinion vector in boosting: do not write to it."""
         self._require_reset()
-        schedule = self.schedule
-        stage = schedule.phase_of(round_index)
-        pop = self._population
-        if stage == "phase0":
-            out = np.zeros(pop.n, dtype=np.int64)
-        elif stage == "phase1":
-            out = np.ones(pop.n, dtype=np.int64)
-        elif stage == "boosting":
-            return self._opinions.astype(np.int64)
-        else:
+        stage = self.schedule.phase_of(round_index)
+        if stage == "boosting":
+            return self._opinions
+        if stage == "done":
             raise ProtocolError(f"round {round_index} is past the SF horizon")
-        mask = pop.is_source
-        out[mask] = pop.preferences[mask]
-        return out
+        return self._listening_displays[stage]
 
     def receive(self, round_index: int, observations: np.ndarray) -> None:
         self._require_reset()

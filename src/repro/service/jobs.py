@@ -25,8 +25,8 @@ class Job:
     """One unit of server-side work and everything it produced.
 
     ``result`` is the JSON envelope the matching ``execute_*`` function
-    returned; ``telemetry`` is the aggregate snapshot of the job's
-    :class:`~repro.telemetry.MemorySink` once the job finished.
+    returned; ``telemetry`` is the snapshot of the job's
+    :class:`~repro.telemetry.AggregatingSink` once the job finished.
     """
 
     id: str

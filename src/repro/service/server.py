@@ -47,7 +47,7 @@ from ..engines import capability_table, create_engine, list_engines
 from ..exceptions import ConfigurationError
 from ..model.config import PopulationConfig
 from ..net.ports import bound_port
-from ..telemetry import MemorySink, Telemetry
+from ..telemetry import AggregatingSink, Telemetry
 from ..theory import lower_bound_rounds, sf_upper_bound_rounds
 from ..types import SourceCounts
 from .cache import ResultCache, canonical_key, code_version
@@ -466,9 +466,13 @@ class SpreadingService:
         return self.jobs.create(kind, stored)
 
     def execute_job(self, job: Job) -> Job:
-        """Run one job to completion (called on an executor thread)."""
+        """Run one job to completion (called on an executor thread).
+
+        The job keeps only its sink's aggregate snapshot, so the sink
+        folds events as they arrive instead of keeping each one.
+        """
         self.jobs.mark_running(job)
-        sink = MemorySink()
+        sink = AggregatingSink()
         try:
             result = _EXECUTORS[job.kind](
                 job.request, cache=self.cache, telemetry=Telemetry([sink])

@@ -38,8 +38,10 @@ class AggregatingSink(TelemetrySink):
 
     Counters accumulate, gauges keep the last value, histogram samples
     and phase durations are stored in full (they are per-trial /
-    per-phase sized, not per-round), rounds are counted and their last
-    scalar metrics retained.
+    per-phase sized, not per-round), rounds are counted and the last one
+    with tags is kept by reference: :attr:`last_round` builds its scalar
+    dict only when read, so a round costs a count and an assignment.  The
+    sink thus holds at most one round's array payload.
     """
 
     def __init__(self) -> None:
@@ -48,11 +50,16 @@ class AggregatingSink(TelemetrySink):
         self.histograms: Dict[str, List[float]] = {}
         self.phases: Dict[str, List[float]] = {}
         self.rounds_recorded: int = 0
-        self.last_round: Optional[Dict[str, object]] = None
+        self._last_round: Optional[TelemetryEvent] = None
 
     def handle(self, event: TelemetryEvent) -> None:
         kind = event.kind
-        if kind == "counter":
+        # Rounds first: an engine run emits one per round.
+        if kind == "round":
+            self.rounds_recorded += 1
+            if event.tags:
+                self._last_round = event
+        elif kind == "counter":
             key = _key(event)
             self.counters[key] = self.counters.get(key, 0.0) + event.value
         elif kind == "gauge":
@@ -61,13 +68,17 @@ class AggregatingSink(TelemetrySink):
             self.histograms.setdefault(_key(event), []).append(event.value)
         elif kind == "phase":
             self.phases.setdefault(_key(event), []).append(event.value)
-        elif kind == "round":
-            self.rounds_recorded += 1
-            if event.tags:
-                self.last_round = {
-                    k: v for k, v in event.tags.items() if _is_scalar(v)
-                }
-                self.last_round["round"] = event.round_index
+
+    @property
+    def last_round(self) -> Optional[Dict[str, object]]:
+        """Scalar metrics of the last round event with tags, plus its
+        ``round`` index (``None`` before any)."""
+        event = self._last_round
+        if event is None:
+            return None
+        scalars = {k: v for k, v in event.tags.items() if _is_scalar(v)}
+        scalars["round"] = event.round_index
+        return scalars
 
     def snapshot(self) -> Dict[str, object]:
         """Plain-dict aggregate — picklable and JSON-serializable.
@@ -196,10 +207,9 @@ class SummarySink(AggregatingSink):
             sections.append(format_table(rows, title="Histograms"))
         if self.rounds_recorded:
             line = f"rounds recorded: {self.rounds_recorded}"
-            if self.last_round is not None:
-                detail = ", ".join(
-                    f"{k}={v}" for k, v in sorted(self.last_round.items())
-                )
+            last = self.last_round
+            if last is not None:
+                detail = ", ".join(f"{k}={v}" for k, v in sorted(last.items()))
                 line += f"  (last: {detail})"
             sections.append(line)
         if not sections:

@@ -554,8 +554,10 @@ def _check_service_cache(scale: str, budget: FalsePositiveBudget) -> str:
     recomputed with caching disabled.  The cached and recomputed
     envelopes must be byte-identical JSON, and the decoded reports must
     pass :func:`~repro.verify.conformance.assert_results_identical` —
-    the same bit-identity bar the batched engine is held to.  A second
-    leg asserts the key actually separates seeds.
+    the same bit-identity bar the batched engine is held to.  A seeded
+    fast-SSF request of 8 trials is held to the same byte-identity bar,
+    summary statistics included.  A last check asserts the key actually
+    separates seeds.
     """
     import json
     import tempfile
@@ -569,38 +571,49 @@ def _check_service_cache(scale: str, budget: FalsePositiveBudget) -> str:
         "engine": "serial", "protocol": "sf", "n": 48,
         "s0": 1, "s1": 3, "h": 4, "delta": 0.2,
     }
-    envelope_fields = ("kind", "request", "report", "code_version")
+    trials_request = {
+        "engine": "fast", "protocol": "ssf", "n": 1024,
+        "s0": 0, "s1": 1, "delta": 0.1, "trials": 8,
+    }
 
-    def envelope(reply):
-        return json.dumps({f: reply[f] for f in envelope_fields}, sort_keys=True)
+    def envelope(reply, body):
+        fields = ("kind", "request", body, "code_version")
+        return json.dumps({f: reply[f] for f in fields}, sort_keys=True)
+
+    def cached_and_fresh(cache, seeded, body):
+        """The cache hit and the recomputation of ``seeded``, checked
+        byte-identical."""
+        seed = seeded["seed"]
+        cold = execute_run(dict(seeded), cache=cache)
+        if cold["cached"]:
+            raise ConfigurationError(
+                f"first service run of seed {seed} claimed a cache hit"
+            )
+        hit = execute_run(dict(seeded), cache=cache)
+        if not hit["cached"]:
+            raise ConfigurationError(
+                f"repeat service run of seed {seed} missed the cache"
+            )
+        fresh = execute_run(dict(seeded), cache=None)
+        if envelope(hit, body) != envelope(fresh, body):
+            raise ConfigurationError(
+                f"cached {body} envelope for seed {seed} is not "
+                f"byte-identical to its recomputation — the cache returned "
+                f"a different artifact than the engines produce"
+            )
+        return hit, fresh
 
     with tempfile.TemporaryDirectory() as tmp:
         cache = ResultCache(tmp)
         for seed in seeds:
-            seeded = dict(request, seed=seed)
-            cold = execute_run(dict(seeded), cache=cache)
-            if cold["cached"]:
-                raise ConfigurationError(
-                    f"first service run of seed {seed} claimed a cache hit"
-                )
-            hit = execute_run(dict(seeded), cache=cache)
-            if not hit["cached"]:
-                raise ConfigurationError(
-                    f"repeat service run of seed {seed} missed the cache"
-                )
-            fresh = execute_run(dict(seeded), cache=None)
-            if envelope(hit) != envelope(fresh):
-                raise ConfigurationError(
-                    f"cached envelope for seed {seed} is not byte-identical "
-                    f"to its recomputation — the cache returned a different "
-                    f"artifact than the engines produce"
-                )
+            hit, fresh = cached_and_fresh(cache, dict(request, seed=seed), "report")
             assert_results_identical(
                 report_from_dict(hit["report"]),
                 report_from_dict(fresh["report"]),
                 context=f"service cache seed {seed}",
                 compare_trace=False,
             )
+        cached_and_fresh(cache, dict(trials_request, seed=501), "stats")
         keys = {
             canonical_key("run", dict(request, seed=seed, trials=1,
                                       max_rounds=None))
@@ -611,8 +624,8 @@ def _check_service_cache(scale: str, budget: FalsePositiveBudget) -> str:
                 f"cache keys collided across seeds: {len(keys)}/16 distinct"
             )
     return (
-        f"{len(seeds)} seeded serial run(s) cached byte-identical to "
-        f"recomputation; 16/16 seed keys distinct"
+        f"{len(seeds)} seeded serial run(s) and 1 fast-SSF 8-trial request "
+        f"cached byte-identical to recomputation; 16/16 seed keys distinct"
     )
 
 

@@ -62,6 +62,17 @@ class TestBootstrapCI:
             hits += low <= 10.0 <= high
         assert hits / trials > 0.8
 
+    @pytest.mark.parametrize("statistic", [np.median, np.mean])
+    @pytest.mark.parametrize("k", [2, 8, 9, 100, 1000])
+    def test_one_call_over_resamples_equals_one_call_per_row(self, statistic, k):
+        values = np.round(np.random.default_rng(k).normal(500.0, 80.0, size=k))
+        _, low, high = bootstrap_ci(values, statistic=statistic, rng=3)
+        indices = np.random.default_rng(3).integers(0, k, size=(2000, k))
+        per_row = np.apply_along_axis(statistic, 1, values[indices])
+        alpha = (1.0 - 0.95) / 2.0
+        expected = np.percentile(per_row, [100 * alpha, 100 * (1 - alpha)])
+        assert [low, high] == list(expected)
+
 
 class TestWilsonInterval:
     def test_point_estimate(self):

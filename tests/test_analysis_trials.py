@@ -86,6 +86,16 @@ class TestTrialStats:
         for key in ("trials", "successes", "success_rate", "median", "ci_low"):
             assert key in summary
 
+    def test_summary_is_a_function_of_its_values(self):
+        # Its bootstrap interval is seeded: every call gives the same dict.
+        values = [float(v) for v in np.random.default_rng(0).integers(300, 700, 40)]
+        stats = TrialStats(trials=40, successes=40, values=values)
+        first = stats.summary()
+        assert first["ci_low"] < first["ci_high"]
+        for _ in range(10):
+            assert stats.summary() == first
+        assert TrialStats(40, 40, list(values)).summary() == first
+
     def test_summary_without_values(self):
         summary = TrialStats(trials=2, successes=0, values=[]).summary()
         assert "median" not in summary

@@ -14,12 +14,14 @@ from repro.service import (
     ServiceClient,
     ServiceError,
     ServiceThread,
+    SpreadingService,
     canonical_key,
     code_version,
     execute_run,
     execute_sweep,
     normalize_request,
 )
+from repro.telemetry import MemorySink, Telemetry
 from repro.verify.conformance import assert_results_identical
 from repro.verify.statistical import FalsePositiveBudget, assert_proportions_close
 
@@ -183,6 +185,20 @@ class TestExecuteRunCaching:
         assert hit["cached"] is True
         assert hit["stats"] == stats
 
+    def test_seeded_ssf_trials_cache_hit_equals_recomputation(self, tmp_path):
+        # Fast SSF's trials end in different rounds, so the summary's
+        # bootstrap interval depends on its draws; it must be seeded.
+        request = {"engine": "fast", "protocol": "ssf", "n": 1024, "s0": 0,
+                   "s1": 1, "delta": 0.1, "trials": 8, "seed": 501}
+        cache = ResultCache(tmp_path)
+        execute_run(dict(request), cache=cache)
+        hit = execute_run(dict(request), cache=cache)
+        assert hit["cached"] is True
+        assert len(set(hit["stats"]["values"])) > 1
+        for _ in range(8):
+            fresh = execute_run(dict(request), cache=None)
+            assert fresh["stats"] == hit["stats"]
+
     @pytest.mark.statistical
     def test_cache_on_and_off_statistically_equivalent(self, tmp_path):
         # Disjoint seeds with and without the cache layer in the path:
@@ -201,6 +217,33 @@ class TestExecuteRunCaching:
             context="service cache-on vs cache-off success rate",
             budget=budget,
         )
+
+
+class TestJobTelemetry:
+    def test_serial_job_keeps_what_a_memory_sink_kept(self):
+        service = SpreadingService()
+        job = service.execute_job(service.submit("run", dict(RUN_REQUEST)))
+        assert job.status == "done"
+        snapshot = job.telemetry
+        # The values a job recording into a MemorySink kept for this seed.
+        assert snapshot["counters"] == {
+            "pull_engine.rounds": 2907.0,
+            "pull_engine.runs": 1.0,
+            "pull_engine.converged_runs": 1.0,
+        }
+        assert snapshot["rounds_recorded"] == 2907
+        assert snapshot["rounds_recorded"] == job.result["report"]["rounds_executed"]
+        sink = MemorySink()
+        execute_run(dict(RUN_REQUEST), telemetry=Telemetry([sink]))
+        expected = sink.snapshot()
+        assert snapshot.keys() == expected.keys()
+        for name in ("counters", "gauges", "histograms", "rounds_recorded"):
+            assert snapshot[name] == expected[name]
+        # Phase durations are timings; their names and counts must match.
+        assert {k: len(v) for k, v in snapshot["phases"].items()} == {
+            k: len(v) for k, v in expected["phases"].items()
+        } == {"pull_engine.run": 1}
+        json.dumps(job.to_dict())
 
 
 class TestExecuteSweep:

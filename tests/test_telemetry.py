@@ -98,6 +98,34 @@ class TestEventPlumbing:
         assert sink.rounds_recorded == 1
         assert sink.last_round == {"num_correct": 7, "round": 3}
 
+    def test_last_round_equals_the_eagerly_built_dict(self):
+        def eager(event, previous):
+            # The dict the sink used to build as each round arrived.
+            if not event.tags:
+                return previous
+            out = {k: v for k, v in event.tags.items()
+                   if isinstance(v, (bool, int, float, str)) or v is None}
+            out["round"] = event.round_index
+            return out
+
+        sink, expected = AggregatingSink(), None
+        assert sink.last_round is None
+        rounds = [
+            (0, {}),  # empty tags before any tagged round
+            (1, {"num_correct": 3, "fraction_correct": 0.5, "note": None}),
+            (2, {"num_correct": 4, "opinions": np.ones(5, dtype=np.int8)}),
+            (3, {}),  # empty tags keep the previous round
+            (4, {"opinions": np.zeros(5)}),  # array payload only
+            (5, {"kind": "boost", "done": True}),
+        ]
+        for index, tags in rounds:
+            event = TelemetryEvent("round", "round", None, index, tags)
+            sink.handle(event)
+            expected = eager(event, expected)
+            assert sink.last_round == expected
+        assert sink.rounds_recorded == len(rounds)
+        assert sink.last_round == {"kind": "boost", "done": True, "round": 5}
+
     def test_fan_out_to_multiple_sinks(self):
         a, b = MemorySink(), MemorySink()
         tele = Telemetry([a, b])
@@ -196,6 +224,29 @@ class TestSummarySink:
 
     def test_render_empty(self):
         assert "no events" in SummarySink().render()
+
+    def test_render_text_is_pinned(self):
+        sink = SummarySink()
+        tele = Telemetry([sink])
+        tele.counter("runs")
+        tele.counter("runs", 2, worker=1)
+        tele.gauge("frac", 0.25)
+        tele.observe("secs", 1.5)
+        tele.observe("secs", 2.5)
+        sink.handle(TelemetryEvent("phase", "work", 0.5, None, None))
+        tele.round(0, num_correct=3, fraction_correct=0.5, opinions=np.zeros(6))
+        tele.round(1, opinions=np.ones(6))
+        tele.round(2)
+        assert sink.render() == (
+            "Counters\ncounter         total\n--------------  -----\n"
+            "runs            1    \nruns{worker=1}  2    \n\n"
+            "Gauges\ngauge  value\n-----  -----\nfrac   0.25 \n\n"
+            "Phase timers\nphase  count  total_s  mean_s\n"
+            "-----  -----  -------  ------\nwork   1      0.5      0.5   \n\n"
+            "Histograms\nhistogram  count  mean  min  max\n"
+            "---------  -----  ----  ---  ---\nsecs       2      2     1.5  2.5\n\n"
+            "rounds recorded: 3  (last: round=1)"
+        )
 
 
 class TestMergeSnapshot:
