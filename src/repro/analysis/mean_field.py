@@ -115,7 +115,7 @@ def majority_map(
     Each updatable agent adopts 1 with probability
     ``P(Binomial(h, q(x)) > h/2) (+ half the tie mass)``.
     """
-    from ..theory.probability import exact_majority_success
+    from ..theory.tails import majority_success_probability
 
     z1 = config.s1 / config.n
     z0 = config.s0 / config.n
@@ -123,10 +123,8 @@ def majority_map(
     h = config.h
 
     def step(x: float) -> float:
-        q = _observe_one(x, delta)
-        theta = max(min(q - 0.5, 0.5), -0.5)
-        p_one = exact_majority_success(theta, h)
-        return z1 + free * p_one
+        q = min(max(_observe_one(x, delta), 0.0), 1.0)
+        return z1 + free * majority_success_probability(q, h)
 
     return step
 
@@ -140,12 +138,11 @@ def boosting_map(
     pinned mass; each agent's new opinion is the majority of ``window``
     noisy observations.
     """
-    from ..theory.probability import exact_majority_success
+    from ..theory.tails import majority_success_probability
 
     def step(x: float) -> float:
-        q = _observe_one(x, delta)
-        theta = max(min(q - 0.5, 0.5), -0.5)
-        return exact_majority_success(theta, window)
+        q = min(max(_observe_one(x, delta), 0.0), 1.0)
+        return majority_success_probability(q, window)
 
     return step
 

@@ -84,7 +84,7 @@ def instance_report(
     sf_schedule = SFSchedule.from_config(config, delta)
     sf_step = sf_step_distribution(config, delta)
     sf_quality = weak_opinion_success_probability(
-        sf_step, sf_schedule.phase_rounds * config.h, method="normal"
+        sf_step, sf_schedule.phase_rounds * config.h
     )
     schedule_rows = [
         {
@@ -98,7 +98,7 @@ def instance_report(
         ssf_schedule = SSFSchedule.from_config(config, delta)
         ssf_step = ssf_step_distribution(config, delta)
         ssf_quality = weak_opinion_success_probability(
-            ssf_step, ssf_schedule.epoch_rounds * config.h, method="normal"
+            ssf_step, ssf_schedule.epoch_rounds * config.h
         )
         schedule_rows.append(
             {

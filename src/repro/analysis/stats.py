@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import statistics
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -60,8 +61,7 @@ def wilson_interval(
         raise ValueError(f"trials must be positive, got {trials}")
     if not 0 <= successes <= trials:
         raise ValueError("successes must lie in [0, trials]")
-    # Two-sided z for the requested confidence (inverse error function).
-    z = math.sqrt(2.0) * _erfinv(confidence)
+    z = statistics.NormalDist().inv_cdf(0.5 + confidence / 2.0)
     p = successes / trials
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom
@@ -88,20 +88,3 @@ def fit_loglog_slope(
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r_squared = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     return float(slope), float(intercept), r_squared
-
-
-def _erfinv(x: float) -> float:
-    """Inverse error function (Winitzki's approximation, ~1e-4 accurate).
-
-    Falls back on scipy when present for full precision.
-    """
-    try:
-        from scipy.special import erfinv
-
-        return float(erfinv(x))
-    except ImportError:  # pragma: no cover - scipy is a soft dependency
-        a = 0.147
-        sign = 1.0 if x >= 0 else -1.0
-        ln_term = math.log(1.0 - x * x)
-        first = 2.0 / (math.pi * a) + ln_term / 2.0
-        return sign * math.sqrt(math.sqrt(first * first - ln_term / a) - first)

@@ -58,9 +58,7 @@ class WeakOpinionQuality(Experiment):
             engine = FastSourceFilter(config, delta)
             samples = engine.schedule.phase_rounds * engine.schedule.h
             step = sf_step_distribution(config, delta)
-            predicted = weak_opinion_success_probability(
-                step, samples, method="normal"
-            )
+            predicted = weak_opinion_success_probability(step, samples)
             means = [
                 engine.draw_weak_opinions(np.random.default_rng(seed + t)).mean()
                 for t in range(trials)
@@ -85,7 +83,7 @@ class WeakOpinionQuality(Experiment):
             schedule = SSFSchedule.from_config(config, delta)
             step = ssf_step_distribution(config, delta)
             predicted = weak_opinion_success_probability(
-                step, schedule.epoch_rounds * config.h, method="normal"
+                step, schedule.epoch_rounds * config.h
             )
             means = []
             for t in range(max(trials // 3, 4)):

@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import List
 
 from ..analysis.mean_field import boosting_map, iterate_map
-from .probability import exact_majority_success
+from .tails import majority_success_probability
 
 __all__ = [
     "stage_success_probability",
@@ -53,8 +53,7 @@ def stage_success_probability(
     if window < 1:
         raise ValueError(f"window must be positive, got {window}")
     q = delta + fraction_correct * (1.0 - 2.0 * delta)
-    theta = max(min(q - 0.5, 0.5), -0.5)
-    return exact_majority_success(theta, window)
+    return majority_success_probability(min(max(q, 0.0), 1.0), window)
 
 
 def expected_trajectory(

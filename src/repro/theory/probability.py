@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
+from .tails import majority_success_probability
 
 
 def binomial_one_lower_bound(n: int, p: float) -> float:
@@ -56,36 +56,16 @@ def lemma22_advantage_lower_bound(theta: float, m: int) -> float:
 def exact_majority_advantage(theta: float, m: int) -> float:
     """Exact ``P(X>0) - P(X<0)`` for a sum of m i.i.d. Rad(1/2 + theta).
 
-    Computed from the binomial distribution ``B ~ Binomial(m, 1/2+theta)``
-    via ``{X>0} = {B > m/2}``.  Used by tests to verify Lemma 22 is a
-    genuine lower bound and by the weak-opinion oracle.
+    ``{X>0} = {B > m/2}`` for ``B ~ Binomial(m, 1/2+theta)``, so this is
+    ``2 * majority_success_probability(1/2 + theta, m) - 1``.  Used by
+    tests to verify Lemma 22 is a genuine lower bound.
     """
     if m < 1:
         raise ValueError(f"m must be positive, got {m}")
     p = 0.5 + theta
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"theta must lie in [-1/2, 1/2], got {theta}")
-    ks = np.arange(m + 1)
-    # 0 * log(0) terms are exactly 0 (the k = 0 / k = m endpoints of a
-    # degenerate p); guard them so p in {0, 1} stays finite.
-    with np.errstate(invalid="ignore"):
-        success_term = np.where(ks > 0, ks * _safe_log(p), 0.0)
-        failure_term = np.where(m - ks > 0, (m - ks) * _safe_log(1.0 - p), 0.0)
-    log_pmf = _log_binom(m, ks) + success_term + failure_term
-    pmf = np.exp(log_pmf)
-    above = pmf[ks > m / 2].sum()
-    below = pmf[ks < m / 2].sum()
-    return float(above - below)
-
-
-def exact_majority_success(theta: float, m: int) -> float:
-    """Exact ``P(X>0) + 0.5*P(X=0)`` for a sum of m i.i.d. Rad(1/2+theta).
-
-    The tie-broken success probability of a majority vote over m noisy
-    signals, each correct with probability ``1/2 + theta``.
-    """
-    advantage = exact_majority_advantage(theta, m)
-    return 0.5 + 0.5 * advantage
+    return 2.0 * majority_success_probability(p, m) - 1.0
 
 
 def chernoff_multiplicative_upper(mu: float, eps: float) -> float:
@@ -100,16 +80,3 @@ def hoeffding_deviation_upper(n: int, t: float) -> float:
     if n < 1 or t < 0:
         raise ValueError("need n >= 1 and t >= 0")
     return 2.0 * math.exp(-2.0 * t * t / n)
-
-
-def _safe_log(x: float) -> float:
-    return math.log(x) if x > 0 else -math.inf
-
-
-def _log_binom(n: int, ks: np.ndarray) -> np.ndarray:
-    try:
-        from scipy.special import gammaln
-    except ImportError:  # pragma: no cover - scipy is a soft dependency
-        gammaln = np.vectorize(lambda x: math.lgamma(float(x)))
-    ks = np.asarray(ks, dtype=float)
-    return gammaln(n + 1) - gammaln(ks + 1) - gammaln(n - ks + 1)

@@ -25,7 +25,7 @@ computation.
 from __future__ import annotations
 
 from ..types import RngLike, coerce_rng
-from .probability import exact_majority_success
+from .tails import majority_success_probability
 
 __all__ = [
     "two_party_error",
@@ -39,21 +39,23 @@ def two_party_error(m: int, delta: float) -> float:
     """Exact error of the optimal (repetition + majority) strategy.
 
     One bit sent as ``m`` copies through BSC(delta), decoded by majority
-    (fair coin on ties).
+    (fair coin on ties): the probability that the wrong symbol, read
+    with probability ``delta`` per copy, wins the vote.
     """
     if m < 1:
         raise ValueError(f"m must be positive, got {m}")
     if not 0.0 <= delta <= 0.5:
         raise ValueError(f"delta must lie in [0, 0.5], got {delta}")
-    theta = 0.5 - delta  # each copy is correct with probability 1/2 + theta
-    return 1.0 - exact_majority_success(theta, m)
+    return majority_success_probability(delta, m)
 
 
 def messages_needed(target_error: float, delta: float, max_m: int = 1 << 22) -> int:
     """Minimal ``m`` with ``two_party_error(m, delta) <= target_error``.
 
-    Monotone in ``m`` (for odd/even parity jitters we search on the
-    monotone envelope by binary search over odd values, then refine).
+    Odd majorities are tie-free and their error falls strictly along odd
+    ``m``, while an even ``m`` errs exactly as ``m - 1`` does; so the
+    answer is odd, found by bisection over the odd index ``j``,
+    ``m = 2j + 1``.
     """
     if not 0.0 < target_error < 0.5:
         raise ValueError(
@@ -63,25 +65,26 @@ def messages_needed(target_error: float, delta: float, max_m: int = 1 << 22) -> 
         return 1
     if delta == 0.5:
         raise ValueError("delta = 1/2 carries no information: no m suffices")
-    # Exponential search on odd m (odd majorities are tie-free and the
-    # error is monotone along odd m).
-    lo, hi = 1, 1
-    while two_party_error(hi, delta) > target_error:
-        hi = hi * 2 + 1
-        if hi > max_m:
+
+    def misses(j: int) -> bool:
+        return two_party_error(2 * j + 1, delta) > target_error
+
+    # Exponential search for a hit, then bisect (lo, hi]: every odd
+    # index below lo misses, hi hits.
+    lo, hi = 0, 0
+    while misses(hi):
+        lo, hi = hi + 1, 2 * hi + 1
+        if 2 * hi + 1 > max_m:
             raise ValueError(
                 f"no m <= {max_m} reaches error {target_error} at delta={delta}"
             )
     while lo < hi:
         mid = (lo + hi) // 2
-        mid += (mid + 1) % 2  # round up to odd
-        if mid >= hi:
-            break
-        if two_party_error(mid, delta) <= target_error:
-            hi = mid
+        if misses(mid):
+            lo = mid + 1
         else:
-            lo = mid + 2
-    return hi
+            hi = mid
+    return 2 * hi + 1
 
 
 def whp_round_lower_bound(n: int, h: int, delta: float) -> float:

@@ -10,9 +10,8 @@ Both protocols reduce the weak-opinion computation to a sum
   symbol (1,1), ``-1`` for (1,0), 0 otherwise.
 
 The weak opinion is 1 iff ``X > 0`` (coin on ties), so its success
-probability is ``P(X>0) + 0.5*P(X=0)`` — computed here exactly (by
-conditioning on the number of non-zero steps, Lemma 20) or by a normal
-approximation for large ``m``.
+probability is ``P(X>0) + 0.5*P(X=0)``, the law of two coordinates of
+one multinomial that :mod:`repro.theory.tails` evaluates.
 """
 
 from __future__ import annotations
@@ -20,10 +19,8 @@ from __future__ import annotations
 import dataclasses
 import math
 
-import numpy as np
-
 from ..model.config import PopulationConfig
-from .probability import exact_majority_advantage
+from .tails import multinomial_pair_gt_probability
 
 
 @dataclasses.dataclass(frozen=True)
@@ -102,79 +99,16 @@ def ssf_step_distribution(config: PopulationConfig, delta: float) -> TrinomialSt
     return TrinomialStep(p_plus=p_plus, p_zero=1.0 - p_plus - p_minus, p_minus=p_minus)
 
 
-def weak_opinion_success_probability(
-    step: TrinomialStep, m: int, method: str = "auto", exact_limit: int = 4000
-) -> float:
+def weak_opinion_success_probability(step: TrinomialStep, m: int) -> float:
     """``P(weak opinion = 1) = P(X > 0) + 0.5 * P(X = 0)`` for ``X = sum X_k``.
 
-    ``method="exact"`` conditions on the number of non-zero steps
-    (Lemma 20): ``Y ~ Binomial(m, P(X_k != 0))`` and, given ``Y = r``,
-    ``X`` is a sum of ``r`` Rademacher(p) variables.  Cost O(m * r_range);
-    use for ``m <= exact_limit``.  ``method="normal"`` applies the CLT
-    with continuity handled by the half-tie convention;
-    ``method="auto"`` picks exact for small ``m``.
+    A sum of ``m`` i.i.d. steps is ``M+ - M-`` for one
+    ``Multinomial(m; p_plus, p_zero, p_minus)`` draw, so this is
+    :func:`~repro.theory.tails.multinomial_pair_gt_probability`: exact
+    (conditioning on the number of non-zero steps, Lemma 20) up to
+    :data:`~repro.theory.tails.EXACT_COMPARISON_LIMIT` steps, a normal
+    approximation with a measured error bound beyond.
     """
     if m < 1:
         raise ValueError(f"m must be positive, got {m}")
-    if method == "auto":
-        method = "exact" if m <= exact_limit else "normal"
-    if method == "exact":
-        return _exact_success(step, m)
-    if method == "normal":
-        return _normal_success(step, m)
-    raise ValueError(f"unknown method {method!r}")
-
-
-def _exact_success(step: TrinomialStep, m: int) -> float:
-    nz = step.nonzero_probability
-    p = step.conditional_plus
-    theta = p - 0.5
-    # P(Y = r), restricted to a +-10 sigma window around m*nz — the
-    # remaining tail mass is far below any tolerance we use.
-    mu = m * nz
-    sigma = math.sqrt(max(m * nz * (1.0 - nz), 1.0))
-    lo = max(int(mu - 10 * sigma), 0)
-    hi = min(int(mu + 10 * sigma) + 1, m)
-    rs = np.arange(lo, hi + 1)
-    log_pmf = (
-        _log_binom_coeff(m, rs)
-        + rs * _safe_log(nz)
-        + (m - rs) * _safe_log(1.0 - nz)
-    )
-    pmf = np.exp(log_pmf)
-    total = 0.0
-    covered = 0.0
-    for r, weight in zip(rs, pmf):
-        covered += weight
-        if weight < 1e-14:
-            continue
-        if r == 0:
-            advantage = 0.0
-        else:
-            advantage = exact_majority_advantage(theta, int(r))
-        total += weight * (0.5 + 0.5 * advantage)
-    # Mass outside the window contributes ~0.5 each (symmetric default).
-    total += (1.0 - covered) * 0.5
-    return float(total)
-
-
-def _normal_success(step: TrinomialStep, m: int) -> float:
-    mean = m * step.mean
-    var = m * step.variance
-    if var <= 0:
-        return 1.0 if mean > 0 else (0.5 if mean == 0 else 0.0)
-    z = mean / math.sqrt(var)
-    return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
-
-
-def _safe_log(x: float) -> float:
-    return math.log(x) if x > 0 else -math.inf
-
-
-def _log_binom_coeff(n: int, ks: np.ndarray) -> np.ndarray:
-    try:
-        from scipy.special import gammaln
-    except ImportError:  # pragma: no cover - scipy is a soft dependency
-        gammaln = np.vectorize(lambda x: math.lgamma(float(x)))
-    ks = np.asarray(ks, dtype=float)
-    return gammaln(n + 1) - gammaln(ks + 1) - gammaln(n - ks + 1)
+    return multinomial_pair_gt_probability(m, step.p_plus, step.p_minus)

@@ -5,7 +5,8 @@ probabilities like Theorem 4), so the test suite cannot assert exact
 values.  Hand-rolled checks of the form ``assert p_hat > 0.9`` are either
 flaky (the threshold is inside the sampling noise) or vacuous (the
 threshold is so loose it catches nothing).  This module replaces them with
-assertions derived from exact binomial tails and Hoeffding's inequality,
+assertions derived from binomial tails (:mod:`repro.theory.tails`,
+accurate to ~1e-11 relative at test sizes) and Hoeffding's inequality,
 each parameterised by a *confidence* level: the assertion fails with
 probability at most ``1 - confidence`` when the claimed property actually
 holds.
@@ -26,6 +27,7 @@ from typing import List, Optional, Sequence, Union
 import numpy as np
 
 from ..exceptions import ConfigurationError, ReproError
+from ..theory.tails import binomial_tail_ge
 
 __all__ = [
     "StatisticalAssertionError",
@@ -52,29 +54,11 @@ class StatisticalAssertionError(ReproError, AssertionError):
     """
 
 
-def _log_binom_pmf(k: np.ndarray, n: int, p: float) -> np.ndarray:
-    """Log of the Binomial(n, p) pmf at each integer in ``k``."""
-    k = np.asarray(k, dtype=np.int64)
-    log_coeff = np.array(
-        [
-            math.lgamma(n + 1) - math.lgamma(i + 1) - math.lgamma(n - i + 1)
-            for i in k.ravel()
-        ]
-    ).reshape(k.shape)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_p = np.where(k > 0, k * np.log(p) if p > 0 else -np.inf, 0.0)
-        log_q = np.where(
-            n - k > 0, (n - k) * np.log1p(-p) if p < 1 else -np.inf, 0.0
-        )
-    return log_coeff + log_p + log_q
-
-
 def binomial_cdf(k: int, n: int, p: float) -> float:
-    """Exact ``P(X <= k)`` for ``X ~ Binomial(n, p)``.
+    """``P(X <= k)`` for ``X ~ Binomial(n, p)``, as the upper tail
+    ``P(n - X >= n - k)`` of ``n - X ~ Binomial(n, 1 - p)``.
 
-    Computed by summing exact log-pmf terms (stable for the modest trial
-    counts used in tests, ``n`` up to a few tens of thousands); no scipy
-    required.
+    See :func:`binomial_sf` for the accuracy.
     """
     if n < 0:
         raise ConfigurationError(f"n must be non-negative, got {n}")
@@ -84,40 +68,22 @@ def binomial_cdf(k: int, n: int, p: float) -> float:
         return 0.0
     if k >= n:
         return 1.0
-    if p == 0.0:
-        return 1.0
-    if p == 1.0:
-        return 0.0
-    ks = np.arange(0, k + 1)
-    log_terms = _log_binom_pmf(ks, n, p)
-    peak = float(log_terms.max())
-    total = peak + math.log(float(np.exp(log_terms - peak).sum()))
-    return min(1.0, math.exp(total))
+    return binomial_tail_ge(n - k, n, 1.0 - p)
 
 
 def binomial_sf(k: int, n: int, p: float) -> float:
-    """Exact ``P(X >= k)`` for ``X ~ Binomial(n, p)``.
+    """``P(X >= k)`` for ``X ~ Binomial(n, p)``: :func:`binomial_tail_ge`.
 
-    Summed directly over the upper tail rather than via ``1 - cdf`` so
-    tiny tail probabilities keep full relative precision.
+    Against an exact O(n) log-pmf sum, the relative gap is at most
+    7.5e-12 over ``n <= 5000`` and ``p`` in ``[1e-9, 1 - 1e-9]`` (tails
+    down to ``2**-50`` included), and 4.8e-11 on a random grid up to
+    ``n = 4e4``; either side is off by ~5e-12 at ``n = 5000`` against
+    50-digit sums.  From ``n ~ 5e5``, within about 0.1 sd of the mean,
+    the continued fraction does not converge and a normal tail stands
+    in, with an absolute error of at most 1.8e-4
+    (``tests/test_tails.py``).
     """
-    if n < 0:
-        raise ConfigurationError(f"n must be non-negative, got {n}")
-    if not 0.0 <= p <= 1.0:
-        raise ConfigurationError(f"p must lie in [0, 1], got {p}")
-    if k <= 0:
-        return 1.0
-    if k > n:
-        return 0.0
-    if p == 0.0:
-        return 0.0
-    if p == 1.0:
-        return 1.0
-    ks = np.arange(k, n + 1)
-    log_terms = _log_binom_pmf(ks, n, p)
-    peak = float(log_terms.max())
-    total = peak + math.log(float(np.exp(log_terms - peak).sum()))
-    return min(1.0, math.exp(total))
+    return binomial_tail_ge(k, n, p)
 
 
 def hoeffding_radius(n: int, alpha: float, width: float = 1.0) -> float:

@@ -100,9 +100,7 @@ class TestMinimumInitialAdvantage:
         delta = 0.2
         m = sf_sample_budget(config, delta)
         step = sf_step_distribution(config, delta)
-        advantage = (
-            weak_opinion_success_probability(step, m, method="normal") - 0.5
-        )
+        advantage = weak_opinion_success_probability(step, m) - 0.5
         schedule = SFSchedule.from_config(config, delta)
         basin = minimum_initial_advantage(
             schedule.boost_window, delta, precision=1e-4

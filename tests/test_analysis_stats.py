@@ -1,5 +1,7 @@
 """Tests for repro.analysis.stats."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,14 @@ class TestWilsonInterval:
             wilson_interval(5, 0)
         with pytest.raises(ValueError):
             wilson_interval(11, 10)
+
+    def test_z_is_the_exact_normal_quantile(self):
+        # For 0 successes in 1 trial the upper bound is z^2 / (1 + z^2),
+        # so it recovers z; at 95% z is 1.959963984540054.
+        _, _, high = wilson_interval(0, 1, 0.95)
+        assert math.sqrt(high / (1.0 - high)) == pytest.approx(
+            1.959963984540054, abs=1e-12
+        )
 
     def test_tightens_with_trials(self):
         _, lo1, hi1 = wilson_interval(8, 10)

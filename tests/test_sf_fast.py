@@ -80,7 +80,7 @@ class TestWeakOpinions:
         engine = FastSourceFilter(cfg, 0.2)
         step = sf_step_distribution(cfg, 0.2)
         samples = engine.schedule.phase_rounds * engine.schedule.h
-        predicted = weak_opinion_success_probability(step, samples, method="normal")
+        predicted = weak_opinion_success_probability(step, samples)
         # Weak opinions are i.i.d. Bernoulli across agents and seeds, so
         # pool all 60 x 128 draws into one exact binomial test.  At this
         # confidence the acceptance radius is ~0.02 — the same strength

@@ -1,18 +1,21 @@
-"""Tests for repro.theory.tails: O(1) binomial tails for the count engine.
+"""Tests for repro.theory.tails: the one implementation of the binomial laws.
 
-Cross-validated against the repo's exact O(n) oracles
-(:func:`repro.verify.binomial_sf`,
-:func:`repro.theory.exact_majority_advantage`) and Monte Carlo.
+Cross-validated against the exact O(n) log-pmf sums of
+``tests/binomial_reference.py`` and against Monte Carlo.
 """
 
 import itertools
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.theory import exact_majority_advantage, tails
+from repro.theory import tails
 from repro.theory.tails import (
     EXACT_COMPARISON_LIMIT,
     binomial_tail_ge,
@@ -21,7 +24,8 @@ from repro.theory.tails import (
     multinomial_pair_gt_probability,
     regularized_incomplete_beta,
 )
-from repro.verify import binomial_sf
+from repro.verify import binomial_cdf, binomial_sf
+from tests import binomial_reference as ref
 
 
 class TestRegularizedIncompleteBeta:
@@ -63,7 +67,7 @@ class TestBinomialTailGe:
     def test_matches_exact_sum(self, n, p):
         for k in [0, 1, n // 3, n // 2, n - 1, n]:
             assert binomial_tail_ge(k, n, p) == pytest.approx(
-                binomial_sf(k, n, p), abs=1e-10
+                ref.tail_ge(k, n, p), abs=1e-10
             )
 
     def test_edge_cases(self):
@@ -84,11 +88,10 @@ class TestBinomialTailGe:
 class TestMajoritySuccessProbability:
     @pytest.mark.parametrize("q,w", [(0.6, 11), (0.6, 12), (0.5, 101), (0.9, 4), (0.31, 333)])
     def test_matches_rademacher_oracle(self, q, w):
-        # P(majority) = (1 + (P(X>0) - P(X<0))) / 2 for X the Rademacher
-        # sum with per-step success q (ties split evenly on both sides).
-        oracle = (1.0 + exact_majority_advantage(q - 0.5, w)) / 2.0
+        # P(X>0) + P(X=0)/2 for X the Rademacher sum with per-step
+        # success q, summed over the whole pmf.
         assert majority_success_probability(q, w) == pytest.approx(
-            oracle, abs=1e-10
+            ref.majority_success(q, w), abs=1e-10
         )
 
     def test_zero_window_is_coin_flip(self):
@@ -265,3 +268,106 @@ class TestNormalApproximationError:
             monkeypatch, binomial_vs_binomial_probability, half, 0.0015, half, 0.001
         )
         assert normal == exact
+
+
+# ----------------------------------------------------------------------
+# The normal fallback when the continued fraction does not converge
+# ----------------------------------------------------------------------
+#: Worst absolute error of ``binomial_tail_ge``'s normal fallback over
+#: the grid below, against the log-pmf reference.  It sits at n = 10**6,
+#: p = 0.1, 0.1 sd below the mean, and is the skewness the
+#: continuity-corrected normal tail ignores (zero at p = 1/2).
+FALLBACK_ERROR = 1.8e-4
+
+FALLBACK_GRID = list(itertools.product(
+    (10**4, 10**5, 5 * 10**5, 10**6),
+    (0.5, 0.3, 0.1),
+    (-1.0, -0.1, 0.0, 0.1, 1.0),
+))
+
+
+def _grid_point(n, p, z):
+    return int(round(n * p + z * math.sqrt(n * p * (1.0 - p)))), n, p
+
+
+def _converges(k, n, p):
+    try:
+        regularized_incomplete_beta(float(k), float(n - k + 1), p)
+    except ConfigurationError:
+        return False
+    return True
+
+
+def _windowed_tail_ge(k, n, p):
+    """The reference upper tail, summed only to 40 sd above the mean
+    (the rest is below 1e-300)."""
+    top = min(n, int(n * p + 40 * math.sqrt(n * p * (1.0 - p))))
+    log_terms = ref.log_pmf(np.arange(k, top + 1), n, p)
+    peak = float(log_terms.max())
+    return math.exp(peak) * float(np.exp(log_terms - peak).sum())
+
+
+class TestContinuedFractionFallback:
+    def test_fallback_only_near_the_centre_at_large_n(self):
+        fallbacks = [
+            (n, p, z) for n, p, z in FALLBACK_GRID
+            if not _converges(*_grid_point(n, p, z))
+        ]
+        # 11 of 60 grid points: never below n = 5e5, never a full sd out.
+        assert len(fallbacks) == 11
+        assert min(n for n, _, _ in fallbacks) == 5 * 10**5
+        assert max(abs(z) for _, _, z in fallbacks) <= 0.1
+
+    def test_fallback_error_is_bounded(self):
+        worst = 0.0
+        for n, p, z in FALLBACK_GRID:
+            k, n, p = _grid_point(n, p, z)
+            if _converges(k, n, p):
+                continue
+            exact = _windowed_tail_ge(k, n, p)
+            # binomial_sf and binomial_cdf (through the mirrored tail)
+            # inherit the fallback.
+            for value in (
+                binomial_tail_ge(k, n, p),
+                binomial_sf(k, n, p),
+                binomial_cdf(n - k, n, 1.0 - p),
+            ):
+                worst = max(worst, abs(value - exact))
+        assert worst <= FALLBACK_ERROR
+        assert worst > 0.9 * FALLBACK_ERROR
+
+
+# ----------------------------------------------------------------------
+# No scipy fork: the laws give the same bits with scipy hidden
+# ----------------------------------------------------------------------
+_LAWS_SCRIPT = """
+import json, sys
+from repro.analysis import wilson_interval
+from repro.theory import (
+    TrinomialStep, exact_majority_advantage, two_party_error,
+    weak_opinion_success_probability,
+)
+from repro.verify import binomial_cdf
+print(json.dumps([
+    wilson_interval(8, 10, 0.95), wilson_interval(993, 1000, 0.999),
+    weak_opinion_success_probability(TrinomialStep(0.3, 0.5, 0.2), 300),
+    weak_opinion_success_probability(TrinomialStep(0.12, 0.8, 0.08), 20000),
+    exact_majority_advantage(0.05, 301),
+    binomial_cdf(40, 100, 0.5), binomial_cdf(3, 5000, 0.01),
+    two_party_error(101, 0.1), two_party_error(40, 0.3),
+]))
+"""
+
+
+class TestNoScipyFork:
+    def test_laws_are_identical_without_scipy(self):
+        hide = 'import sys; sys.modules["scipy"] = None\n'
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-c", prelude + _LAWS_SCRIPT],
+                capture_output=True, text=True, check=True, timeout=240,
+                env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+            ).stdout
+            for prelude in (hide, "")
+        ]
+        assert json.loads(outputs[0]) == json.loads(outputs[1])

@@ -15,7 +15,7 @@ from repro.theory import (
     lemma21_g,
     lemma22_advantage_lower_bound,
 )
-from repro.theory.probability import exact_majority_success
+from repro.theory.tails import majority_success_probability
 
 
 class TestClaim19:
@@ -96,7 +96,7 @@ class TestExactMajority:
     def test_success_half_tie_convention(self):
         # m = 2, theta = 0: outcomes {2:1/4, 1:1/2, 0:1/4}; X>0 w.p. 1/4,
         # tie w.p. 1/2 -> success = 1/4 + 1/4 = 1/2.
-        assert exact_majority_success(0.0, 2) == pytest.approx(0.5)
+        assert majority_success_probability(0.5, 2) == pytest.approx(0.5)
 
     def test_advantage_increases_with_m(self):
         values = [exact_majority_advantage(0.1, m) for m in (1, 9, 81, 729)]

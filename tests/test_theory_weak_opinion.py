@@ -1,5 +1,8 @@
 """Tests for the weak-opinion theory oracle (Lemmas 28 and 36)."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,7 @@ from repro.theory import (
     weak_opinion_success_probability,
 )
 from repro.types import SourceCounts
+from tests import binomial_reference as ref
 
 
 def config(n=100, s0=1, s1=3):
@@ -131,16 +135,9 @@ class TestWeakOpinionSuccess:
     def test_success_increases_with_m(self):
         step = TrinomialStep(p_plus=0.12, p_zero=0.8, p_minus=0.08)
         values = [
-            weak_opinion_success_probability(step, m, method="exact")
-            for m in (10, 100, 1000)
+            weak_opinion_success_probability(step, m) for m in (10, 100, 1000)
         ]
         assert values[0] < values[1] < values[2]
-
-    def test_exact_vs_normal_agree_for_large_m(self):
-        step = TrinomialStep(p_plus=0.12, p_zero=0.8, p_minus=0.08)
-        exact = weak_opinion_success_probability(step, 2000, method="exact")
-        normal = weak_opinion_success_probability(step, 2000, method="normal")
-        assert exact == pytest.approx(normal, abs=0.01)
 
     def test_exact_matches_monte_carlo(self, rng):
         step = TrinomialStep(p_plus=0.2, p_zero=0.6, p_minus=0.2)
@@ -151,40 +148,64 @@ class TestWeakOpinionSuccess:
         sums = draws.sum(axis=1)
         ties = sums == 0
         empirical = np.mean(sums > 0) + 0.5 * np.mean(ties)
-        predicted = weak_opinion_success_probability(step, m, method="exact")
+        predicted = weak_opinion_success_probability(step, m)
         assert predicted == pytest.approx(empirical, abs=0.01)
 
     def test_auto_method_dispatch(self):
+        # Exact below the tails switch, normal above it; same law.
         step = TrinomialStep(p_plus=0.12, p_zero=0.8, p_minus=0.08)
-        small = weak_opinion_success_probability(step, 100, method="auto")
-        large = weak_opinion_success_probability(step, 100_000, method="auto")
+        small = weak_opinion_success_probability(step, 100)
+        large = weak_opinion_success_probability(step, 100_000)
         assert 0.5 < small < large <= 1.0
 
-    def test_unknown_method(self):
-        step = TrinomialStep(p_plus=0.1, p_zero=0.8, p_minus=0.1)
-        with pytest.raises(ValueError):
-            weak_opinion_success_probability(step, 10, method="bogus")
+    @pytest.mark.parametrize(
+        "step",
+        [
+            TrinomialStep(p_plus=0.3, p_zero=0.5, p_minus=0.2),
+            TrinomialStep(p_plus=0.05, p_zero=0.9, p_minus=0.05),
+            TrinomialStep(p_plus=0.6, p_zero=0.0, p_minus=0.4),
+            TrinomialStep(p_plus=0.0, p_zero=0.7, p_minus=0.3),
+        ],
+    )
+    def test_matches_multinomial_reference(self, step):
+        # Summed over every (M+, M-) outcome, with no conditioning.
+        for m in (1, 2, 3, 10, 51, 200):
+            assert weak_opinion_success_probability(step, m) == pytest.approx(
+                ref.trinomial_success(step.p_plus, step.p_minus, m), abs=1e-12
+            )
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 50])
+    def test_no_zero_steps_is_finite_and_exact(self, m):
+        # p_zero = 0 once made 0 * log(0) = NaN at r = m; the law is then
+        # one majority vote, P(Bin(m, 0.6) > m/2) + P(tie)/2.
+        step = TrinomialStep(p_plus=0.6, p_zero=0.0, p_minus=0.4)
+        plus, minus = Fraction(3, 5), Fraction(2, 5)
+        exact = sum(
+            (Fraction(1, 2) if 2 * k == m else 1)
+            * math.comb(m, k) * plus**k * minus ** (m - k)
+            for k in range(m + 1)
+            if 2 * k >= m
+        )
+        assert weak_opinion_success_probability(step, m) == pytest.approx(
+            float(exact), rel=1e-12
+        )
 
     def test_lemma_28_style_guarantee(self):
         """With m from Eq. (19), the weak-opinion advantage scales as
         Omega(sqrt(log n / n)) — the quantitative heart of the paper.
         (The constant in front depends on c1; our calibrated default gives
         about 0.66 * sqrt(log n / n).)"""
-        import math
-
         from repro.protocols import sf_sample_budget
 
         for n in (256, 1024, 4096):
             cfg = PopulationConfig(n=n, sources=SourceCounts(0, 1), h=1)
             m = sf_sample_budget(cfg, 0.2)
             step = sf_step_distribution(cfg, 0.2)
-            success = weak_opinion_success_probability(step, m, method="normal")
+            success = weak_opinion_success_probability(step, m)
             assert success >= 0.5 + 0.5 * math.sqrt(math.log(n) / n)
 
     def test_advantage_scales_with_sqrt_of_constant(self):
         """Quadrupling c1 (hence m) roughly doubles the advantage."""
-        import math
-
         from repro.protocols import sf_sample_budget
 
         cfg = PopulationConfig(n=1024, sources=SourceCounts(0, 1), h=1)
@@ -192,7 +213,5 @@ class TestWeakOpinionSuccess:
         adv = {}
         for c1 in (4.0, 16.0):
             m = sf_sample_budget(cfg, 0.2, constant=c1)
-            adv[c1] = (
-                weak_opinion_success_probability(step, m, method="normal") - 0.5
-            )
+            adv[c1] = weak_opinion_success_probability(step, m) - 0.5
         assert adv[16.0] == pytest.approx(2 * adv[4.0], rel=0.15)

@@ -1,6 +1,7 @@
 """Tests for the two-party lower-bound gadget (footnote 3 / [19])."""
 
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -39,6 +40,24 @@ class TestTwoPartyError:
         with pytest.raises(ValueError):
             two_party_error(5, 0.7)
 
+    @pytest.mark.parametrize(
+        "m,delta", [(101, 0.1), (201, 0.1), (51, 0.3), (40, 0.3), (7, 0.45)]
+    )
+    def test_matches_exact_rational_sum(self, m, delta):
+        # The error keeps its relative precision deep in the tail (at
+        # m = 101, delta = 0.1 it is 1.15e-24).
+        wrong = Fraction(delta)
+        right = 1 - wrong
+        exact = sum(
+            (Fraction(1, 2) if 2 * k == m else 1)
+            * math.comb(m, k) * wrong**k * right ** (m - k)
+            for k in range(m + 1)
+            if 2 * k >= m
+        )
+        assert two_party_error(m, delta) == pytest.approx(
+            float(exact), rel=1e-9, abs=0.0
+        )
+
     def test_matches_simulation(self, rng):
         m, delta = 15, 0.3
         estimate = simulate_two_party(m, delta, trials=100_000, rng=rng)
@@ -53,10 +72,23 @@ class TestMessagesNeeded:
                 assert two_party_error(m, delta) <= target
 
     def test_near_minimal(self):
-        # Two fewer (odd-step) messages should miss the target.
-        m = messages_needed(1e-3, 0.3)
-        assert m >= 3
-        assert two_party_error(m - 2, 0.3) > 1e-3
+        # Two fewer (odd-step) messages miss the target.
+        for delta in (0.1, 0.3, 0.45):
+            for target in (0.1, 1e-3, 1e-6, 1e-12, 1e-16):
+                m = messages_needed(target, delta)
+                assert m % 2 == 1
+                assert two_party_error(m, delta) <= target
+                if m > 1:
+                    assert two_party_error(m - 2, delta) > target
+
+    def test_minimal_odd_m_at_one_in_1e6(self):
+        # Exact rational arithmetic: 131 is the minimal odd m at delta = 0.3.
+        assert messages_needed(1e-6, 0.3) == 131
+
+    def test_deep_targets_resolve_the_noise(self):
+        # 1/n^2 at n = 1e8 needs far more copies at delta = 0.3 than at 0.1.
+        assert messages_needed(1e-16, 0.1) == 67
+        assert messages_needed(1e-16, 0.3) == 389
 
     def test_noiseless_needs_one(self):
         assert messages_needed(0.01, 0.0) == 1

@@ -1,5 +1,6 @@
 """Tests for repro.verify.statistical (exact binomial / Hoeffding layer)."""
 
+import itertools
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from repro.verify import (
     binomial_sf,
     hoeffding_radius,
 )
+from tests import binomial_reference as ref
 
 
 class TestBinomialTails:
@@ -46,6 +48,25 @@ class TestBinomialTails:
         assert binomial_cdf(3, 10, 1.0) == 0.0
         assert binomial_sf(3, 10, 1.0) == 1.0
         assert binomial_sf(3, 10, 0.0) == 0.0
+
+    def test_matches_log_pmf_reference(self):
+        # Both tails against the exact O(n) sums, from p = 1e-9 to
+        # 1 - 1e-9: the lower tail goes through 1 - p, so tiny p is where
+        # it would lose digits.
+        worst = 0.0
+        probabilities = (1e-9, 1e-6, 1e-3, 0.1, 0.5, 0.9, 1 - 1e-3, 1 - 1e-6, 1 - 1e-9)
+        for n, p in itertools.product((1, 10, 100, 1000, 5000), probabilities):
+            sd = math.sqrt(n * p * (1 - p))
+            mean = n * p
+            for k in {0, 1, n // 2, n - 1, n, int(mean), int(mean + 3 * sd),
+                      max(int(mean - 3 * sd), 0)}:
+                for ours, exact in (
+                    (binomial_sf(k, n, p), ref.tail_ge(k, n, p)),
+                    (binomial_cdf(k, n, p), ref.tail_le(k, n, p)),
+                ):
+                    if exact > 0.0:
+                        worst = max(worst, abs(ours - exact) / exact)
+        assert worst <= 1e-11
 
     def test_scipy_agreement(self):
         scipy_stats = pytest.importorskip("scipy.stats")
