@@ -3,18 +3,27 @@
 The tentpole measurement behind :mod:`repro.model.count_engine`: a full
 SF execution collapses to O(num_subphases) arithmetic regardless of
 ``n``, so n = 10^8 runs in the same milliseconds as n = 10^3 and with
-O(|Sigma|) memory.  Four measurements land in
+O(|Sigma|) memory.  Five measurements land in
 ``BENCH_count_engine.json`` (see conftest) and are gated by
 ``benchmarks/check_regression.py``:
 
 * full count-SF runs across n in {10^3, 10^4, 10^6, 10^8}, with
   ``tracemalloc`` peaks proving the memory claim;
+* 25-trial ``run_trials`` calls on the three count targets of perfbench's
+  certify workload (SF at n = 10^6 and 10^8, SSF at n = 10^6);
 * per-round cost head-to-head against the batched exact engine at
   n = 10^6 (batched measured at n = 10^4 and extrapolated linearly —
   its per-round cost is Theta(n*h));
 * full-run head-to-head against the fast per-agent engine at n = 10^6;
 * alphabet dependence (SF's |Sigma| = 2 vs SSF's |Sigma| = 4) and the
   deterministic mean-field engine alongside.
+
+Count and mean-field timings are the median of :func:`median_timing`'s
+repeats; the cases that time nothing else record the range too.  The
+batched and fast sides of the two head-to-heads stay single runs of
+seconds each.  Memory peaks come from a
+separate run under ``tracemalloc``, which slows the interpreter
+several-fold and so stays out of every timed run.
 """
 
 from __future__ import annotations
@@ -25,7 +34,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.analysis import MeanFieldEngine
+from repro.analysis import MeanFieldEngine, run_trials
+from repro.engines import create_engine
 from repro.model import BatchedPullEngine, Population, PopulationConfig
 from repro.noise import NoiseMatrix
 from repro.protocols import (
@@ -37,7 +47,7 @@ from repro.protocols import (
 )
 from repro.types import SourceCounts
 
-from .conftest import record_count_engine
+from .conftest import median_timing, record_count_engine
 
 DELTA = 0.2
 
@@ -50,13 +60,10 @@ def _count_sf_config(n: int) -> PopulationConfig:
 def test_perf_count_sf_full_run(n):
     """Full count-SF runs: wall time flat in n, memory O(|Sigma|)."""
     config = _count_sf_config(n)
-    engine = CountSourceFilter(config, DELTA)
-    engine.run(rng=0)  # warm the lazy imports / numpy dispatch
+    timing = median_timing(lambda: CountSourceFilter(config, DELTA).run(rng=1))
 
     tracemalloc.start()
-    start = time.perf_counter()
     result = CountSourceFilter(config, DELTA).run(rng=1)
-    elapsed = time.perf_counter() - start
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
 
@@ -69,14 +76,55 @@ def test_perf_count_sf_full_run(n):
             "h": config.h,
             "delta": DELTA,
             "rounds": rounds,
-            "seconds": round(elapsed, 5),
-            "rounds_per_sec": round(rounds / elapsed, 1),
+            **timing,
+            "rounds_per_sec": round(rounds / timing["seconds"], 1),
             "peak_bytes": int(peak),
         }
     )
     print(
-        f"\n  count SF n={n:.0e}: {rounds} rounds in {elapsed * 1e3:.2f} ms "
-        f"({rounds / elapsed:,.0f} rounds/s), peak {peak / 1e3:.1f} KB"
+        f"\n  count SF n={n:.0e}: {rounds} rounds in "
+        f"{timing['seconds'] * 1e3:.2f} ms (median of {timing['repeats']}, "
+        f"{timing['min'] * 1e3:.2f}-{timing['max'] * 1e3:.2f}), "
+        f"peak {peak / 1e3:.1f} KB"
+    )
+
+
+#: perfbench certify's count targets: (label, protocol, n, sources, h, delta).
+CERTIFY_TARGETS = [
+    ("sf-n1e6", "sf", 10**6, (1, 3), 16, 0.2),
+    ("sf-n1e8", "sf", 10**8, (1, 3), 16, 0.2),
+    ("ssf-n1e6", "ssf", 10**6, (0, 1), 10**6, 0.1),
+]
+
+
+@pytest.mark.parametrize(
+    "label,protocol,n,sources,h,delta", CERTIFY_TARGETS,
+    ids=[target[0] for target in CERTIFY_TARGETS],
+)
+def test_perf_count_trials_certify(label, protocol, n, sources, h, delta):
+    """One 25-trial certificate chunk, as perfbench's certify calls it."""
+    config = PopulationConfig(n=n, sources=SourceCounts(*sources), h=h)
+    handle = create_engine("count", protocol, config, delta)
+    trials = 25
+    timing = median_timing(lambda: run_trials(handle, trials, seed=1), repeats=7)
+    stats = run_trials(handle, trials, seed=1)
+    assert stats.successes == trials
+    record_count_engine(
+        {
+            "case": "count_trials_certify",
+            "target": label,
+            "protocol": protocol,
+            "n": n,
+            "h": h,
+            "delta": delta,
+            "trials": trials,
+            **timing,
+        }
+    )
+    print(
+        f"\n  certify {label}: {trials} trials in "
+        f"{timing['seconds'] * 1e3:.1f} ms (median of {timing['repeats']}, "
+        f"{timing['min'] * 1e3:.1f}-{timing['max'] * 1e3:.1f})"
     )
 
 
@@ -103,10 +151,9 @@ def test_perf_count_vs_batched_per_round():
     batched_per_round = batched_per_round_small * (n_large / n_small)
 
     large = _count_sf_config(n_large)
-    CountSourceFilter(large, DELTA).run(rng=0)  # warm-up
-    start = time.perf_counter()
     result = CountSourceFilter(large, DELTA).run(rng=1)
-    count_per_round = (time.perf_counter() - start) / result.rounds_executed
+    timing = median_timing(lambda: CountSourceFilter(large, DELTA).run(rng=1))
+    count_per_round = timing["seconds"] / result.rounds_executed
 
     speedup = batched_per_round / count_per_round
     record_count_engine(
@@ -139,10 +186,10 @@ def test_perf_count_vs_fast_full_run():
     fast_result = fast.run(rng=0)
     fast_s = time.perf_counter() - start
 
-    CountSourceFilter(config, DELTA).run(rng=0)  # warm-up
-    start = time.perf_counter()
     count_result = CountSourceFilter(config, DELTA).run(rng=1)
-    count_s = time.perf_counter() - start
+    count_s = median_timing(
+        lambda: CountSourceFilter(config, DELTA).run(rng=1)
+    )["seconds"]
 
     assert fast_result.converged and count_result.converged
     record_count_engine(
@@ -168,23 +215,18 @@ def test_perf_count_alphabet_dependence(label, alphabet):
     """Per-transition cost vs alphabet size: SF (|Sigma|=2) vs SSF (=4)."""
     n = 1_000_000
     if label == "sf":
-        runner = CountSourceFilter(_count_sf_config(n), DELTA)
-        result = runner.run(rng=0)  # warm-up
-        start = time.perf_counter()
-        result = CountSourceFilter(_count_sf_config(n), DELTA).run(rng=1)
-        elapsed = time.perf_counter() - start
-        transitions = len(runner._stages)
+        config, delta, cls = _count_sf_config(n), DELTA, CountSourceFilter
     else:
         config = PopulationConfig(n=n, sources=SourceCounts(0, 4), h=16)
-        CountSelfStabilizingSourceFilter(config, 0.05).run(rng=0)  # warm-up
-        protocol = CountSelfStabilizingSourceFilter(config, 0.05)
-        start = time.perf_counter()
-        result = protocol.run(rng=1)
-        elapsed = time.perf_counter() - start
-        transitions = max(
-            result.rounds_executed // protocol.schedule.epoch_rounds, 1
-        )
-    per_transition = elapsed / transitions
+        delta, cls = 0.05, CountSelfStabilizingSourceFilter
+    protocol = cls(config, delta)
+    result = protocol.run(rng=1)
+    transitions = (
+        len(protocol._stages) if label == "sf"
+        else max(result.rounds_executed // protocol.schedule.epoch_rounds, 1)
+    )
+    timing = median_timing(lambda: cls(config, delta).run(rng=1))
+    per_transition = timing["seconds"] / transitions
     record_count_engine(
         {
             "case": "count_alphabet_dependence",
@@ -192,7 +234,7 @@ def test_perf_count_alphabet_dependence(label, alphabet):
             "alphabet": alphabet,
             "n": n,
             "transitions": transitions,
-            "seconds": round(elapsed, 5),
+            **timing,
             "seconds_per_transition": round(per_transition, 8),
             "converged": bool(result.converged),
         }
@@ -207,21 +249,19 @@ def test_perf_count_alphabet_dependence(label, alphabet):
 def test_perf_mean_field_full_run(n):
     """The deterministic mean-field engine alongside the count engine."""
     config = _count_sf_config(n)
-    MeanFieldEngine(config, DELTA).run()  # warm-up
-    start = time.perf_counter()
     result = MeanFieldEngine(config, DELTA).run()
-    elapsed = time.perf_counter() - start
     assert result.converged
+    timing = median_timing(lambda: MeanFieldEngine(config, DELTA).run())
     record_count_engine(
         {
             "case": "mean_field_full_run",
             "n": n,
             "h": config.h,
             "rounds": result.total_rounds,
-            "seconds": round(elapsed, 5),
+            **timing,
         }
     )
     print(
         f"\n  mean-field n={n:.0e}: {result.total_rounds} rounds in "
-        f"{elapsed * 1e3:.2f} ms (deterministic)"
+        f"{timing['seconds'] * 1e3:.2f} ms (deterministic)"
     )

@@ -113,8 +113,10 @@ class Record(NamedTuple):
 #: new module in that package invalidates the record without an edit
 #: here.  The net record covers the networked-deployment package, the
 #: topology record the topology package plus the graph builders, and the
-#: adversary record the search package plus the sequential-testing
-#: module its SPRT savings claim depends on.
+#: adversary record the search package, the sequential-testing module its
+#: SPRT savings claim depends on, and what its SF candidates run: the
+#: fast engine under Byzantine faults, the count engine under
+#: misspecification.
 RECORDS: Dict[str, Record] = {
     "BENCH_engine_throughput.json": Record(
         "bench_engine_throughput.py", THROUGHPUT_SOURCES, [
@@ -169,7 +171,9 @@ RECORDS: Dict[str, Record] = {
         ]),
     "BENCH_adversary_search.json": Record(
         "bench_adversary_search.py",
-        ["src/repro/adversary_search/*.py", "src/repro/analysis/sequential.py"], [
+        ["src/repro/adversary_search/*.py", "src/repro/analysis/sequential.py",
+         "src/repro/model/count_engine.py", "src/repro/protocols/sf_count.py",
+         "src/repro/protocols/sf_fast.py", "src/repro/faults/*.py"], [
             # SPRT-gated candidate screening on the benchmark's mixed
             # benign/damaging pool (measured ~2-3x; 1.3 keeps the gate
             # robust to unlucky trial draws).

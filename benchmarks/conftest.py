@@ -12,7 +12,9 @@ from __future__ import annotations
 import json
 import pathlib
 import platform
-from typing import Dict, List, Sequence
+import statistics
+import time
+from typing import Callable, Dict, List, Sequence
 
 import pytest
 
@@ -46,6 +48,23 @@ record_service_load = _recorder("BENCH_service_load.json")
 record_net_roundtrip = _recorder("BENCH_net_roundtrip.json")
 record_topology_pull = _recorder("BENCH_topology_pull.json")
 record_adversary_search = _recorder("BENCH_adversary_search.json")
+
+
+def median_timing(call: Callable[[], object], repeats: int = 9) -> Dict[str, object]:
+    """Wall seconds of ``call``: one warm-up, then the median of
+    ``repeats`` timed calls with their range, as record case fields."""
+    call()
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - start)
+    return {
+        "seconds": round(statistics.median(times), 6),
+        "repeats": repeats,
+        "min": round(min(times), 6),
+        "max": round(max(times), 6),
+    }
 
 
 def pytest_deselected(items):

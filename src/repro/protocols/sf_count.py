@@ -120,6 +120,7 @@ class CountSourceFilter(CountProtocol):
         self.opinion_count = 0
         self.weak_count = 0
         self.boost_trace: List[float] = []
+        self._engine = CountPullEngine(config, self._dynamics_noise)
 
     # ------------------------------------------------------------------
     # CountProtocol interface
@@ -202,6 +203,20 @@ class CountSourceFilter(CountProtocol):
     def finished(self, round_index: int) -> bool:
         return round_index >= self._total_rounds
 
+    def copies(self, round_index: int) -> int:
+        # The plain boosting sub-phases left, this one included, share a
+        # window and the majority law; the final one's window differs.
+        if self._stages[self._stage_index][0] != "boost":
+            return 1
+        return len(self._stages) - 1 - self._stage_index
+
+    def repeat(self, stages: int, rng: np.random.Generator) -> None:
+        super().repeat(stages, rng)
+        self._stage_index += stages
+        # A copy repeats the last sub-phase's correct fraction (the trace
+        # is empty, and stays so, without a correct opinion).
+        self.boost_trace += self.boost_trace[-1:] * stages
+
     # ------------------------------------------------------------------
     # Engine-seam convenience (repeat_trials / run_trials compatible)
     # ------------------------------------------------------------------
@@ -222,8 +237,7 @@ class CountSourceFilter(CountProtocol):
         record_trace: bool = False,
     ) -> CountSimulationResult:
         """Execute one full SF run on a :class:`CountPullEngine`."""
-        engine = CountPullEngine(self.config, self._dynamics_noise)
-        return engine.run(
+        return self._engine.run(
             self,
             max_rounds=self.schedule.total_rounds,
             rng=rng,

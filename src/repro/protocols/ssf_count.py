@@ -110,6 +110,7 @@ class CountSelfStabilizingSourceFilter(CountProtocol):
         self.weak_count = 0  # non-source agents with weak opinion 1
         self.opinion_count = 0  # all agents with opinion 1
         self._fill = 0
+        self._engine = CountPullEngine(config, self._dynamics_noise)
 
     # ------------------------------------------------------------------
     # CountProtocol interface
@@ -197,8 +198,7 @@ class CountSelfStabilizingSourceFilter(CountProtocol):
         sched = self.schedule
         if max_rounds is None:
             max_rounds = 20 * sched.epoch_rounds
-        engine = CountPullEngine(self.config, self._dynamics_noise)
-        return engine.run(
+        return self._engine.run(
             self,
             max_rounds=max_rounds,
             rng=rng,

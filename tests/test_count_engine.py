@@ -23,7 +23,11 @@ from repro.engines import create_engine
 from repro.exceptions import ConfigurationError
 from repro.telemetry import MemorySink, Telemetry
 from repro.theory import tails
-from repro.faults import ByzantineDisplayFault, IdentityFaultModel
+from repro.faults import (
+    ByzantineDisplayFault,
+    IdentityFaultModel,
+    NoiseMisspecification,
+)
 from repro.model import PopulationConfig
 from repro.model.count_engine import CountProtocol, CountPullEngine
 from repro.noise import NoiseMatrix
@@ -506,3 +510,160 @@ class TestCountProperties:
         assert final.min() >= 0
         assert int(final.sum()) == config.n
         assert 0 <= protocol.weak_count <= config.n
+
+
+# ----------------------------------------------------------------------
+# Copies: a run of certain, repeated stages replayed in one RNG call
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "bit_generator",
+    [np.random.PCG64, np.random.PCG64DXSM, np.random.Philox,
+     np.random.MT19937, np.random.SFC64],
+)
+def test_array_binomial_equals_scalar_calls(bit_generator):
+    """The numpy behaviour the replay rests on: an array ``binomial``
+    call draws each element with the scalar routine, in order."""
+
+    def primed():
+        rng = np.random.Generator(bit_generator(20251018))
+        rng.binomial(1000, 0.3)  # fills the binomial cache with another law
+        return rng
+
+    ns = [10**8, 10**6, 48, 10**8, 0, 7, 10**6, 10**8]
+    ps = [1.0, 0.0, 1.0, 1.0, 1.0, 0.0, 1.0, 1.0]
+    scalar, array = primed(), primed()
+    expected = [int(scalar.binomial(n, p)) for n, p in zip(ns, ps)]
+    assert array.binomial(ns, ps).tolist() == expected
+    assert array.random() == scalar.random()
+
+    scalar, array = primed(), primed()
+    expected = [int(scalar.binomial(10**6, 0.37)) for _ in range(9)]
+    assert array.binomial(10**6, 0.37, size=9).tolist() == expected
+    assert array.random() == scalar.random()
+
+
+class _OneCopySourceFilter(CountSourceFilter):
+    """The stage-by-stage path: every stage advanced and drawn alone."""
+
+    def copies(self, round_index):
+        return 1
+
+
+def _replays(monkeypatch, protocol):
+    """The ``stages`` of each :meth:`repeat` call ``protocol`` makes."""
+    calls = []
+    original = protocol.repeat
+
+    def counted(stages, rng):
+        calls.append(stages)
+        original(stages, rng)
+
+    monkeypatch.setattr(protocol, "repeat", counted)
+    return calls
+
+
+def _books(protocol, run, seed):
+    """Outcome, round events and counters of ``run(rng, telemetry)``,
+    and the generator's next draw after it."""
+    sink = MemorySink()
+    rng = np.random.default_rng(seed)
+    result = run(protocol, rng, Telemetry([sink]))
+    rounds = [(e.round_index, e.tags) for e in sink.events_of("round")]
+    return _outcome(protocol, result), rounds, sink.counters, rng.random()
+
+
+def _full_run(protocol, rng, telemetry):
+    return protocol.run(rng=rng, record_trace=True, telemetry=telemetry)
+
+
+class TestCountCopies:
+    @pytest.mark.parametrize(
+        "n,sources,keywords,copied",
+        [
+            (48, (1, 3), {}, True),
+            (10**3, (1, 3), {}, True),
+            (10**6, (1, 3), {}, True),
+            (10**8, (1, 3), {}, True),
+            # Correct opinion 0: at consensus p is tiny, not 0.0, so
+            # the stages are drawn one by one.
+            (10**3, (3, 1), {}, False),
+            (10**6, (3, 1), {"handoff": MeanFieldHandoff()}, True),
+            (10**6, (1, 3), {"fault_model": NoiseMisspecification.uniform(0.25)},
+             True),
+        ],
+        ids=["n48", "n1e3", "n1e6", "n1e8", "s0>s1", "handoff", "misspec"],
+    )
+    def test_replay_matches_one_copy_path(
+        self, monkeypatch, n, sources, keywords, copied
+    ):
+        config = PopulationConfig(n=n, sources=SourceCounts(*sources), h=16)
+        replay = CountSourceFilter(config, 0.2, **keywords)
+        single = _OneCopySourceFilter(config, 0.2, **keywords)
+        replays = _replays(monkeypatch, replay)
+        for seed in range(3):
+            assert _books(replay, _full_run, seed) == _books(
+                single, _full_run, seed
+            )
+        assert bool(replays) == copied
+
+    def test_patience_runs_out_inside_copies(self, monkeypatch):
+        config = PopulationConfig(n=10**6, sources=SourceCounts(1, 3), h=16)
+        replay = CountSourceFilter(config, 0.2)
+        single = _OneCopySourceFilter(config, 0.2)
+        replays = _replays(monkeypatch, replay)
+        schedule = replay.schedule
+        engine = CountPullEngine(config, 0.2)
+
+        def run(protocol, rng, telemetry):
+            return engine.run(
+                protocol, max_rounds=schedule.total_rounds, rng=rng,
+                stop_on_consensus=True,
+                consensus_patience=5 * schedule.subphase_rounds + 1,
+                record_trace=True, telemetry=telemetry,
+            )
+
+        for seed in range(3):
+            got = _books(replay, run, seed)
+            assert got == _books(single, run, seed)
+            assert got[0][2] < schedule.total_rounds - schedule.final_rounds
+        assert replays and all(stages >= 5 for stages in replays)
+
+    def test_max_rounds_cuts_a_run_of_copies(self, monkeypatch):
+        config = PopulationConfig(n=10**6, sources=SourceCounts(1, 3), h=16)
+        replay = CountSourceFilter(config, 0.2)
+        single = _OneCopySourceFilter(config, 0.2)
+        replays = _replays(monkeypatch, replay)
+        schedule = replay.schedule
+        cut = 2 * schedule.phase_rounds + 60 * schedule.subphase_rounds + 3
+        engine = CountPullEngine(config, 0.2)
+
+        def run(protocol, rng, telemetry):
+            return engine.run(
+                protocol, max_rounds=cut, rng=rng, record_trace=True,
+                telemetry=telemetry,
+            )
+
+        for seed in range(3):
+            got = _books(replay, run, seed)
+            assert got == _books(single, run, seed)
+            assert got[0][2] == cut
+        assert replays
+
+    def test_converged_run_at_1e8_makes_few_rng_calls(self, monkeypatch):
+        # Stage by stage, this run makes 188 RNG calls: one per stage.
+        config = PopulationConfig(n=10**8, sources=SourceCounts(1, 3), h=16)
+        protocol = CountSourceFilter(config, 0.2)
+        calls = []
+        draw = protocol._draw
+
+        def counted(n, p, rng):
+            calls.append("draw")
+            return draw(n, p, rng)
+
+        monkeypatch.setattr(protocol, "_draw", counted)
+        replays = _replays(monkeypatch, protocol)
+        for seed in range(5):
+            calls.clear()
+            replays.clear()
+            assert protocol.run(rng=seed).converged
+            assert len(calls) + len(replays) <= 15
