@@ -114,8 +114,9 @@ class Record(NamedTuple):
 #: here.  The net record covers the networked-deployment package, the
 #: topology record the topology package plus the graph builders, and the
 #: adversary record the search package, the sequential-testing module its
-#: SPRT savings claim depends on, and what its SF candidates run: the
-#: fast engine under Byzantine faults, the count engine under
+#: SPRT savings claim depends on, the engine registry whose seam gate
+#: routes each candidate, and what its SF candidates run: the fast
+#: engine under Byzantine faults, the count engine under
 #: misspecification.
 RECORDS: Dict[str, Record] = {
     "BENCH_engine_throughput.json": Record(
@@ -172,6 +173,7 @@ RECORDS: Dict[str, Record] = {
     "BENCH_adversary_search.json": Record(
         "bench_adversary_search.py",
         ["src/repro/adversary_search/*.py", "src/repro/analysis/sequential.py",
+         "src/repro/engines.py",
          "src/repro/model/count_engine.py", "src/repro/protocols/sf_count.py",
          "src/repro/protocols/sf_fast.py", "src/repro/faults/*.py"], [
             # SPRT-gated candidate screening on the benchmark's mixed

@@ -7,10 +7,11 @@ is damaging), ``reject`` means "<= p0" (benign, dropped after a handful
 of trials) — and charges its error mass to the search's shared
 :class:`~repro.verify.statistical.FalsePositiveBudget`.
 
-Engine routing: misspecification-only candidates (agent-blind, see
-:func:`repro.faults.agent_blind_uniform_delta`) evaluate on the O(1)
-count engines; everything agent-indexed uses the fast phase-collapsed
-engines (the fast SSF engine handles scheduled crash/recovery exactly).
+Engine routing: candidates the count engine's capability row admits
+(:func:`repro.engines.admit_seams`; today the uniform-channel
+misspecifications) evaluate on the O(1) count engines; everything else
+uses the fast phase-collapsed engines (the fast SSF engine handles
+scheduled crash/recovery exactly).
 
 Certification is *not* sequential: the final worst candidate gets a
 fixed-size fresh-seed run whose failure count yields an exact one-sided
@@ -28,7 +29,8 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from ..analysis.sequential import adaptive_trials
-from ..faults import agent_blind_uniform_delta
+from ..engines import admit_seams
+from ..exceptions import UnsupportedFeatureError
 from ..model.config import PopulationConfig
 from ..rng import generator_stream
 from ..verify.statistical import binomial_cdf, binomial_sf
@@ -122,7 +124,7 @@ class CandidateEvaluator:
         is actually experienced (a consensus early-exit would hide
         late-scheduled crashes).  SF runs its fixed schedule horizon.
     prefer_count:
-        Route agent-blind-compatible candidates through the O(1) count
+        Route candidates the count engine admits through the O(1) count
         engines (set ``False`` to force the agent-level fast engines,
         e.g. for differential testing).
     """
@@ -155,12 +157,14 @@ class CandidateEvaluator:
         ``True`` iff the run *failed* (did not converge)."""
         fault = self.space.build(candidate, epoch_rounds=self.epoch_rounds)
         delta = self.space.assumed_delta
-        agent_blind = (
-            self.prefer_count
-            and agent_blind_uniform_delta(fault, delta) is not None
-        )
+        on_count = self.prefer_count
+        if on_count:
+            try:
+                admit_seams("count", self.space.protocol, fault)
+            except UnsupportedFeatureError:
+                on_count = False
         if self.space.protocol == "sf":
-            if agent_blind:
+            if on_count:
                 from ..protocols import CountSourceFilter
 
                 protocol = CountSourceFilter(
@@ -171,7 +175,7 @@ class CandidateEvaluator:
 
             protocol = FastSourceFilter(self.config, delta, fault_model=fault)
             return "fast", lambda rng: not protocol.run(rng=rng).converged
-        if agent_blind:
+        if on_count:
             from ..protocols import CountSelfStabilizingSourceFilter
 
             protocol = CountSelfStabilizingSourceFilter(
@@ -184,7 +188,7 @@ class CandidateEvaluator:
                 self.config, delta, fault_model=fault
             )
         horizon = self.horizon_epochs * protocol.schedule.epoch_rounds
-        name = "count" if agent_blind else "fast"
+        name = "count" if on_count else "fast"
 
         def run_one(rng: np.random.Generator) -> bool:
             result = protocol.run(

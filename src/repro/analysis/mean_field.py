@@ -255,18 +255,11 @@ class MeanFieldEngine:
         constant: Optional[float] = None,
         fault_model=None,
     ) -> None:
+        from ..engines import admit_seams
         from ..protocols.parameters import SFSchedule
         from ..protocols.sf_fast import _uniform_delta
 
-        if fault_model is not None and not getattr(fault_model, "is_null", False):
-            from ..exceptions import UnsupportedFeatureError
-
-            raise UnsupportedFeatureError(
-                "MeanFieldEngine is agent-blind (it iterates the "
-                "n -> infinity expectation maps) and does not compose "
-                "with fault models; pass fault_model=None or use the "
-                "per-agent 'fast' engine"
-            )
+        admit_seams("mean-field", "sf", fault_model)
         self.config = config
         self.delta = _uniform_delta(noise)
         if schedule is None:

@@ -167,33 +167,6 @@ def _check_picklable(workers: int, **callables) -> None:
             ) from exc
 
 
-def _resolve_resilience(
-    resilience: Optional[ResilienceConfig],
-    trial_timeout: Optional[float],
-    retries: Optional[int],
-    checkpoint,
-) -> Optional[ResilienceConfig]:
-    """Reconcile the ``resilience=`` object with its flat spellings.
-
-    Returns ``None`` when no fault-tolerance option was requested at
-    all — the trial runners then take their original (legacy) backends.
-    """
-    if resilience is not None:
-        if trial_timeout is not None or retries is not None or checkpoint is not None:
-            raise ValueError(
-                "pass either resilience= or the individual trial_timeout/"
-                "retries/checkpoint arguments, not both"
-            )
-        return resilience
-    if trial_timeout is None and retries is None and checkpoint is None:
-        return None
-    return ResilienceConfig(
-        trial_timeout=trial_timeout,
-        retries=retries if retries is not None else ResilienceConfig.retries,
-        checkpoint=checkpoint,
-    )
-
-
 def _aggregate(outcomes, trials: int) -> TrialStats:
     """Fold ordered (success, measurement, ...) tuples into TrialStats."""
     successes = 0
@@ -241,9 +214,6 @@ def repeat_trials(
     workers: Optional[int] = None,
     rng: RngLike = None,
     telemetry: Optional[Telemetry] = None,
-    trial_timeout: Optional[float] = None,
-    retries: Optional[int] = None,
-    checkpoint=None,
     resilience: Optional[ResilienceConfig] = None,
     checkpoint_scope: str = "",
 ) -> TrialStats:
@@ -280,11 +250,10 @@ def repeat_trials(
         and the parent merges their snapshots with ``worker=<pid>`` tags
         (plus a per-worker ``trials.worker_throughput`` gauge).
         RNG-neutral: statistics are bit-identical with or without it.
-    trial_timeout / retries / checkpoint / resilience:
-        Fault-tolerance policy (see
-        :class:`~repro.analysis.resilience.ResilienceConfig`): either
-        the flat spellings or one ``resilience=`` object, not both.
-        When any is set, failed/hung/crashed trials are retried with
+    resilience:
+        Fault-tolerance policy
+        (:class:`~repro.analysis.resilience.ResilienceConfig`).  When
+        set, failed/hung/crashed trials are retried with
         their *original* seeds (statistics stay bit-identical to a
         clean run), a broken process pool is rebuilt and only pending
         seeds resubmitted, and retry-exhausted trials degrade to
@@ -303,9 +272,8 @@ def repeat_trials(
     if measure is None:
         measure = _default_measure
     tele = ensure_telemetry(telemetry)
-    policy = _resolve_resilience(resilience, trial_timeout, retries, checkpoint)
 
-    if policy is not None:
+    if resilience is not None:
         if workers is not None and workers > 1:
             _check_picklable(
                 workers, run_one=run_one, success=success, measure=measure
@@ -316,7 +284,7 @@ def repeat_trials(
         ):
             outcomes, failed = run_resilient_trials(
                 run_one, seeds, success, measure,
-                workers=workers, config=policy, telemetry=tele,
+                workers=workers, config=resilience, telemetry=tele,
                 seed=seed, checkpoint_scope=checkpoint_scope,
             )
         completed = [o for o in outcomes if o is not None]
@@ -412,9 +380,6 @@ def run_trials(
     measure: Callable[["object"], float] = None,
     rng: RngLike = None,
     telemetry: Optional[Telemetry] = None,
-    trial_timeout: Optional[float] = None,
-    retries: Optional[int] = None,
-    checkpoint=None,
     resilience: Optional[ResilienceConfig] = None,
     checkpoint_scope: str = "",
 ) -> TrialStats:
@@ -442,19 +407,17 @@ def run_trials(
     ``rng`` is the alternative master-seed spelling (reconciled with
     ``seed`` via :func:`repro.types.coerce_seed`); ``telemetry`` is
     threaded to the engine and the per-trial machinery exactly as in
-    :func:`repeat_trials`.  The fault-tolerance arguments
-    (``trial_timeout``/``retries``/``checkpoint``/``resilience``) are
-    forwarded to :func:`repeat_trials`; requesting any of them forces
-    the per-trial backend, since one batched ``run_batch`` call has no
-    per-trial unit to retry or checkpoint.
+    :func:`repeat_trials`.  A ``resilience`` policy is forwarded to
+    :func:`repeat_trials` and forces the per-trial backend, since one
+    batched ``run_batch`` call has no per-trial unit to retry or
+    checkpoint.
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     seed = coerce_seed(seed, rng)
-    policy = _resolve_resilience(resilience, trial_timeout, retries, checkpoint)
     use_batch = (
         batch
-        and policy is None
+        and resilience is None
         and (workers is None or workers <= 1)
         and hasattr(runner, "run_batch")
         and getattr(runner, "can_batch", True)
@@ -488,6 +451,6 @@ def run_trials(
         measure=measure,
         workers=workers,
         telemetry=telemetry,
-        resilience=policy,
+        resilience=resilience,
         checkpoint_scope=checkpoint_scope,
     )

@@ -23,19 +23,20 @@ with ``max_rounds=None`` meaning the engine's own default horizon and
 ``rng``/``seed`` the usual alternative spellings
 (:func:`repro.types.coerce_seed`).  Capability violations raise typed
 errors at construction time: an unknown engine or unsupported protocol
-is a :class:`~repro.exceptions.ConfigurationError`; a fault model on an
-agent-blind engine is an
-:class:`~repro.exceptions.UnsupportedFeatureError` — the same error the
-engines themselves raise when constructed directly, so both paths fail
-identically.
+is a :class:`~repro.exceptions.ConfigurationError`; a fault model or a
+graph the engine's capability row does not admit is an
+:class:`~repro.exceptions.UnsupportedFeatureError` from
+:func:`admit_seams` — the gate the engines themselves call when
+constructed directly, so both paths fail identically.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from .exceptions import ConfigurationError, UnsupportedFeatureError
+from .faults.base import FAULT_TRAITS
 from .model.config import PopulationConfig
 from .telemetry import Telemetry
 from .types import RngLike, coerce_rng
@@ -43,6 +44,7 @@ from .types import RngLike, coerce_rng
 __all__ = [
     "EngineSpec",
     "EngineHandle",
+    "admit_seams",
     "create_engine",
     "engine_spec",
     "list_engines",
@@ -54,22 +56,25 @@ __all__ = [
 class EngineSpec:
     """Declarative capabilities of one registered engine.
 
+    ``fault_traits`` maps a protocol to the fault traits
+    (:data:`repro.faults.FAULT_TRAITS`) the engine admits on it, and
+    ``graph_kinds`` to the graph kinds (``"static"``, ``"dynamic"``) it
+    samples from; a protocol missing from either admits none.
     ``agent_blind`` engines collapse the population to exchangeable
-    counts (or the deterministic limit) and therefore cannot compose
-    with per-agent fault models — nor with graph topologies;
-    ``supports_topology`` lists the protocols on which the engine
-    samples from a graph, so it is empty for every agent-blind engine;
-    ``supports_batch`` marks engines with a vectorized ``run_batch``
-    replica axis.
+    counts (or the deterministic limit), so they admit no graph and no
+    fault that indexes agents; ``supports_batch`` marks engines with a
+    vectorized ``run_batch`` replica axis.
     """
 
     name: str
     description: str
     protocols: Tuple[str, ...]
-    supports_faults: bool
     supports_batch: bool
     agent_blind: bool
-    supports_topology: Tuple[str, ...] = ()
+    fault_traits: Mapping[str, FrozenSet[str]] = dataclasses.field(
+        default_factory=dict)
+    graph_kinds: Mapping[str, Tuple[str, ...]] = dataclasses.field(
+        default_factory=dict)
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-friendly capability row (used by the service /health)."""
@@ -77,12 +82,27 @@ class EngineSpec:
             "name": self.name,
             "description": self.description,
             "protocols": list(self.protocols),
-            "supports_faults": self.supports_faults,
             "supports_batch": self.supports_batch,
             "agent_blind": self.agent_blind,
-            "supports_topology": list(self.supports_topology),
+            "fault_traits": {
+                p: [t for t in FAULT_TRAITS if t in self.fault_traits.get(p, ())]
+                for p in self.protocols
+            },
+            "graph_kinds": {
+                p: list(self.graph_kinds.get(p, ())) for p in self.protocols
+            },
         }
 
+
+_EVERY_TRAIT = frozenset(FAULT_TRAITS)
+#: Faults whose displays stay constant within a phase (or, given the
+#: transition rounds, within a gap) and whose channel is one uniform
+#: level: what the phase-exact fast engines reduce to symbol counts.
+_PHASE_EXACT = frozenset({"agent-indexed", "global-displays", "uniform-channel"})
+#: The one trait that survives the count collapse: a uniform channel is
+#: a noise level, whatever agent it reaches.
+_COUNT_EXACT = frozenset({"uniform-channel"})
+_ANY_GRAPH = ("static", "dynamic")
 
 _REGISTRY: Dict[str, EngineSpec] = {
     spec.name: spec
@@ -91,24 +111,26 @@ _REGISTRY: Dict[str, EngineSpec] = {
             name="fast",
             description="vectorized per-agent SF/SSF engine (O(n) per round)",
             protocols=("sf", "ssf"),
-            supports_faults=True,
             supports_batch=True,
             agent_blind=False,
-            supports_topology=("sf",),
+            fault_traits={
+                "sf": _PHASE_EXACT,
+                "ssf": _PHASE_EXACT | {"scheduled"},
+            },
+            graph_kinds={"sf": ("static",)},
         ),
         EngineSpec(
             name="count",
             description="count-level engine, O(|Sigma|) per transition at any n",
             protocols=("sf", "ssf"),
-            supports_faults=False,
             supports_batch=False,
             agent_blind=True,
+            fault_traits={"sf": _COUNT_EXACT, "ssf": _COUNT_EXACT},
         ),
         EngineSpec(
             name="mean-field",
             description="deterministic n->infinity SF recursion",
             protocols=("sf",),
-            supports_faults=False,
             supports_batch=False,
             agent_blind=True,
         ),
@@ -116,27 +138,27 @@ _REGISTRY: Dict[str, EngineSpec] = {
             name="serial",
             description="exact agent-level PULL(h) reference engine",
             protocols=("sf", "ssf"),
-            supports_faults=True,
             supports_batch=False,
             agent_blind=False,
-            supports_topology=("sf", "ssf"),
+            fault_traits={"sf": _EVERY_TRAIT, "ssf": _EVERY_TRAIT},
+            graph_kinds={"sf": _ANY_GRAPH, "ssf": _ANY_GRAPH},
         ),
         EngineSpec(
             name="batched",
             description="exact agent-level engine with a vectorized replica axis",
             protocols=("sf",),
-            supports_faults=True,
             supports_batch=True,
             agent_blind=False,
-            supports_topology=("sf",),
+            fault_traits={"sf": _EVERY_TRAIT},
+            graph_kinds={"sf": ("static",)},
         ),
         EngineSpec(
             name="async",
             description="random-sequential-activation engine (SSF only)",
             protocols=("ssf",),
-            supports_faults=True,
             supports_batch=False,
             agent_blind=False,
+            fault_traits={"ssf": _EVERY_TRAIT - {"global-displays"}},
         ),
         EngineSpec(
             name="net",
@@ -144,7 +166,6 @@ _REGISTRY: Dict[str, EngineSpec] = {
                 "localhost asyncio UDP deployment: one real peer per agent"
             ),
             protocols=("sf", "ssf"),
-            supports_faults=False,
             supports_batch=False,
             agent_blind=False,
         ),
@@ -173,6 +194,108 @@ def capability_table() -> List[Dict[str, object]]:
     return [_REGISTRY[name].to_dict() for name in list_engines()]
 
 
+#: The alphabet each protocol displays over.
+_ALPHABETS = {"sf": 2, "ssf": 4}
+
+#: Why an engine lacking a fault trait cannot run a model carrying it.
+_TRAIT_REASONS = {
+    "agent-indexed": "the model acts on individual agents",
+    "randomized": "the engine needs deterministic displays, constant within a phase",
+    "global-displays": "the engine never materializes the global display vector",
+    "scheduled": "the engine draws whole phases: time-invariant fault models only",
+    "uniform-channel": "the model swaps in a true channel",
+    "channel": "the engine needs one uniform true channel (see misspecified_reduction)",
+}
+#: Where to turn instead, for engines whose refusals have one answer.
+_FAULT_HINTS = {
+    "net": "the net backend injects faults at the link layer instead "
+    "(drop_probability=..., byzantine_fraction=... engine kwargs)",
+}
+
+
+def _capable(protocols, admits) -> str:
+    """The engines whose row admits a seam value on ``protocols``."""
+    names = sorted(
+        spec.name for spec in _REGISTRY.values()
+        if all(p in spec.protocols and admits(spec, p) for p in protocols)
+    )
+    return ", ".join(names) or "none"
+
+
+def admit_seams(
+    engine: str,
+    protocol: Optional[str] = None,
+    fault_model=None,
+    topology=None,
+    *,
+    alphabet_size: Optional[int] = None,
+):
+    """The one gate for an engine's two seams: fault model and topology.
+
+    A null fault model and the complete graph count as absent.  A graph
+    must be of a kind ``engine``'s row lists for ``protocol`` (``None``:
+    any protocol of the row, for engine cores handed a protocol object)
+    and never composes with a non-null fault model; a fault model must
+    carry only fault traits the row lists and act on ``alphabet_size``
+    symbols (default: the protocol's).  Nothing is bound or drawn.
+
+    Returns ``(fault_model, topology)``, the absent ones ``None``.
+    Raises :class:`~repro.exceptions.UnsupportedFeatureError` for what
+    the row does not admit, :class:`~repro.exceptions.ConfigurationError`
+    for a channel of the wrong alphabet.
+    """
+    spec = engine_spec(engine)
+    protocols = spec.protocols if protocol is None else (protocol,)
+    where = f"protocol {'/'.join(map(repr, protocols))}"
+    blind = f"engine {engine!r} " + (
+        "is agent-blind (it tracks symbol counts, not agents) and "
+        if spec.agent_blind else ""
+    )
+    fault = None if fault_model is None or fault_model.is_null else fault_model
+    if topology is not None:
+        from .topology import create_topology
+
+        sampler = create_topology(topology)
+        kind = "dynamic" if sampler.dynamic else "static"
+        if sampler.is_uniform:
+            topology = None
+        elif not any(kind in spec.graph_kinds.get(p, ()) for p in protocols):
+            capable = _capable(
+                protocols, lambda other, p: kind in other.graph_kinds.get(p, ())
+            )
+            raise UnsupportedFeatureError(
+                f"{blind}does not sample from a {kind} graph topology "
+                f"({sampler.kind!r}) for {where}; engines that do: {capable}"
+            )
+        elif fault is not None:
+            raise UnsupportedFeatureError(
+                "graph topologies do not compose with fault models (the "
+                "fault seam reasons about the globally-sampled population); "
+                "pass a graph or a fault model, not both"
+            )
+    if fault is not None:
+        traits = fault.traits
+        admitted = frozenset().union(*(spec.fault_traits.get(p, ()) for p in protocols))
+        refused = [trait for trait in FAULT_TRAITS if trait in traits - admitted]
+        if refused:
+            capable = _capable(
+                protocols,
+                lambda other, p: traits <= other.fault_traits.get(p, frozenset()),
+            )
+            reasons = "; ".join(_TRAIT_REASONS[trait] for trait in refused)
+            hint = _FAULT_HINTS.get(engine)
+            raise UnsupportedFeatureError(
+                f"{blind}does not admit {', '.join(refused)} fault models "
+                f"({type(fault).__name__}) for {where}: {reasons}"
+                + (f"; {hint}" if hint else "")
+                + f"; engines that admit this model: {capable}"
+            )
+        size = alphabet_size if alphabet_size is not None else _ALPHABETS.get(protocol)
+        if size is not None:
+            fault.check_alphabet(size)
+    return fault, topology
+
+
 def create_engine(
     name: str,
     protocol: str,
@@ -195,22 +318,20 @@ def create_engine(
     for the count engines).  ``telemetry`` becomes the handle's default
     recorder; ``run(telemetry=...)`` overrides it per call.
 
-    ``topology`` (an engine kwarg accepted by the topology-capable
-    engines — see ``supports_topology`` in :func:`capability_table`)
-    restricts PULL(h) samples to graph neighbors; any spec
-    :func:`repro.topology.create_topology` accepts works.  ``None`` and
-    the complete graph are dropped up front (every engine *is* the
-    complete-graph sampler), keeping ``topology="complete"``
-    bit-identical to no topology on every backend.
+    ``fault_model`` and ``topology`` (an engine kwarg) are the engine's
+    seams, admitted or refused by :func:`admit_seams` against the
+    capability row (see ``fault_traits`` and ``graph_kinds`` in
+    :func:`capability_table`).  ``topology`` restricts PULL(h) samples
+    to graph neighbors; any spec :func:`repro.topology.create_topology`
+    accepts works.  ``None`` and the complete graph are dropped up front
+    (every engine *is* the complete-graph sampler), keeping
+    ``topology="complete"`` bit-identical to no topology on every
+    backend.
 
     Raises :class:`~repro.exceptions.ConfigurationError` for unknown
     engines or unsupported protocols and
-    :class:`~repro.exceptions.UnsupportedFeatureError` when a non-null
-    ``fault_model`` is passed to an agent-blind engine (except uniform
-    ``NoiseMisspecification`` on the count engines, whose whole effect
-    is an effective noise level), when a graph topology is passed for a
-    protocol the engine's ``supports_topology`` does not list, or
-    when both a graph topology and a non-null fault model are given.
+    :class:`~repro.exceptions.UnsupportedFeatureError` for a seam value
+    the engine's row does not admit.
     """
     spec = engine_spec(name)
     if protocol not in spec.protocols:
@@ -218,69 +339,9 @@ def create_engine(
             f"engine {name!r} supports protocol(s) "
             f"{', '.join(spec.protocols)}; got {protocol!r}"
         )
-    topology = engine_kwargs.pop("topology", None)
-    if topology is not None:
-        from .topology import create_topology
-
-        sampler = create_topology(topology)
-        if sampler.is_uniform:
-            # Uniform sampling == the legacy path on every engine.
-            topology = None
-        elif protocol not in spec.supports_topology:
-            capable = ", ".join(
-                other.name
-                for other in _REGISTRY.values()
-                if protocol in other.supports_topology
-            )
-            if spec.agent_blind:
-                raise UnsupportedFeatureError(
-                    f"engine {name!r} is agent-blind (it tracks symbol "
-                    f"counts, not agents) and cannot sample from a graph "
-                    f"topology; use a topology-capable engine ({capable})"
-                )
-            raise UnsupportedFeatureError(
-                f"engine {name!r} does not support graph topologies for "
-                f"protocol {protocol!r}; topology-capable engines for "
-                f"{protocol!r}: {capable}"
-            )
-        elif fault_model is not None and not getattr(
-            fault_model, "is_null", False
-        ):
-            raise UnsupportedFeatureError(
-                "graph topologies do not compose with fault models "
-                "(the fault seam reasons about the globally-sampled "
-                "population); drop one of the two"
-            )
-    if (
-        fault_model is not None
-        and not getattr(fault_model, "is_null", False)
-        and not spec.supports_faults
-    ):
-        from .faults import agent_blind_uniform_delta
-
-        # The count engines honor agent-blind-compatible fault models
-        # (uniform NoiseMisspecification, possibly composed): their
-        # whole effect is an effective noise level, which survives the
-        # count collapse.  Anything agent-indexed still raises.
-        if not (
-            spec.name == "count"
-            and agent_blind_uniform_delta(fault_model, 0.0) is not None
-        ):
-            if spec.agent_blind:
-                raise UnsupportedFeatureError(
-                    f"engine {name!r} is agent-blind and composes only "
-                    f"with agent-blind fault models (uniform "
-                    f"NoiseMisspecification on the count engine); drop "
-                    f"the fault model or use an agent-level engine "
-                    f"(fast, serial, batched, async)"
-                )
-            raise UnsupportedFeatureError(
-                f"engine {name!r} does not compose with model-layer fault "
-                f"models; the net backend injects faults at the link layer "
-                f"instead (drop_probability=..., byzantine_fraction=... "
-                f"engine kwargs) — use an in-process agent-level engine "
-                f"(fast, serial, batched, async) for repro.faults models"
-            )
+    _, topology = admit_seams(
+        name, protocol, fault_model, engine_kwargs.pop("topology", None)
+    )
     if name == "net":
         _validate_net_kwargs(config, engine_kwargs)
     return EngineHandle(

@@ -8,6 +8,7 @@ the taxonomy.
 """
 
 from .base import (
+    FAULT_TRAITS,
     ComposedFaultModel,
     FaultModel,
     IdentityFaultModel,
@@ -19,13 +20,13 @@ from .metrics import RecoveryTracker, emit_recovery_batch
 from .misspecification import (
     MisspecifiedReduction,
     NoiseMisspecification,
-    agent_blind_uniform_delta,
     default_projection_margin,
     misspecified_reduction,
     project_to_stochastic,
 )
 
 __all__ = [
+    "FAULT_TRAITS",
     "FaultModel",
     "IdentityFaultModel",
     "ComposedFaultModel",
@@ -38,7 +39,6 @@ __all__ = [
     "emit_recovery_batch",
     "MisspecifiedReduction",
     "NoiseMisspecification",
-    "agent_blind_uniform_delta",
     "default_projection_margin",
     "misspecified_reduction",
     "project_to_stochastic",

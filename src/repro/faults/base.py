@@ -17,7 +17,7 @@ The null path is sacred: engines run byte-identical code when
 ``fault_model is None``, and :class:`IdentityFaultModel` draws no
 randomness and returns every array unchanged, so it is bit-for-bit
 equivalent to no fault model (the ``exact`` verify leg enforces this on
-every engine the capability table lets take a fault model).
+every agent-level engine the capability table lets take a fault model).
 
 Fault models never touch what the adversary contract of
 :mod:`repro.model.adversary` protects: source roles and preferences.
@@ -28,7 +28,7 @@ invariant for every generated model.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Tuple
+from typing import FrozenSet, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -36,12 +36,29 @@ from ..exceptions import ConfigurationError
 from ..types import RngLike
 
 __all__ = [
+    "FAULT_TRAITS",
     "FaultModel",
     "IdentityFaultModel",
     "ComposedFaultModel",
     "validate_probability",
     "validate_sample_loss",
 ]
+
+#: What a fault model can do to a run (:attr:`FaultModel.traits`): own a
+#: subset of agents (their displays, samplability or judging), draw its
+#: displays afresh each round, read the whole display vector, change at
+#: :meth:`FaultModel.transition_rounds`, swap in a uniform true channel,
+#: or swap in any other channel.  An engine admits a model when its
+#: capability row lists every trait the model carries
+#: (:func:`repro.engines.admit_seams`).
+FAULT_TRAITS = (
+    "agent-indexed",
+    "randomized",
+    "global-displays",
+    "scheduled",
+    "uniform-channel",
+    "channel",
+)
 
 
 def validate_probability(
@@ -113,19 +130,42 @@ class FaultModel:
     quasi_consensus_floor: float = 0.0
 
     #: True when :meth:`transform_displays` needs the whole display
-    #: vector (e.g. anti-majority Byzantine agents).  The async engine
-    #: rejects such models — it only ever materializes sampled displays.
+    #: vector (e.g. anti-majority Byzantine agents): the
+    #: ``global-displays`` trait.
     requires_global_displays: bool = False
 
-    #: False when the fault draws randomness per round.  The fast SF
-    #: engine requires deterministic displays (its exactness argument
-    #: needs within-phase constancy).
+    #: False when the fault draws randomness per round: the
+    #: ``randomized`` trait.
     deterministic_displays: bool = True
 
     @property
     def is_null(self) -> bool:
         """True when the model provably changes nothing (identity)."""
         return False
+
+    @property
+    def traits(self) -> FrozenSet[str]:
+        """The :data:`FAULT_TRAITS` an engine must admit to run this model.
+
+        Read from what the model declares, with no :meth:`reset` and no
+        draw; a null model has none, and any other model is taken to own
+        agents unless it overrides this (channel-only models do).
+        """
+        if self.is_null:
+            return frozenset()
+        traits = {"agent-indexed"}
+        if not self.deterministic_displays:
+            traits.add("randomized")
+        if self.requires_global_displays:
+            traits.add("global-displays")
+        if self.transition_rounds():
+            traits.add("scheduled")
+        return frozenset(traits)
+
+    def check_alphabet(self, alphabet_size: int) -> None:
+        """Raise :class:`~repro.exceptions.ConfigurationError` when the
+        model cannot act on a ``alphabet_size``-symbol protocol (checked
+        before :meth:`reset`)."""
 
     @property
     def onset_round(self) -> int:
@@ -183,8 +223,9 @@ class FaultModel:
 
     def transition_rounds(self) -> Tuple[int, ...]:
         """Sorted rounds ``> 0`` at which behavior changes (crash /
-        recovery schedules).  Empty means time-invariant; the fast SSF
-        engine caps its gap batching at the next transition."""
+        recovery schedules): the ``scheduled`` trait.  Empty means
+        time-invariant; the fast SSF engine caps its gap batching at the
+        next transition."""
         return ()
 
 
@@ -238,6 +279,14 @@ class ComposedFaultModel(FaultModel):
     @property
     def deterministic_displays(self) -> bool:  # type: ignore[override]
         return all(model.deterministic_displays for model in self.models)
+
+    @property
+    def traits(self) -> FrozenSet[str]:
+        return frozenset().union(*(model.traits for model in self.models))
+
+    def check_alphabet(self, alphabet_size: int) -> None:
+        for model in self.models:
+            model.check_alphabet(alphabet_size)
 
     @property
     def onset_round(self) -> int:

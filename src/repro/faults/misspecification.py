@@ -22,7 +22,7 @@ raises :class:`~repro.exceptions.NoiseMatrixError`.
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional, Tuple, Union
+from typing import FrozenSet, Optional, Tuple, Union
 
 import numpy as np
 
@@ -40,7 +40,6 @@ __all__ = [
     "MisspecifiedReduction",
     "misspecified_reduction",
     "NoiseMisspecification",
-    "agent_blind_uniform_delta",
 ]
 
 #: Per-entry floating-point dust attributable to one inverse-times-matrix
@@ -195,10 +194,11 @@ class NoiseMisspecification(FaultModel):
     :class:`~repro.noise.NoiseMatrix` or a schedule exposing
     ``matrix_at(round_index)``.
 
-    For the fast SF/SSF engines the dynamics are parameterized by a
-    uniform level, so :meth:`effective_uniform_delta` reports the true
-    channel's uniform level — available only when the true channel is
-    uniform (otherwise run the reduction first and pass
+    For the fast SF/SSF and count engines the dynamics are parameterized
+    by a uniform level, so :meth:`effective_uniform_delta` reports the
+    true channel's uniform level — available only when the true channel
+    is uniform, the ``uniform-channel`` trait those engines admit (for
+    any other channel, run the reduction first and pass
     ``misspecified_reduction(...).effective``).
     """
 
@@ -229,14 +229,22 @@ class NoiseMisspecification(FaultModel):
         """
         return cls(reduction.effective)
 
-    def reset(self, population, alphabet_size: int, rng: RngLike = None) -> None:
-        super().reset(population, alphabet_size, rng)
+    @property
+    def traits(self) -> FrozenSet[str]:
+        uniform = self.true_uniform_delta is not None
+        return frozenset({"uniform-channel" if uniform else "channel"})
+
+    def check_alphabet(self, alphabet_size: int) -> None:
         size = getattr(self.true, "size", None)
         if size is not None and size != alphabet_size:
             raise ConfigurationError(
                 f"true channel size {size} does not match the protocol "
                 f"alphabet {alphabet_size}"
             )
+
+    def reset(self, population, alphabet_size: int, rng: RngLike = None) -> None:
+        super().reset(population, alphabet_size, rng)
+        self.check_alphabet(alphabet_size)
 
     def channel(self, round_index: int, channel):
         if self._matrix_at is not None:
@@ -252,38 +260,3 @@ class NoiseMisspecification(FaultModel):
             )
         return self.true_uniform_delta
 
-
-def agent_blind_uniform_delta(fault_model, assumed_delta: float):
-    """Effective uniform delta when ``fault_model`` is agent-blind.
-
-    The count engines collapse the agent axis, so they can only honor
-    fault models that never look at individual agents: the null models
-    and :class:`NoiseMisspecification` with a *uniform* true channel
-    (whose whole effect is "run the dynamics at the true delta while
-    the schedule stays sized from the assumed one").  Returns the
-    effective uniform noise level for such models — chaining through a
-    :class:`~repro.faults.ComposedFaultModel` of them — and ``None``
-    for anything agent-indexed (Byzantine displays, crashes, stuck-at),
-    which needs an agent-level engine.
-    """
-    if fault_model is None or fault_model.is_null:
-        return float(assumed_delta)
-    from .base import ComposedFaultModel
-
-    models = (
-        fault_model.models
-        if isinstance(fault_model, ComposedFaultModel)
-        else [fault_model]
-    )
-    delta = float(assumed_delta)
-    for model in models:
-        if model.is_null:
-            continue
-        if (
-            isinstance(model, NoiseMisspecification)
-            and model.true_uniform_delta is not None
-        ):
-            delta = model.effective_uniform_delta(delta)
-            continue
-        return None
-    return delta

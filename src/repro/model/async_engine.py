@@ -119,14 +119,20 @@ class AsyncPullEngine:
         activations), restricts samplability, and substitutes the true
         channel.  Models needing the global display vector
         (``requires_global_displays``, e.g. anti-majority Byzantine
-        agents) are rejected — this engine never materializes it.
-        ``None`` keeps the byte-identical legacy path.
+        agents) fail :func:`repro.engines.admit_seams` — this engine
+        never materializes it.  ``None`` keeps the byte-identical legacy
+        path.
         """
         if protocol.alphabet_size != self.noise.size:
             raise ProtocolError(
                 f"protocol alphabet size {protocol.alphabet_size} does not "
                 f"match noise matrix size {self.noise.size}"
             )
+        from ..engines import admit_seams
+
+        admit_seams(
+            "async", None, fault_model, alphabet_size=protocol.alphabet_size
+        )
         if max_rounds is not None:
             if max_activations is not None:
                 raise ConfigurationError(
@@ -159,12 +165,6 @@ class AsyncPullEngine:
         n_eval = n
         tracker = None
         if fault_model is not None:
-            if fault_model.requires_global_displays:
-                raise ProtocolError(
-                    f"{type(fault_model).__name__} needs the global display "
-                    "vector; the async engine only materializes sampled "
-                    "displays"
-                )
             fault_model.reset(population, protocol.alphabet_size, generator)
             eval_mask = fault_model.evaluation_mask()
             if eval_mask is not None:

@@ -233,13 +233,12 @@ class BatchedPullEngine:
             restricting samples to graph neighbors.  The whole batch
             shares *one* realized graph (quenched disorder): an unbound
             sampler binds from child ``R`` of the root sequence — the
-            same slot fault models use, which is why a graph topology
-            does not compose with ``fault_model`` here (typed
-            :class:`~repro.exceptions.UnsupportedFeatureError`); use the
-            serial engine per replica for independent graph draws.
-            Dynamic (churn) topologies are likewise rejected — their
-            evolution has no replica-safe stream.  ``None`` and the
-            complete graph keep the untouched, bit-identical path.
+            same slot fault models use; use the serial engine per
+            replica for independent graph draws.  Both seams pass
+            :func:`repro.engines.admit_seams`: static graphs only (a
+            dynamic one has no replica-safe evolution stream), never
+            beside a non-null fault model.  ``None`` and the complete
+            graph keep the untouched, bit-identical path.
 
         Returns
         -------
@@ -253,6 +252,12 @@ class BatchedPullEngine:
                 f"protocol alphabet size {protocol.alphabet_size} does not match "
                 f"noise matrix size {self.noise.size}"
             )
+        from ..engines import admit_seams
+
+        admit_seams(
+            "batched", None, fault_model, topology,
+            alphabet_size=protocol.alphabet_size,
+        )
         generators = _spawn_generators(replicas, rng, seed_sequences)
         num_replicas = len(generators)
         tele = ensure_telemetry(telemetry)
@@ -271,7 +276,6 @@ class BatchedPullEngine:
 
         sampler = None
         if topology is not None:
-            from ..exceptions import UnsupportedFeatureError
             from ..topology import create_topology
 
             sampler = create_topology(topology)
@@ -279,19 +283,6 @@ class BatchedPullEngine:
                 sampler.ensure_bound(n)
                 sampler = None
             else:
-                if fault_model is not None:
-                    raise UnsupportedFeatureError(
-                        "BatchedPullEngine composes a graph topology or a "
-                        "fault model, not both: each binds its randomness "
-                        "to child R of the root seed sequence — run the "
-                        "serial engine per replica instead"
-                    )
-                if sampler.dynamic:
-                    raise UnsupportedFeatureError(
-                        f"dynamic topology {sampler.kind!r} has no "
-                        f"replica-safe evolution stream in the batched "
-                        f"engine; use the serial PullEngine"
-                    )
                 sampler.ensure_bound(
                     n, _batch_generator(rng, seed_sequences, num_replicas)
                 )

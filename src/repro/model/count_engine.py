@@ -49,7 +49,7 @@ from typing import Callable, Dict, List, Optional, Union
 
 import numpy as np
 
-from ..exceptions import ConfigurationError, UnsupportedFeatureError
+from ..exceptions import ConfigurationError
 from ..noise import NoiseMatrix
 from ..results import RunReport
 from ..telemetry import Telemetry, ensure_telemetry
@@ -208,29 +208,20 @@ class CountPullEngine:
         delta-uniform matrix of the protocol's ``alphabet_size`` at run
         time.  Non-uniform matrices are supported: the engine prices
         observations as ``q = (counts/n) @ N`` either way.
-    fault_model:
-        Must be ``None`` or a null model.  Faulted populations break the
-        pure count representation (displays stop being a function of the
-        counts alone); use the fast or agent-level engines for faults.
+
+    The engine takes no fault model: the count adapters, which the
+    registry builds, admit a uniform true channel and fold it into the
+    ``noise`` they pass here.
     """
 
     def __init__(
         self,
         config: PopulationConfig,
         noise: Union[float, NoiseMatrix],
-        fault_model=None,
     ) -> None:
-        if fault_model is not None and not fault_model.is_null:
-            raise UnsupportedFeatureError(
-                "CountPullEngine supports fault_model=None (or a null "
-                "model) only: non-null faults are agent-indexed and do "
-                "not survive the count collapse — use FastSourceFilter / "
-                "FastSelfStabilizingSourceFilter or PullEngine instead"
-            )
         self.config = config
         self._noise = noise
         self._uniform: Optional[NoiseMatrix] = None
-        self.fault_model = fault_model
 
     # ------------------------------------------------------------------
     def _resolve_noise(self, alphabet_size: int) -> NoiseMatrix:

@@ -185,10 +185,8 @@ class PullEngine:
             ``None`` and the complete graph run the untouched uniform
             path (bit-identical for fixed seeds); an unbound sampler is
             bound from the run generator before ``protocol.reset``.
-            Graph topologies do not compose with non-null fault models
-            (the fault seam reasons about globally-visible agent sets)
-            — that combination raises
-            :class:`~repro.exceptions.UnsupportedFeatureError`.
+            Both seams pass :func:`repro.engines.admit_seams` first: a
+            graph topology never composes with a non-null fault model.
         """
         if not 0.0 <= churn_rate < 1.0:
             raise ProtocolError(f"churn_rate must lie in [0, 1), got {churn_rate}")
@@ -202,6 +200,12 @@ class PullEngine:
                 f"protocol alphabet size {protocol.alphabet_size} does not match "
                 f"noise matrix size {self.noise.size}"
             )
+        from ..engines import admit_seams
+
+        admit_seams(
+            "serial", None, fault_model, topology,
+            alphabet_size=protocol.alphabet_size,
+        )
         rng = merge_rng_seed(rng, seed)
         generator = coerce_rng(rng)
         tele = ensure_telemetry(telemetry, observers)
@@ -211,16 +215,6 @@ class PullEngine:
             from ..topology import resolve_topology
 
             sampler = resolve_topology(topology, population.n, generator)
-            if sampler is not None and fault_model is not None and not getattr(
-                fault_model, "is_null", False
-            ):
-                from ..exceptions import UnsupportedFeatureError
-
-                raise UnsupportedFeatureError(
-                    "graph topologies do not compose with fault models: "
-                    "visible_agents/transform_displays reason about the "
-                    "globally-sampled population — drop one of the two"
-                )
         if not skip_reset:
             protocol.reset(population, generator)
 

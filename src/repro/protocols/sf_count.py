@@ -31,7 +31,6 @@ from typing import List, Optional, Union
 
 import numpy as np
 
-from ..exceptions import ConfigurationError, UnsupportedFeatureError
 from ..model.config import PopulationConfig
 from ..model.count_engine import CountProtocol, CountPullEngine, CountSimulationResult
 from ..noise import NoiseMatrix
@@ -62,12 +61,12 @@ class CountSourceFilter(CountProtocol):
         :class:`repro.analysis.MeanFieldHandoff`).  When it approves,
         population draws are replaced by their rounded expectation.
     fault_model:
-        ``None``, null, or agent-blind-compatible (a uniform
-        :class:`~repro.faults.NoiseMisspecification`, possibly
-        composed): agent-indexed faults do not survive the count
-        collapse.  Under misspecification the schedule stays sized from
-        the assumed ``noise`` while the dynamics run at the true level
-        (matching :class:`.FastSourceFilter`).
+        ``None``, null, or one whose only fault trait is
+        ``uniform-channel`` (a uniform
+        :class:`~repro.faults.NoiseMisspecification`, possibly composed);
+        :func:`repro.engines.admit_seams` refuses the rest.  The schedule
+        stays sized from the assumed ``noise`` while the dynamics run at
+        the true level (matching :class:`.FastSourceFilter`).
     """
 
     alphabet_size = 2
@@ -86,18 +85,12 @@ class CountSourceFilter(CountProtocol):
         self._noise = noise
         self._dynamics_noise = noise
         self.dynamics_delta = self.delta
-        if fault_model is not None and not fault_model.is_null:
-            from ..faults import agent_blind_uniform_delta
+        from ..engines import admit_seams
 
-            effective = agent_blind_uniform_delta(fault_model, self.delta)
-            if effective is None:
-                raise UnsupportedFeatureError(
-                    "CountSourceFilter supports fault_model=None, null, "
-                    "or a uniform NoiseMisspecification only (the count "
-                    "collapse is agent-blind); use FastSourceFilter for "
-                    "agent-indexed faults"
-                )
-            self.dynamics_delta = float(effective)
+        fault, _ = admit_seams("count", "sf", fault_model)
+        if fault is not None:
+            # The gate admits only uniform true channels here.
+            self.dynamics_delta = float(fault.effective_uniform_delta(self.delta))
             self._dynamics_noise = self.dynamics_delta
         if schedule is None:
             kwargs = {} if constant is None else {"constant": constant}

@@ -138,10 +138,12 @@ class FastSourceFilter:
         model keeps uniform sampling (bit-identical either way);
         otherwise the observation law counts symbols over the model's
         samplable agents after its display transform, at its effective
-        noise level.  Only time-invariant, deterministic-display faults
-        are supported here (the exactness argument needs within-phase
-        constancy) — use :class:`~repro.model.PullEngine` for the rest.
-        A :class:`~repro.faults.NoiseMisspecification` makes the schedule
+        noise level.  The exactness argument needs displays constant
+        within a phase and one uniform channel, so
+        :func:`repro.engines.admit_seams` refuses randomized, scheduled
+        and non-uniform-channel faults — use
+        :class:`~repro.model.PullEngine` for those.  A uniform
+        :class:`~repro.faults.NoiseMisspecification` makes the schedule
         derive from the assumed ``noise`` while the dynamics run at the
         true level.
     topology:
@@ -155,8 +157,7 @@ class FastSourceFilter:
         this is a uniformly random placement).  A string/unbound spec
         realizes a fresh graph from the run generator every run; a
         pre-bound sampler pins one quenched graph across runs.  Dynamic
-        (churn) topologies and graph+fault combinations raise
-        :class:`~repro.exceptions.UnsupportedFeatureError`.
+        (churn) topologies and graph+fault combinations fail the gate.
     """
 
     def __init__(
@@ -169,31 +170,14 @@ class FastSourceFilter:
         fault_model=None,
         topology=None,
     ) -> None:
+        from ..engines import admit_seams
+
         self.config = config
         self.delta = _uniform_delta(noise)
         self.sample_loss = validate_sample_loss(sample_loss)
+        self._fault, _ = admit_seams("fast", "sf", fault_model, topology)
         self.fault_model = fault_model
         self.topology = topology
-        if topology is not None:
-            from ..topology import create_topology
-
-            sampler = create_topology(topology)
-            if not sampler.is_uniform:
-                if sampler.dynamic:
-                    raise UnsupportedFeatureError(
-                        f"the fast SF engine simulates whole phases in "
-                        f"one draw and needs a static graph; dynamic "
-                        f"topology {sampler.kind!r} requires the serial "
-                        f"PullEngine"
-                    )
-                if fault_model is not None and not getattr(
-                    fault_model, "is_null", True
-                ):
-                    raise UnsupportedFeatureError(
-                        "the fast SF engine composes a graph topology or "
-                        "a fault model, not both (the fault seam counts "
-                        "symbols over the globally-visible population)"
-                    )
         if schedule is None:
             kwargs = {} if constant is None else {"constant": constant}
             schedule = SFSchedule.from_config(config, self.delta, **kwargs)
@@ -207,11 +191,7 @@ class FastSourceFilter:
         per run, and a graph spec may realize a fresh graph per run, so
         both need one :meth:`run` per replica.
         """
-        return self._fault() is None and self._graph() is None
-
-    def _fault(self):
-        fault = self.fault_model
-        return None if fault is None or fault.is_null else fault
+        return self._fault is None and self._graph() is None
 
     def _graph(self):
         """The static graph sampler, or ``None`` under uniform sampling."""
@@ -259,18 +239,6 @@ class FastSourceFilter:
         from ..model.population import Population
 
         fault.reset(Population(cfg, shuffle=False), 2, generator)
-        if not fault.deterministic_displays:
-            raise ConfigurationError(
-                "the fast SF engine needs deterministic fault displays "
-                "(within-phase constancy is its exactness argument); use "
-                "PullEngine for randomized display faults"
-            )
-        if any(r < self.schedule.total_rounds for r in fault.transition_rounds()):
-            raise ConfigurationError(
-                "the fast SF engine simulates whole phases in one draw and "
-                "supports only time-invariant fault models; use PullEngine "
-                "or the fast SSF engine for scheduled crash/recovery faults"
-            )
         delta = _uniform_delta(fault.effective_uniform_delta(self.delta))
         visible = fault.visible_agents(0)
         pool = np.arange(cfg.n) if visible is None else np.asarray(visible)
@@ -369,7 +337,7 @@ class FastSourceFilter:
         tele = ensure_telemetry(telemetry)
         cfg, sched = self.config, self.schedule
         correct = cfg.correct_opinion
-        fault, sampler = self._fault(), self._graph()
+        fault, sampler = self._fault, self._graph()
         observe, eval_mask = self._observer(fault, sampler, generator)
         judged = slice(None) if eval_mask is None else eval_mask
         n_judged = cfg.n if eval_mask is None else int(np.count_nonzero(eval_mask))
@@ -511,7 +479,7 @@ class FastSourceFilter:
             raise ConfigurationError(
                 f"replicas must be a positive int, got {replicas}"
             )
-        if self._fault() is not None:
+        if self._fault is not None:
             raise ConfigurationError(
                 "run_batch does not support fault models; call run() per "
                 "replica (or use BatchedPullEngine)"

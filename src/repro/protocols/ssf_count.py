@@ -33,7 +33,6 @@ from typing import Optional, Union
 
 import numpy as np
 
-from ..exceptions import ConfigurationError, UnsupportedFeatureError
 from ..model.config import PopulationConfig
 from ..model.count_engine import CountProtocol, CountPullEngine, CountSimulationResult
 from ..noise import NoiseMatrix
@@ -63,11 +62,12 @@ class CountSelfStabilizingSourceFilter(CountProtocol):
         Optional mean-field handoff policy (``use_deterministic(p, n)``);
         approved draws become rounded expectations.
     fault_model:
-        ``None``, null, or agent-blind-compatible (a uniform 4-letter
-        :class:`~repro.faults.NoiseMisspecification`, possibly
-        composed); the count collapse cannot honor agent-indexed
-        faults.  Under misspecification the schedule stays sized from
-        the assumed ``noise`` while the dynamics run at the true level.
+        ``None``, null, or one whose only fault trait is
+        ``uniform-channel`` (a uniform 4-letter
+        :class:`~repro.faults.NoiseMisspecification`, possibly composed);
+        :func:`repro.engines.admit_seams` refuses the rest.  The schedule
+        stays sized from the assumed ``noise`` while the dynamics run at
+        the true level.
     """
 
     alphabet_size = 4
@@ -86,20 +86,13 @@ class CountSelfStabilizingSourceFilter(CountProtocol):
         self._noise = noise
         self._dynamics_noise = noise
         self.dynamics_delta = self.delta
-        if fault_model is not None and not fault_model.is_null:
-            from ..faults import agent_blind_uniform_delta
+        from ..engines import admit_seams
 
-            effective = agent_blind_uniform_delta(fault_model, self.delta)
-            if effective is None:
-                raise UnsupportedFeatureError(
-                    "CountSelfStabilizingSourceFilter supports "
-                    "fault_model=None, null, or a uniform "
-                    "NoiseMisspecification only (the count collapse is "
-                    "agent-blind); use FastSelfStabilizingSourceFilter "
-                    "for agent-indexed faults"
-                )
-            self.dynamics_delta = float(
-                _uniform_delta4(float(effective))
+        fault, _ = admit_seams("count", "ssf", fault_model)
+        if fault is not None:
+            # The gate admits only uniform true channels here.
+            self.dynamics_delta = _uniform_delta4(
+                float(fault.effective_uniform_delta(self.delta))
             )
             self._dynamics_noise = self.dynamics_delta
         if schedule is None:

@@ -103,8 +103,9 @@ class FastSelfStabilizingSourceFilter:
         Optional :class:`~repro.faults.FaultModel`.  ``None`` or a null
         model keeps the bit-identical legacy path.  A non-null model must
         have deterministic displays (gap batching needs within-gap
-        constancy), but — unlike the fast SF engine — *scheduled* faults
-        are supported: the gap loop caps each batch at the model's next
+        constancy) and a uniform channel, but — unlike the fast SF
+        engine — *scheduled* faults are admitted: the gap loop caps each
+        batch at the model's next
         :meth:`~repro.faults.FaultModel.transition_rounds` boundary, so
         crash/recovery schedules stay exact.  This makes the fast SSF
         engine the self-stabilization showcase: crash agents mid-run and
@@ -121,24 +122,16 @@ class FastSelfStabilizingSourceFilter:
         fault_model=None,
         topology=None,
     ) -> None:
+        from ..engines import admit_seams
+
         self.config = config
         self.delta = _uniform_delta4(noise)
         self.sample_loss = validate_sample_loss(sample_loss)
+        # SSF's window accounting assumes exchangeable uniform sampling
+        # throughout, so the capability row admits no graph here.
+        self._fault, _ = admit_seams("fast", "ssf", fault_model, topology)
         self.fault_model = fault_model
         self.topology = topology
-        if topology is not None:
-            from ..exceptions import UnsupportedFeatureError
-            from ..topology import create_topology
-
-            if not create_topology(topology).is_uniform:
-                # SSF's window accounting assumes exchangeable uniform
-                # sampling throughout; only the complete graph is exact.
-                raise UnsupportedFeatureError(
-                    "the fast SSF engine supports only the complete "
-                    "(uniform) topology; run SSF on a graph through the "
-                    "serial engine: create_engine('serial', 'ssf', ..., "
-                    "topology=...)"
-                )
         if schedule is None:
             kwargs = {} if constant is None else {"constant": constant}
             schedule = SSFSchedule.from_config(config, self.delta, **kwargs)
@@ -157,11 +150,7 @@ class FastSelfStabilizingSourceFilter:
         fault model resets per run, so both need one :meth:`run` per
         replica.
         """
-        return self.sample_loss == 0.0 and self._fault() is None
-
-    def _fault(self):
-        fault = self.fault_model
-        return None if fault is None or fault.is_null else fault
+        return self.sample_loss == 0.0 and self._fault is None
 
     # ------------------------------------------------------------------
     # Adversary contract (matches the agent-level class).
@@ -354,7 +343,7 @@ class FastSelfStabilizingSourceFilter:
                 "run_batch requires sample_loss == 0 (lost samples "
                 "desynchronize the shared flush clock); use run() per replica"
             )
-        if self._fault() is not None:
+        if self._fault is not None:
             raise ConfigurationError(
                 "run_batch does not support fault models; call run() per "
                 "replica (run_trials falls back to it automatically)"
@@ -387,7 +376,7 @@ class FastSelfStabilizingSourceFilter:
             max_rounds = 20 * sched.epoch_rounds
         patience_rounds = consensus_epochs * sched.epoch_rounds
 
-        fault = self._fault()
+        fault = self._fault
         eval_mask = None
         tracker = None
         transitions: tuple = ()
@@ -395,12 +384,6 @@ class FastSelfStabilizingSourceFilter:
             from ..model.population import Population
 
             fault.reset(Population(cfg, shuffle=False), 4, generator)
-            if not fault.deterministic_displays:
-                raise ConfigurationError(
-                    "the fast SSF engine needs deterministic fault displays "
-                    "(gap batching requires within-gap constancy); use "
-                    "PullEngine for randomized display faults"
-                )
             eval_mask = fault.evaluation_mask()
             if eval_mask is not None and not eval_mask.any():
                 raise ConfigurationError(

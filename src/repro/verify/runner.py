@@ -154,18 +154,37 @@ def _run_seam_row(name: str, protocol: str, **seam_value) -> list:
     ]
 
 
+def _seam_values(protocol: str) -> dict:
+    """One value per fault trait and graph kind, for ``protocol``'s
+    alphabet; a display fault's only other trait is ``agent-indexed``."""
+    from ..faults import ByzantineDisplayFault, CrashFault, NoiseMisspecification
+
+    size = 2 if protocol == "sf" else 4
+    skewed = NoiseMatrix.random_upper_bounded(0.1, size, np.random.default_rng(0))
+    faults = {
+        "agent-indexed": ByzantineDisplayFault(fraction=0.1),
+        "randomized": ByzantineDisplayFault(fraction=0.1, mode="random"),
+        "global-displays": ByzantineDisplayFault(fraction=0.1, mode="anti-majority"),
+        "scheduled": CrashFault(fraction=0.1, crash_round=2, recovery_round=6),
+        "uniform-channel": NoiseMisspecification.uniform(0.1, size),
+        "channel": NoiseMisspecification(skewed),
+    }
+    return {"fault_model": faults, "topology": {"static": "regular", "dynamic": "churn"}}
+
+
 def _check_exact(scale: str, budget: FalsePositiveBudget) -> str:
     """Bit-for-bit rows.
 
     A *seam* is an optional engine input whose null value must leave a
     run unchanged: the fault model (``IdentityFaultModel()``) and the
     topology (``"complete"``).  For every capability-table pair whose
-    engine takes a seam, the null value must give the plain run's final
-    opinions and ``converged`` flag; for every seam the pair's row
-    excludes, a non-null value must make ``create_engine`` raise
+    agent-level engine takes a seam, the null value must give the plain
+    run's final opinions and ``converged`` flag; for every fault trait
+    and graph kind the pair's row excludes, a value carrying it must
+    make ``create_engine`` raise
     :class:`~repro.exceptions.UnsupportedFeatureError`.
     """
-    from ..faults import ByzantineDisplayFault, IdentityFaultModel
+    from ..faults import IdentityFaultModel
 
     replicas = 3 if scale == "quick" else 6
     setup = _SEAM_SETUPS["sf"]
@@ -184,22 +203,22 @@ def _check_exact(scale: str, budget: FalsePositiveBudget) -> str:
         replicas=replicas, seed=421, context="reference vs batched SF",
     )
 
-    # seam -> (capability column, null value, non-null value); a column
-    # is one flag per engine or the list of protocols that admit it.
-    faulty = ByzantineDisplayFault(fraction=0.1)
+    # seam -> (capability column: per protocol, the fault traits or
+    # graph kinds the engine admits; null value)
     seams = {
-        "fault_model": ("supports_faults", IdentityFaultModel(), faulty),
-        "topology": ("supports_topology", "complete", "regular"),
+        "fault_model": ("fault_traits", IdentityFaultModel()),
+        "topology": ("graph_kinds", "complete"),
     }
     same, rejected = {seam: [] for seam in seams}, {seam: [] for seam in seams}
     for row in capability_table():
         name = row["name"]
         for protocol in row["protocols"]:
             pair, plain = f"{name}/{protocol}", None
-            for seam, (column, null, non_null) in seams.items():
-                cell = row[column]
-                admitted = protocol in cell if isinstance(cell, list) else cell
-                if cell:  # the engine's runners take this seam
+            setup, values = _SEAM_SETUPS[protocol], _seam_values(protocol)
+            for seam, (column, null) in seams.items():
+                # Agent-level engines that take this seam: their rows
+                # compare per-agent final opinions.
+                if not row["agent_blind"] and any(row[column].values()):
                     plain = plain or _run_seam_row(name, protocol)
                     if _run_seam_row(name, protocol, **{seam: null}) != plain:
                         raise ConfigurationError(
@@ -207,21 +226,23 @@ def _check_exact(scale: str, budget: FalsePositiveBudget) -> str:
                             f"on {pair}; a null seam must be bit-identical"
                         )
                     same[seam].append(pair)
-                if admitted:
-                    continue
-                setup = _SEAM_SETUPS[protocol]
-                try:
-                    create_engine(
-                        name, protocol, setup.config, setup.delta,
-                        **{seam: non_null},
-                    )
-                except UnsupportedFeatureError:
-                    rejected[seam].append(pair)
-                else:
+                refused = [
+                    key for key in values[seam] if key not in row[column][protocol]
+                ]
+                for key in refused:
+                    try:
+                        create_engine(
+                            name, protocol, setup.config, setup.delta,
+                            **{seam: values[seam][key]},
+                        )
+                    except UnsupportedFeatureError:
+                        continue
                     raise ConfigurationError(
-                        f"create_engine accepted {seam}={non_null!r} on "
-                        f"{pair}, which its capability row excludes"
+                        f"create_engine accepted a {key} {seam} on {pair}, "
+                        f"which its capability row excludes"
                     )
+                if refused:
+                    rejected[seam].append(f"{pair}:{','.join(refused)}")
 
     config = PopulationConfig(n=1_000_000, sources=SourceCounts(0, 4), h=16)
     mean_field = create_engine("mean-field", "sf", config, 0.2).run()
@@ -237,7 +258,10 @@ def _check_exact(scale: str, budget: FalsePositiveBudget) -> str:
     lines = [f"{replicas} batched replicas = serial SF (seed 421)"]
     for seam in seams:
         lines.append(f"null {seam} = plain run: {' '.join(same[seam])}")
-        lines.append(f"{seam} typed-rejected: {' '.join(rejected[seam])}")
+        lines.append(
+            f"{seam} typed-rejected per {seams[seam][0]}: "
+            f"{' '.join(rejected[seam])}"
+        )
     return "\n".join(lines + ["mean-field = count closed form; fixed point"])
 
 

@@ -173,8 +173,6 @@ class TestCountPullEngineValidation:
     def test_non_null_fault_model_rejected(self):
         fault = ByzantineDisplayFault(fraction=0.25, mode="random")
         with pytest.raises(ConfigurationError, match="fault"):
-            CountPullEngine(_toy_config(), 0.1, fault_model=fault)
-        with pytest.raises(ConfigurationError, match="fault"):
             CountSourceFilter(_toy_config(), 0.1, fault_model=fault)
         with pytest.raises(ConfigurationError, match="fault"):
             CountSelfStabilizingSourceFilter(

@@ -80,6 +80,46 @@ class TestDocsDirectory:
         assert len(path.read_text()) > 500
 
 
+CAPABILITY_START = "<!-- capability-table:start -->"
+CAPABILITY_END = "<!-- capability-table:end -->"
+
+
+def render_capability_table() -> str:
+    """``capability_table()`` as the Markdown block docs/api.md holds."""
+    from repro.engines import capability_table
+
+    def per_protocol(cell):
+        return "; ".join(
+            f"{protocol}: {', '.join(values) or '—'}"
+            for protocol, values in cell.items()
+        )
+
+    lines = [
+        "| engine | protocols | batch | fault traits | graph kinds |",
+        "|---|---|---|---|---|",
+    ]
+    for row in capability_table():
+        lines.append(
+            f"| `{row['name']}` | {', '.join(row['protocols'])} | "
+            f"{'yes' if row['supports_batch'] else 'no'} | "
+            f"{per_protocol(row['fault_traits'])} | "
+            f"{per_protocol(row['graph_kinds'])} |"
+        )
+    return "\n".join(lines)
+
+
+class TestCapabilityTableDoc:
+    def test_api_doc_renders_the_capability_table(self):
+        text = (ROOT / "docs" / "api.md").read_text()
+        assert CAPABILITY_START in text and CAPABILITY_END in text
+        block = text.split(CAPABILITY_START, 1)[1].split(CAPABILITY_END, 1)[0]
+        expected = render_capability_table()
+        assert block.strip() == expected, (
+            "docs/api.md's capability table differs from capability_table(); "
+            f"put this between its markers:\n{expected}"
+        )
+
+
 class TestServingDoc:
     def test_documents_every_endpoint(self):
         text = (ROOT / "docs" / "serving.md").read_text()

@@ -14,8 +14,16 @@ from repro.engines import (
     list_engines,
 )
 from repro.exceptions import ConfigurationError, UnsupportedFeatureError
-from repro.faults import ByzantineDisplayFault, IdentityFaultModel
-from repro.protocols import SFSchedule
+from repro.faults import (
+    ByzantineDisplayFault,
+    CrashFault,
+    IdentityFaultModel,
+    NoiseMisspecification,
+    StuckAtFault,
+)
+from repro.noise import NoiseMatrix
+from repro.protocols import SFSchedule, SSFSchedule
+from repro.topology import RandomRegularTopology
 from repro.types import merge_rng_seed
 
 
@@ -60,13 +68,18 @@ class TestRegistry:
         assert [row["name"] for row in table] == list_engines()
         for row in table:
             assert set(row) == {
-                "name", "description", "protocols", "supports_faults",
-                "supports_batch", "agent_blind", "supports_topology",
+                "name", "description", "protocols", "fault_traits",
+                "supports_batch", "agent_blind", "graph_kinds",
             }
             assert row["protocols"], f"{row['name']} registers no protocol"
-            # Agent-blind engines can never support per-agent faults.
+            assert set(row["fault_traits"]) == set(row["protocols"])
+            assert set(row["graph_kinds"]) == set(row["protocols"])
+            # Agent-blind engines can never admit per-agent faults or
+            # sample from a graph.
             if row["agent_blind"]:
-                assert not row["supports_faults"]
+                for protocol in row["protocols"]:
+                    assert "agent-indexed" not in row["fault_traits"][protocol]
+                    assert not row["graph_kinds"][protocol]
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown engine"):
@@ -147,16 +160,35 @@ class TestFaultCapabilityErrors:
 
     def test_direct_construction_raises_same_type(self):
         from repro.analysis.mean_field import MeanFieldEngine
-        from repro.model.count_engine import CountPullEngine
         from repro.protocols import CountSourceFilter
 
         fault = ByzantineDisplayFault(fraction=0.1)
         with pytest.raises(UnsupportedFeatureError):
-            CountPullEngine(_config(), 0.2, fault_model=fault)
-        with pytest.raises(UnsupportedFeatureError):
             CountSourceFilter(_config(), 0.2, fault_model=fault)
         with pytest.raises(UnsupportedFeatureError):
             MeanFieldEngine(_config(), 0.2, fault_model=fault)
+
+    @pytest.mark.parametrize("protocol", ["sf", "ssf"])
+    def test_count_refuses_a_channel_of_the_wrong_alphabet(self, protocol):
+        # The count adapters never reset the fault model, so only the
+        # gate sees the true channel's alphabet.
+        from repro.protocols import (
+            CountSelfStabilizingSourceFilter,
+            CountSourceFilter,
+        )
+
+        config = PopulationConfig(1000, SourceCounts(0, 3), 16)
+        sf = protocol == "sf"
+        delta, other = (0.2, 4) if sf else (0.05, 2)
+        direct = CountSourceFilter if sf else CountSelfStabilizingSourceFilter
+        for build in (
+            lambda fault: create_engine(
+                "count", protocol, config, delta, fault_model=fault
+            ),
+            lambda fault: direct(config, delta, fault_model=fault),
+        ):
+            with pytest.raises(ConfigurationError, match="alphabet"):
+                build(NoiseMisspecification.uniform(0.1, size=other))
 
     def test_unsupported_feature_is_configuration_error(self):
         # Except-clauses written for the old error type keep working.
@@ -266,7 +298,7 @@ if HAVE_HYPOTHESIS:
             spec = engine_spec(engine)
             protocol = spec.protocols[0]
             fault = ByzantineDisplayFault(fraction=0.1)
-            if spec.supports_faults:
+            if fault.traits <= spec.fault_traits.get(protocol, frozenset()):
                 handle = create_engine(
                     engine, protocol, config, 0.1, fault_model=fault
                 )
@@ -276,3 +308,456 @@ if HAVE_HYPOTHESIS:
                     create_engine(
                         engine, protocol, config, 0.1, fault_model=fault
                     )
+
+
+# ----------------------------------------------------------------------
+# The seam matrix: every capability-table pair against every fault class
+# and graph, pinned cell by cell.
+# ----------------------------------------------------------------------
+
+#: One small instance per protocol; SSF runs stop after two rounds,
+#: which is enough to reach every check a run makes up front.
+_SEAM_INSTANCES = {
+    "sf": (PopulationConfig(n=48, sources=SourceCounts(1, 3), h=4), 0.2),
+    "ssf": (PopulationConfig(n=48, sources=SourceCounts(0, 2), h=24), 0.05),
+}
+_SEAM_SSF_ROUNDS = 2
+_SKEWED_CHANNELS = {
+    2: [[0.85, 0.15], [0.25, 0.75]],
+    4: [
+        [0.91, 0.03, 0.03, 0.03],
+        [0.02, 0.94, 0.02, 0.02],
+        [0.05, 0.05, 0.85, 0.05],
+        [0.03, 0.03, 0.03, 0.91],
+    ],
+}
+
+
+def _seam_schedule(protocol):
+    """A truncated 21-round SF schedule, or the default SSF one."""
+    config, delta = _SEAM_INSTANCES[protocol]
+    if protocol == "ssf":
+        return SSFSchedule.from_config(config, delta)
+    return SFSchedule.from_config(
+        config, delta, m=12, boost_numerator=8, subphase_factor=0.5
+    )
+
+
+def _seam_faults(alphabet):
+    """Fault factories for one protocol alphabet (fresh model per cell)."""
+    other = 6 - alphabet  # the other paper alphabet: 2 <-> 4
+    return {
+        "null": IdentityFaultModel,
+        "byzantine-fixed": lambda: ByzantineDisplayFault(fraction=0.1),
+        "byzantine-random": lambda: ByzantineDisplayFault(
+            fraction=0.1, mode="random"
+        ),
+        "byzantine-anti-majority": lambda: ByzantineDisplayFault(
+            fraction=0.1, mode="anti-majority"
+        ),
+        "crash-symbol": lambda: CrashFault(fraction=0.1),
+        "crash-exclude": lambda: CrashFault(fraction=0.1, mode="exclude"),
+        "crash-symbol-recovery": lambda: CrashFault(
+            fraction=0.1, crash_round=2, recovery_round=6
+        ),
+        "crash-exclude-recovery": lambda: CrashFault(
+            fraction=0.1, crash_round=2, recovery_round=6, mode="exclude"
+        ),
+        "stuck-at": lambda: StuckAtFault(fraction=0.1),
+        "misspecified-uniform": lambda: NoiseMisspecification.uniform(
+            0.1, size=alphabet
+        ),
+        "misspecified-wrong-alphabet": lambda: NoiseMisspecification.uniform(
+            0.1, size=other
+        ),
+        "misspecified-skewed": lambda: NoiseMisspecification(
+            NoiseMatrix(_SKEWED_CHANNELS[alphabet])
+        ),
+    }
+
+
+def _seam_cells(protocol):
+    """``label -> (fault factory, topology factory)`` for one protocol."""
+    config, _ = _SEAM_INSTANCES[protocol]
+    faults = _seam_faults(2 if protocol == "sf" else 4)
+    graph = RandomRegularTopology(degree=8).bind(
+        config.n, np.random.default_rng(0)
+    )
+    graphs = {
+        "complete": lambda: "complete",
+        "regular": lambda: graph,
+        "churn": lambda: "churn",
+    }
+    cells = {label: (make, lambda: None) for label, make in faults.items()}
+    for fault in ("null", "byzantine-fixed"):
+        for kind, make_graph in graphs.items():
+            cells[f"{fault}+{kind}"] = (faults[fault], make_graph)
+    return cells
+
+
+def _direct_run(name, protocol, fault_model, topology):
+    """Run one cell on the engine class itself, not through the registry;
+    ``None`` when that class takes no ``topology=`` to pass."""
+    from repro.analysis.mean_field import MeanFieldEngine
+    from repro.model import BatchedPullEngine, Population, PullEngine
+    from repro.model.async_engine import AsyncPullEngine
+    from repro.protocols import (
+        BatchedSourceFilter,
+        CountSelfStabilizingSourceFilter,
+        CountSourceFilter,
+        FastSelfStabilizingSourceFilter,
+        FastSourceFilter,
+        SelfStabilizingSourceFilterProtocol,
+        SourceFilterProtocol,
+    )
+    from repro.protocols.ssf_async import AsyncSelfStabilizingSourceFilter
+
+    config, delta = _SEAM_INSTANCES[protocol]
+    sf = protocol == "sf"
+    schedule = _seam_schedule(protocol)
+    seams = {"fault_model": fault_model}
+    if topology is not None:
+        if name not in ("fast", "serial", "batched"):
+            return None
+        seams["topology"] = topology
+    if name in ("fast", "count", "mean-field"):
+        classes = {
+            ("fast", "sf"): FastSourceFilter,
+            ("fast", "ssf"): FastSelfStabilizingSourceFilter,
+            ("count", "sf"): CountSourceFilter,
+            ("count", "ssf"): CountSelfStabilizingSourceFilter,
+            ("mean-field", "sf"): MeanFieldEngine,
+        }
+        engine = classes[name, protocol](
+            config, delta, schedule=schedule, **seams
+        )
+        return engine.run(rng=0) if sf else engine.run(
+            max_rounds=_SEAM_SSF_ROUNDS, rng=0
+        )
+    population = Population(config, rng=np.random.default_rng(0))
+    noise = NoiseMatrix.uniform(delta, 2 if sf else 4)
+    rounds = schedule.total_rounds if sf else _SEAM_SSF_ROUNDS
+    if name == "serial":
+        agent_protocol = (
+            SourceFilterProtocol(schedule)
+            if sf
+            else SelfStabilizingSourceFilterProtocol(schedule)
+        )
+        return PullEngine(population, noise).run(
+            agent_protocol, max_rounds=rounds, rng=0, **seams
+        )
+    if name == "batched":
+        return BatchedPullEngine(population, noise).run(
+            BatchedSourceFilter(schedule), max_rounds=rounds, replicas=1,
+            rng=0, **seams
+        )
+    return AsyncPullEngine(population, noise).run(
+        AsyncSelfStabilizingSourceFilter(schedule),
+        max_activations=config.n * rounds, rng=0, **seams
+    )
+
+
+def _seam_matrix():
+    """``(registry, direct)`` outcomes of every seam cell.
+
+    A registry outcome is ``"accepted"`` or ``"<stage>:<error class>"``,
+    the stage being ``create`` (``create_engine``) or ``run`` (the first
+    ``run(seed=0)``; never attempted on ``net``).  A direct outcome is
+    the error class the engine class raises on the same cell, or
+    ``"accepted"``.
+    """
+    registry, direct = {}, {}
+    for row in capability_table():
+        name = row["name"]
+        for protocol in row["protocols"]:
+            config, delta = _SEAM_INSTANCES[protocol]
+            sf = protocol == "sf"
+            schedule = _seam_schedule(protocol)
+            pair = f"{name}/{protocol}"
+            for label, (make_fault, make_graph) in _seam_cells(protocol).items():
+                seams = {"fault_model": make_fault()}
+                if make_graph() is not None:
+                    seams["topology"] = make_graph()
+                stage = "create"
+                try:
+                    handle = create_engine(
+                        name, protocol, config, delta, schedule=schedule,
+                        **seams,
+                    )
+                    stage = "run"
+                    if name != "net":
+                        handle.run(seed=0, **(
+                            {} if sf else {"max_rounds": _SEAM_SSF_ROUNDS}
+                        ))
+                    outcome = "accepted"
+                except Exception as error:  # pinned whatever its class
+                    outcome = f"{stage}:{type(error).__name__}"
+                registry[pair, label] = outcome
+                if name == "net":
+                    continue
+                try:
+                    ran = _direct_run(
+                        name, protocol, make_fault(), make_graph()
+                    )
+                    if ran is None:
+                        continue
+                    direct[pair, label] = "accepted"
+                except Exception as error:
+                    direct[pair, label] = type(error).__name__
+    return registry, direct
+
+
+#: Each cell's outcome on the instances above: ``"accepted"``, or where
+#: the error was raised (``create`` or ``run``) and its class.
+_PINNED_SEAM_MATRIX = {
+    "async/ssf": {
+        "null": "accepted",
+        "byzantine-fixed": "accepted",
+        "byzantine-random": "accepted",
+        "byzantine-anti-majority": "create:UnsupportedFeatureError",
+        "crash-symbol": "accepted",
+        "crash-exclude": "accepted",
+        "crash-symbol-recovery": "accepted",
+        "crash-exclude-recovery": "accepted",
+        "stuck-at": "accepted",
+        "misspecified-uniform": "accepted",
+        "misspecified-wrong-alphabet": "create:ConfigurationError",
+        "misspecified-skewed": "accepted",
+        "null+complete": "accepted",
+        "null+regular": "create:UnsupportedFeatureError",
+        "null+churn": "create:UnsupportedFeatureError",
+        "byzantine-fixed+complete": "accepted",
+        "byzantine-fixed+regular": "create:UnsupportedFeatureError",
+        "byzantine-fixed+churn": "create:UnsupportedFeatureError",
+    },
+    "batched/sf": {
+        "null": "accepted",
+        "byzantine-fixed": "accepted",
+        "byzantine-random": "accepted",
+        "byzantine-anti-majority": "accepted",
+        "crash-symbol": "accepted",
+        "crash-exclude": "accepted",
+        "crash-symbol-recovery": "accepted",
+        "crash-exclude-recovery": "accepted",
+        "stuck-at": "accepted",
+        "misspecified-uniform": "accepted",
+        "misspecified-wrong-alphabet": "create:ConfigurationError",
+        "misspecified-skewed": "accepted",
+        "null+complete": "accepted",
+        "null+regular": "accepted",
+        "null+churn": "create:UnsupportedFeatureError",
+        "byzantine-fixed+complete": "accepted",
+        "byzantine-fixed+regular": "create:UnsupportedFeatureError",
+        "byzantine-fixed+churn": "create:UnsupportedFeatureError",
+    },
+    "count/sf": {
+        "null": "accepted",
+        "byzantine-fixed": "create:UnsupportedFeatureError",
+        "byzantine-random": "create:UnsupportedFeatureError",
+        "byzantine-anti-majority": "create:UnsupportedFeatureError",
+        "crash-symbol": "create:UnsupportedFeatureError",
+        "crash-exclude": "create:UnsupportedFeatureError",
+        "crash-symbol-recovery": "create:UnsupportedFeatureError",
+        "crash-exclude-recovery": "create:UnsupportedFeatureError",
+        "stuck-at": "create:UnsupportedFeatureError",
+        "misspecified-uniform": "accepted",
+        "misspecified-wrong-alphabet": "create:ConfigurationError",
+        "misspecified-skewed": "create:UnsupportedFeatureError",
+        "null+complete": "accepted",
+        "null+regular": "create:UnsupportedFeatureError",
+        "null+churn": "create:UnsupportedFeatureError",
+        "byzantine-fixed+complete": "create:UnsupportedFeatureError",
+        "byzantine-fixed+regular": "create:UnsupportedFeatureError",
+        "byzantine-fixed+churn": "create:UnsupportedFeatureError",
+    },
+    "count/ssf": {
+        "null": "accepted",
+        "byzantine-fixed": "create:UnsupportedFeatureError",
+        "byzantine-random": "create:UnsupportedFeatureError",
+        "byzantine-anti-majority": "create:UnsupportedFeatureError",
+        "crash-symbol": "create:UnsupportedFeatureError",
+        "crash-exclude": "create:UnsupportedFeatureError",
+        "crash-symbol-recovery": "create:UnsupportedFeatureError",
+        "crash-exclude-recovery": "create:UnsupportedFeatureError",
+        "stuck-at": "create:UnsupportedFeatureError",
+        "misspecified-uniform": "accepted",
+        "misspecified-wrong-alphabet": "create:ConfigurationError",
+        "misspecified-skewed": "create:UnsupportedFeatureError",
+        "null+complete": "accepted",
+        "null+regular": "create:UnsupportedFeatureError",
+        "null+churn": "create:UnsupportedFeatureError",
+        "byzantine-fixed+complete": "create:UnsupportedFeatureError",
+        "byzantine-fixed+regular": "create:UnsupportedFeatureError",
+        "byzantine-fixed+churn": "create:UnsupportedFeatureError",
+    },
+    "fast/sf": {
+        "null": "accepted",
+        "byzantine-fixed": "accepted",
+        "byzantine-random": "create:UnsupportedFeatureError",
+        "byzantine-anti-majority": "accepted",
+        "crash-symbol": "accepted",
+        "crash-exclude": "accepted",
+        "crash-symbol-recovery": "create:UnsupportedFeatureError",
+        "crash-exclude-recovery": "create:UnsupportedFeatureError",
+        "stuck-at": "accepted",
+        "misspecified-uniform": "accepted",
+        "misspecified-wrong-alphabet": "create:ConfigurationError",
+        "misspecified-skewed": "create:UnsupportedFeatureError",
+        "null+complete": "accepted",
+        "null+regular": "accepted",
+        "null+churn": "create:UnsupportedFeatureError",
+        "byzantine-fixed+complete": "accepted",
+        "byzantine-fixed+regular": "create:UnsupportedFeatureError",
+        "byzantine-fixed+churn": "create:UnsupportedFeatureError",
+    },
+    "fast/ssf": {
+        "null": "accepted",
+        "byzantine-fixed": "accepted",
+        "byzantine-random": "create:UnsupportedFeatureError",
+        "byzantine-anti-majority": "accepted",
+        "crash-symbol": "accepted",
+        "crash-exclude": "accepted",
+        "crash-symbol-recovery": "accepted",
+        "crash-exclude-recovery": "accepted",
+        "stuck-at": "accepted",
+        "misspecified-uniform": "accepted",
+        "misspecified-wrong-alphabet": "create:ConfigurationError",
+        "misspecified-skewed": "create:UnsupportedFeatureError",
+        "null+complete": "accepted",
+        "null+regular": "create:UnsupportedFeatureError",
+        "null+churn": "create:UnsupportedFeatureError",
+        "byzantine-fixed+complete": "accepted",
+        "byzantine-fixed+regular": "create:UnsupportedFeatureError",
+        "byzantine-fixed+churn": "create:UnsupportedFeatureError",
+    },
+    "mean-field/sf": {
+        "null": "accepted",
+        "byzantine-fixed": "create:UnsupportedFeatureError",
+        "byzantine-random": "create:UnsupportedFeatureError",
+        "byzantine-anti-majority": "create:UnsupportedFeatureError",
+        "crash-symbol": "create:UnsupportedFeatureError",
+        "crash-exclude": "create:UnsupportedFeatureError",
+        "crash-symbol-recovery": "create:UnsupportedFeatureError",
+        "crash-exclude-recovery": "create:UnsupportedFeatureError",
+        "stuck-at": "create:UnsupportedFeatureError",
+        "misspecified-uniform": "create:UnsupportedFeatureError",
+        "misspecified-wrong-alphabet": "create:UnsupportedFeatureError",
+        "misspecified-skewed": "create:UnsupportedFeatureError",
+        "null+complete": "accepted",
+        "null+regular": "create:UnsupportedFeatureError",
+        "null+churn": "create:UnsupportedFeatureError",
+        "byzantine-fixed+complete": "create:UnsupportedFeatureError",
+        "byzantine-fixed+regular": "create:UnsupportedFeatureError",
+        "byzantine-fixed+churn": "create:UnsupportedFeatureError",
+    },
+    "net/sf": {
+        "null": "accepted",
+        "byzantine-fixed": "create:UnsupportedFeatureError",
+        "byzantine-random": "create:UnsupportedFeatureError",
+        "byzantine-anti-majority": "create:UnsupportedFeatureError",
+        "crash-symbol": "create:UnsupportedFeatureError",
+        "crash-exclude": "create:UnsupportedFeatureError",
+        "crash-symbol-recovery": "create:UnsupportedFeatureError",
+        "crash-exclude-recovery": "create:UnsupportedFeatureError",
+        "stuck-at": "create:UnsupportedFeatureError",
+        "misspecified-uniform": "create:UnsupportedFeatureError",
+        "misspecified-wrong-alphabet": "create:UnsupportedFeatureError",
+        "misspecified-skewed": "create:UnsupportedFeatureError",
+        "null+complete": "accepted",
+        "null+regular": "create:UnsupportedFeatureError",
+        "null+churn": "create:UnsupportedFeatureError",
+        "byzantine-fixed+complete": "create:UnsupportedFeatureError",
+        "byzantine-fixed+regular": "create:UnsupportedFeatureError",
+        "byzantine-fixed+churn": "create:UnsupportedFeatureError",
+    },
+    "net/ssf": {
+        "null": "accepted",
+        "byzantine-fixed": "create:UnsupportedFeatureError",
+        "byzantine-random": "create:UnsupportedFeatureError",
+        "byzantine-anti-majority": "create:UnsupportedFeatureError",
+        "crash-symbol": "create:UnsupportedFeatureError",
+        "crash-exclude": "create:UnsupportedFeatureError",
+        "crash-symbol-recovery": "create:UnsupportedFeatureError",
+        "crash-exclude-recovery": "create:UnsupportedFeatureError",
+        "stuck-at": "create:UnsupportedFeatureError",
+        "misspecified-uniform": "create:UnsupportedFeatureError",
+        "misspecified-wrong-alphabet": "create:UnsupportedFeatureError",
+        "misspecified-skewed": "create:UnsupportedFeatureError",
+        "null+complete": "accepted",
+        "null+regular": "create:UnsupportedFeatureError",
+        "null+churn": "create:UnsupportedFeatureError",
+        "byzantine-fixed+complete": "create:UnsupportedFeatureError",
+        "byzantine-fixed+regular": "create:UnsupportedFeatureError",
+        "byzantine-fixed+churn": "create:UnsupportedFeatureError",
+    },
+    "serial/sf": {
+        "null": "accepted",
+        "byzantine-fixed": "accepted",
+        "byzantine-random": "accepted",
+        "byzantine-anti-majority": "accepted",
+        "crash-symbol": "accepted",
+        "crash-exclude": "accepted",
+        "crash-symbol-recovery": "accepted",
+        "crash-exclude-recovery": "accepted",
+        "stuck-at": "accepted",
+        "misspecified-uniform": "accepted",
+        "misspecified-wrong-alphabet": "create:ConfigurationError",
+        "misspecified-skewed": "accepted",
+        "null+complete": "accepted",
+        "null+regular": "accepted",
+        "null+churn": "accepted",
+        "byzantine-fixed+complete": "accepted",
+        "byzantine-fixed+regular": "create:UnsupportedFeatureError",
+        "byzantine-fixed+churn": "create:UnsupportedFeatureError",
+    },
+    "serial/ssf": {
+        "null": "accepted",
+        "byzantine-fixed": "accepted",
+        "byzantine-random": "accepted",
+        "byzantine-anti-majority": "accepted",
+        "crash-symbol": "accepted",
+        "crash-exclude": "accepted",
+        "crash-symbol-recovery": "accepted",
+        "crash-exclude-recovery": "accepted",
+        "stuck-at": "accepted",
+        "misspecified-uniform": "accepted",
+        "misspecified-wrong-alphabet": "create:ConfigurationError",
+        "misspecified-skewed": "accepted",
+        "null+complete": "accepted",
+        "null+regular": "accepted",
+        "null+churn": "accepted",
+        "byzantine-fixed+complete": "accepted",
+        "byzantine-fixed+regular": "create:UnsupportedFeatureError",
+        "byzantine-fixed+churn": "create:UnsupportedFeatureError",
+    },
+}
+
+
+@pytest.fixture(scope="module")
+def seam_matrix():
+    return _seam_matrix()
+
+
+class TestSeamMatrix:
+    """Which fault models and graphs each (engine, protocol) pair admits,
+    and where it rejects the rest."""
+
+    def test_every_cell_matches_the_pinned_outcome(self, seam_matrix):
+        registry, _ = seam_matrix
+        pinned = {
+            (pair, label): outcome
+            for pair, row in _PINNED_SEAM_MATRIX.items()
+            for label, outcome in row.items()
+        }
+        changed = {
+            cell: (pinned.get(cell), registry.get(cell))
+            for cell in set(pinned) | set(registry)
+            if pinned.get(cell) != registry.get(cell)
+        }
+        assert not changed, f"(pinned, now) per changed cell: {changed}"
+
+    def test_direct_construction_raises_the_same_class(self, seam_matrix):
+        registry, direct = seam_matrix
+        assert direct, "no cell was run on an engine class directly"
+        for cell, outcome in direct.items():
+            assert registry[cell].split(":")[-1] == outcome, cell

@@ -3,11 +3,17 @@
 import numpy as np
 import pytest
 
-from repro.exceptions import ConfigurationError, NoiseMatrixError, ProtocolError
+from repro.exceptions import (
+    ConfigurationError,
+    NoiseMatrixError,
+    UnsupportedFeatureError,
+)
 from repro.faults import (
+    FAULT_TRAITS,
     ByzantineDisplayFault,
     ComposedFaultModel,
     CrashFault,
+    FaultModel,
     IdentityFaultModel,
     NoiseMisspecification,
     RecoveryTracker,
@@ -223,6 +229,62 @@ class TestComposition:
             ComposedFaultModel([0.5])
 
 
+class TestTraits:
+    """What each model declares, read with no reset and no draw."""
+
+    SKEWED = NoiseMatrix(np.array([[0.85, 0.15], [0.25, 0.75]]))
+
+    @pytest.mark.parametrize(
+        "fault,traits",
+        [
+            (IdentityFaultModel(), set()),
+            (ComposedFaultModel([IdentityFaultModel()]), set()),
+            (ByzantineDisplayFault(fraction=0.1), {"agent-indexed"}),
+            (
+                ByzantineDisplayFault(fraction=0.1, mode="random"),
+                {"agent-indexed", "randomized"},
+            ),
+            (
+                ByzantineDisplayFault(fraction=0.1, mode="anti-majority"),
+                {"agent-indexed", "global-displays"},
+            ),
+            (CrashFault(fraction=0.1), {"agent-indexed"}),
+            (
+                CrashFault(fraction=0.1, crash_round=3, recovery_round=9),
+                {"agent-indexed", "scheduled"},
+            ),
+            (StuckAtFault(fraction=0.1), {"agent-indexed"}),
+            (NoiseMisspecification.uniform(0.1), {"uniform-channel"}),
+            (NoiseMisspecification(SKEWED), {"channel"}),
+            (
+                ComposedFaultModel(
+                    [IdentityFaultModel(), NoiseMisspecification.uniform(0.1)]
+                ),
+                {"uniform-channel"},
+            ),
+            (
+                ComposedFaultModel(
+                    [StuckAtFault(count=1), NoiseMisspecification(SKEWED)]
+                ),
+                {"agent-indexed", "channel"},
+            ),
+            # A model that declares nothing is taken to own agents.
+            (type("Unknown", (FaultModel,), {})(), {"agent-indexed"}),
+        ],
+    )
+    def test_declared_traits(self, fault, traits):
+        assert fault.traits == traits
+        assert traits <= set(FAULT_TRAITS)
+
+    def test_channel_alphabet_checked_before_reset(self):
+        fault = ComposedFaultModel(
+            [ByzantineDisplayFault(fraction=0.1), NoiseMisspecification.uniform(0.1, 4)]
+        )
+        fault.check_alphabet(4)
+        with pytest.raises(ConfigurationError, match="alphabet 2"):
+            fault.check_alphabet(2)
+
+
 class TestMisspecification:
     def test_reduction_projection_within_margin(self):
         true = NoiseMatrix.uniform(0.2459, 4)
@@ -355,7 +417,7 @@ class TestEngineFaultBehavior:
     def test_async_engine_rejects_global_display_faults(self):
         schedule = SSFSchedule.from_config(CONFIG, 0.05)
         fault = ByzantineDisplayFault(fraction=0.1, mode="anti-majority")
-        with pytest.raises(ProtocolError, match="global display"):
+        with pytest.raises(UnsupportedFeatureError, match="global display"):
             AsyncPullEngine(
                 population(), NoiseMatrix.uniform(0.05, 4)
             ).run(

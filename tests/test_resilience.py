@@ -95,10 +95,6 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             ResilienceConfig(retries=-1)
 
-    def test_flat_and_object_spellings_conflict(self):
-        with pytest.raises(ValueError):
-            _run(_probe, 2, seed=0, retries=1, resilience=ResilienceConfig())
-
     def test_checkpoint_requires_integer_seed(self, tmp_path):
         with pytest.raises(ConfigurationError):
             _run(

@@ -13,6 +13,7 @@ from repro.protocols import (
     BatchedSourceFilter,
     FastSourceFilter,
     SFSchedule,
+    SSFSchedule,
     SourceFilterProtocol,
 )
 from repro.topology import ChurnTopology, CompleteTopology, RandomRegularTopology
@@ -109,11 +110,11 @@ class TestQuenchedGraphAgreement:
 class TestCapabilityGrid:
     def test_capability_table_has_topology_column(self):
         rows = {row["name"]: row for row in capability_table()}
-        assert rows["fast"]["supports_topology"]
-        assert rows["serial"]["supports_topology"]
-        assert rows["batched"]["supports_topology"]
-        assert not rows["count"]["supports_topology"]
-        assert not rows["mean-field"]["supports_topology"]
+        assert rows["fast"]["graph_kinds"]["sf"]
+        assert rows["serial"]["graph_kinds"]["ssf"]
+        assert rows["batched"]["graph_kinds"]["sf"]
+        assert not any(rows["count"]["graph_kinds"].values())
+        assert not any(rows["mean-field"]["graph_kinds"].values())
 
     def test_agent_blind_engines_reject_graphs(self):
         for engine in ("count", "mean-field"):
@@ -124,7 +125,7 @@ class TestCapabilityGrid:
         for row in capability_table():
             for protocol in row["protocols"]:
                 args = (row["name"], protocol, CONFIG, DELTA)
-                if protocol in row["supports_topology"]:
+                if "static" in row["graph_kinds"][protocol]:
                     handle = create_engine(*args, topology="regular")
                     assert handle.protocol == protocol
                 else:
@@ -145,6 +146,41 @@ class TestCapabilityGrid:
                 topology="regular",
                 fault_model=ByzantineDisplayFault(fraction=0.1),
             )
+
+    @pytest.mark.parametrize(
+        "engine,protocol",
+        [
+            (row["name"], protocol)
+            for row in capability_table()
+            for protocol in row["protocols"]
+            if "static" in row["graph_kinds"][protocol]
+        ],
+    )
+    def test_null_fault_beside_a_static_graph_is_the_plain_run(
+        self, engine, protocol
+    ):
+        # A null fault model is absent: next to a pre-bound graph it must
+        # give the plain graph run, on every engine that takes a graph.
+        if protocol == "sf":
+            config, delta, run = CONFIG, DELTA, {}
+            schedule = SFSchedule.from_config(config, delta, m=24)
+        else:
+            config = PopulationConfig(n=64, sources=SourceCounts(0, 2), h=16)
+            delta = 0.05
+            schedule = SSFSchedule.from_config(config, delta)
+            run = {"max_rounds": 2 * schedule.epoch_rounds}
+        graph = RandomRegularTopology(degree=8).bind(
+            config.n, np.random.default_rng(0)
+        )
+        plain, null = (
+            create_engine(
+                engine, protocol, config, delta, schedule=schedule,
+                topology=graph, **seam,
+            ).run(seed=3, **run)
+            for seam in ({}, {"fault_model": IdentityFaultModel()})
+        )
+        assert np.array_equal(plain.final_opinions, null.final_opinions)
+        assert plain.converged == null.converged
 
     def test_identity_fault_composes_on_serial(self):
         handle = create_engine(
@@ -172,7 +208,9 @@ class TestCapabilityGrid:
             protocol.run_batch(replicas=2, rng=0)
 
     def test_spec_serialization_includes_topology(self):
-        assert engine_spec("fast").to_dict()["supports_topology"] == ["sf"]
+        assert engine_spec("fast").to_dict()["graph_kinds"] == {
+            "sf": ["static"], "ssf": [],
+        }
 
 
 class TestStructuredFastEngine:
