@@ -20,7 +20,10 @@ import dataclasses
 import math
 from typing import Callable, List, Optional, Union
 
+import numpy as np
+
 from ..model.config import PopulationConfig
+from ..noise import uniform_level, uniform_observation
 from ..results import RunReport
 from ..telemetry import Telemetry, ensure_telemetry
 from ..types import RngLike
@@ -67,11 +70,6 @@ class MeanFieldTrajectory:
         )
 
 
-def _observe_one(x: float, delta: float) -> float:
-    """P(a noisy observation reads 1) when a fraction x displays 1."""
-    return delta + x * (1.0 - 2.0 * delta)
-
-
 def voter_map(config: PopulationConfig, delta: float) -> Callable[[float], float]:
     """One voter round in expectation.
 
@@ -84,8 +82,7 @@ def voter_map(config: PopulationConfig, delta: float) -> Callable[[float], float
     free = 1.0 - z0 - z1
 
     def step(x: float) -> float:
-        q = _observe_one(x, delta)
-        return z1 + free * q
+        return z1 + free * uniform_observation(x, delta, 2)
 
     return step
 
@@ -123,7 +120,7 @@ def majority_map(
     h = config.h
 
     def step(x: float) -> float:
-        q = min(max(_observe_one(x, delta), 0.0), 1.0)
+        q = min(max(uniform_observation(x, delta, 2), 0.0), 1.0)
         return z1 + free * majority_success_probability(q, h)
 
     return step
@@ -141,7 +138,7 @@ def boosting_map(
     from ..theory.tails import majority_success_probability
 
     def step(x: float) -> float:
-        q = min(max(_observe_one(x, delta), 0.0), 1.0)
+        q = min(max(uniform_observation(x, delta, 2), 0.0), 1.0)
         return majority_success_probability(q, window)
 
     return step
@@ -232,13 +229,17 @@ class MeanFieldRunResult(RunReport):
 class MeanFieldEngine:
     """The n -> infinity SF dynamics behind the engine seam.
 
-    Iterates the *exact finite-n expectation maps* (the same per-agent
-    success probabilities the count engine samples from — weak-opinion
-    comparison law, then one majority tail per boosting sub-phase)
-    without any sampling: the whole run is O(num_subphases) arithmetic
-    and deterministic.  ``run(rng=..., telemetry=...)`` matches the
-    engine seam used by ``repeat_trials``/``run_trials``; the ``rng``
-    argument is accepted and ignored.
+    Runs :meth:`SFSchedule.stages` on a fractional state, taking each
+    stage's expectation where the count engine draws: the next 1-count
+    is ``n * p`` instead of ``Binomial(n, p)``, with ``p`` the count
+    adapter's own :meth:`~repro.protocols.CountSourceFilter.stage_law`
+    (weak-opinion comparison, then one majority tail per boosting
+    sub-phase) through its per-run price memo.  Each stage's ``q`` is
+    the uniform observation law on the display fractions.  No sampling:
+    the whole run is O(num_subphases) arithmetic and deterministic.
+    ``run(rng=..., telemetry=...)`` matches the engine seam used by
+    ``repeat_trials``/``run_trials``; the ``rng`` argument is accepted
+    and ignored.
 
     For a stochastic trajectory that fast-forwards deterministically
     only where it is safe, pass a :class:`MeanFieldHandoff` to
@@ -256,16 +257,15 @@ class MeanFieldEngine:
         fault_model=None,
     ) -> None:
         from ..engines import admit_seams
-        from ..protocols.parameters import SFSchedule
-        from ..protocols.sf_fast import _uniform_delta
+        from ..protocols import CountSourceFilter
 
         admit_seams("mean-field", "sf", fault_model)
         self.config = config
-        self.delta = _uniform_delta(noise)
-        if schedule is None:
-            kwargs = {} if constant is None else {"constant": constant}
-            schedule = SFSchedule.from_config(config, self.delta, **kwargs)
-        self.schedule = schedule
+        self.delta = uniform_level(noise, 2)
+        self._counts = CountSourceFilter(
+            config, self.delta, schedule=schedule, constant=constant
+        )
+        self.schedule = self._counts.schedule
 
     def run(
         self,
@@ -273,30 +273,25 @@ class MeanFieldEngine:
         telemetry: Optional[Telemetry] = None,
     ) -> MeanFieldRunResult:
         """Execute the deterministic SF trajectory (rng is ignored)."""
-        from ..theory.tails import (
-            binomial_vs_binomial_probability,
-            majority_success_probability,
-        )
-
         tele = ensure_telemetry(telemetry)
-        cfg, sched = self.config, self.schedule
-        n = cfg.n
-        delta = self.delta
-        correct = cfg.correct_opinion
-
-        samples = sched.phase_rounds * sched.h
-        q1 = _observe_one(cfg.s1 / n, delta)
-        q0 = _observe_one(cfg.s0 / n, delta)
+        cfg, sched, counts = self.config, self.schedule, self._counts
+        n, correct = cfg.n, cfg.correct_opinion
+        counts._start_pricing()
+        x = 0.0  # the expected fraction of agents holding opinion 1
+        trace: List[float] = []
         with tele.phase("mean_field.run", rounds=sched.total_rounds):
-            # Expected weak law: the exact P(weak = 1) of Lemma 28.
-            x = binomial_vs_binomial_probability(samples, q1, samples, q0)
-            weak_fraction = _correct_fraction(x, correct)
-            trace: List[float] = []
-            windows = [sched.subphase_rounds * sched.h] * sched.num_subphases
-            windows.append(sched.final_rounds * sched.h)
-            for window in windows:
-                x = majority_success_probability(_observe_one(x, delta), window)
-                trace.append(_correct_fraction(x, correct))
+            for stage in sched.stages():
+                shown = counts.shown_ones(stage.kind, n * x)
+                fractions = np.array([n - shown, shown]) / n
+                q = uniform_observation(fractions, self.delta, 2)
+                p = counts.stage_law(stage.kind, stage.rounds * sched.h, q)
+                if p is None:
+                    continue
+                x = p
+                if stage.kind == "phase1":
+                    weak_fraction = _correct_fraction(x, correct)
+                else:
+                    trace.append(_correct_fraction(x, correct))
         final_fraction = _correct_fraction(x, correct)
         # Deterministic analogue of all-n-agents-correct.
         converged = correct is not None and round(final_fraction * n) == n

@@ -20,7 +20,6 @@ reasons about (see DESIGN.md, Substitutions).
 from __future__ import annotations
 
 import dataclasses
-from typing import List
 
 import numpy as np
 
@@ -96,27 +95,18 @@ class CooperativeTransport:
         generator = coerce_rng(rng)
         protocol = FastSourceFilter(self.config, self.delta)
         result = protocol.run(generator)
-        sched = protocol.schedule
         n, s1 = self.config.n, self.config.s1
 
-        velocities: List[float] = []
         # Phase 0: non-sources pull direction 0 (away), sources pull 1.
-        net_phase0 = (s1 - (n - s1)) / n
-        velocities.extend([net_phase0] * sched.phase_rounds)
         # Phase 1: non-sources pull 1, sources still pull 1.
-        velocities.extend([1.0] * sched.phase_rounds)
-        # Boosting: the group pulls its current opinion mix.
+        pulls = [(s1 - (n - s1)) / n, 1.0]
+        # Each boosting stage: the group pulls the opinion mix it began with.
         fractions = [float(np.mean(result.weak_opinions == 1))]
         fractions.extend(result.boost_trace[:-1])
-        for index, frac in enumerate(fractions):
-            rounds = (
-                sched.final_rounds
-                if index == len(fractions) - 1
-                else sched.subphase_rounds
-            )
-            velocities.extend([2.0 * frac - 1.0] * rounds)
+        pulls.extend(2.0 * frac - 1.0 for frac in fractions)
+        rounds = [stage.rounds for stage in protocol.schedule.stages()]
 
-        velocity_arr = np.asarray(velocities) * self.step_size
+        velocity_arr = np.repeat(pulls, rounds) * self.step_size
         positions = np.concatenate([[0.0], np.cumsum(velocity_arr)])
 
         epochs_to_alignment = None

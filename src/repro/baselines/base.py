@@ -17,6 +17,7 @@ from typing import List, Optional
 import numpy as np
 
 from ..model.config import PopulationConfig
+from ..noise import uniform_observation
 from ..results import RunReport
 from ..types import RngLike, coerce_rng
 
@@ -99,7 +100,7 @@ class ZealotDynamics:
     def _observe_one(self, free: np.ndarray) -> float:
         """P(a noisy binary PULL sample shows 1) given the free opinions."""
         k = self.config.s1 + int(np.sum(free == 1))
-        return self.delta + (k / self.config.n) * (1.0 - 2.0 * self.delta)
+        return uniform_observation(k / self.config.n, self.delta, 2)
 
     def _step(self, free: np.ndarray, generator: np.random.Generator) -> np.ndarray:
         """One round: the free agents' next opinions."""

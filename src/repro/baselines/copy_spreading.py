@@ -21,6 +21,7 @@ from typing import List
 import numpy as np
 
 from ..model.config import PopulationConfig
+from ..noise import uniform_observation
 from ..types import RngLike, coerce_rng
 from .base import ConsensusMonitor, DynamicsResult
 
@@ -48,7 +49,7 @@ class ClassicCopySpreading:
         counts[3] = int(np.sum(informed_bits == 1))
         counts[2] = int(np.sum(informed_bits == 0))
         counts[0] = n - int(informed.sum())
-        return self.delta + (counts / n) * (1.0 - 4.0 * self.delta)
+        return uniform_observation(counts / n, self.delta, 4)
 
     def run(
         self,

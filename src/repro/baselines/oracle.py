@@ -11,7 +11,7 @@ between SF and the oracle is the price of anonymity.
 Vectorized exactness: the number of source-samples an agent collects per
 round is ``Binomial(h, (s0+s1)/n)``, and each source-sample shows the
 majority preference with probability
-``(s_maj/(s0+s1))*(1-delta) + (s_min/(s0+s1))*delta``.
+``delta + (s_maj/(s0+s1))*(1-2*delta)``.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from typing import List
 import numpy as np
 
 from ..model.config import PopulationConfig
+from ..noise import uniform_observation
 from ..types import RngLike, coerce_rng
 from .base import ConsensusMonitor, DynamicsResult
 
@@ -59,9 +60,9 @@ class KnownSourceOracle:
         p_source = cfg.num_sources / n
         # P(a source-sample reads as `correct` after noise).
         s_maj = max(cfg.s0, cfg.s1)
-        p_correct_read = (s_maj / cfg.num_sources) * (1.0 - self.delta) + (
-            (cfg.num_sources - s_maj) / cfg.num_sources
-        ) * self.delta
+        p_correct_read = uniform_observation(
+            s_maj / cfg.num_sources, self.delta, 2
+        )
 
         collected = np.zeros(n, dtype=np.int64)
         reads_correct = np.zeros(n, dtype=np.int64)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..noise import uniform_observation
 from .base import ZealotDynamics
 
 #: Third symbol: the undecided tag.
@@ -39,7 +40,7 @@ class UndecidedStateDynamics(ZealotDynamics):
             ],
             dtype=float,
         )
-        q = self.delta + (counts / cfg.n) * (1.0 - 3.0 * self.delta)
+        q = uniform_observation(counts / cfg.n, self.delta, 3)
         observed = generator.choice(3, size=free.size, p=q / q.sum())
         new = free.copy()
         # Opinionated agent seeing the opposite opinion -> undecided.

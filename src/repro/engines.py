@@ -551,20 +551,13 @@ class EngineHandle:
         """The SF/SSF schedule (built from config unless provided)."""
         if self._schedule is not None:
             return self._schedule
+        from .noise import uniform_level
         from .protocols import SFSchedule, SSFSchedule
-        from .protocols.sf_fast import _uniform_delta
-
-        delta = _uniform_delta(self.noise) if size == 2 else None
-        if size == 2:
-            kwargs = {} if self.constant is None else {
-                "constant": self.constant
-            }
-            return SFSchedule.from_config(self.config, delta, **kwargs)
-        from .protocols.ssf_fast import _uniform_delta4
 
         kwargs = {} if self.constant is None else {"constant": self.constant}
-        return SSFSchedule.from_config(
-            self.config, _uniform_delta4(self.noise), **kwargs
+        plan = SFSchedule if size == 2 else SSFSchedule
+        return plan.from_config(
+            self.config, uniform_level(self.noise, size), **kwargs
         )
 
     def _noise_matrix(self, size: int):

@@ -222,12 +222,11 @@ class BatchedPullEngine:
             never collides with a replica stream) and shared by all
             replicas; per-round display transforms run per replica with
             that replica's generator in ``"spawn"`` mode.  ``None``
-            keeps the byte-identical legacy path and the identity model
-            is bit-for-bit equivalent to it.  Models whose faulty set is
-            random make spawn-mode runs diverge from serial runs (the
-            serial engine resolves the set from the run generator) —
-            pass explicit ``agents=`` when cross-engine bit-identity
-            matters.
+            keeps the byte-identical legacy path, and a null model
+            counts as absent.  Models whose faulty set is random make
+            spawn-mode runs diverge from serial runs (the serial engine
+            resolves the set from the run generator) — pass explicit
+            ``agents=`` when cross-engine bit-identity matters.
         topology:
             Optional :class:`~repro.topology.TopologySampler` (or spec)
             restricting samples to graph neighbors.  The whole batch
@@ -254,7 +253,7 @@ class BatchedPullEngine:
             )
         from ..engines import admit_seams
 
-        admit_seams(
+        fault_model, topology = admit_seams(
             "batched", None, fault_model, topology,
             alphabet_size=protocol.alphabet_size,
         )
@@ -279,13 +278,9 @@ class BatchedPullEngine:
             from ..topology import create_topology
 
             sampler = create_topology(topology)
-            if sampler.is_uniform:
-                sampler.ensure_bound(n)
-                sampler = None
-            else:
-                sampler.ensure_bound(
-                    n, _batch_generator(rng, seed_sequences, num_replicas)
-                )
+            sampler.ensure_bound(
+                n, _batch_generator(rng, seed_sequences, num_replicas)
+            )
 
         protocol.reset(population, generators)
 

@@ -116,9 +116,14 @@ class CountProtocol(abc.ABC):
 
     # ------------------------------------------------------------------
     def _start_run(self, rng: np.random.Generator) -> None:
-        """Clear the per-run price memo, then :meth:`reset`."""
-        self._prices: Dict[tuple, float] = {}
+        """:meth:`_start_pricing`, then :meth:`reset`."""
+        self._start_pricing()
         self.reset(rng)
+
+    def _start_pricing(self) -> None:
+        """Open an empty price memo: each run starts one.  Adapters that
+        bind their laws per run extend it."""
+        self._prices: Dict[tuple, float] = {}
 
     def _price(self, law: Callable[..., float], *args) -> float:
         """``law(*args)`` for a pure tail law, evaluated once per run."""

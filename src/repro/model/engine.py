@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import abc
 import dataclasses
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
@@ -126,7 +126,6 @@ class PullEngine:
         stop_on_consensus: bool = False,
         consensus_patience: int = 0,
         record_trace: bool = False,
-        observers: Sequence["object"] = (),
         skip_reset: bool = False,
         churn_rate: float = 0.0,
         telemetry: Optional[Telemetry] = None,
@@ -150,11 +149,6 @@ class PullEngine:
             Do not call ``protocol.reset`` — used by the self-stabilization
             experiments, where the adversary has already installed a
             corrupted state.
-        observers:
-            Objects with an ``observe(round_index, opinions)`` method or
-            telemetry sinks (``handle(event)``), fed after each round's
-            updates.  Routed through the same event pipeline as
-            ``telemetry`` — one mechanism, not two.
         telemetry:
             Optional :class:`~repro.telemetry.Telemetry` recorder; when
             enabled the engine emits one ``round`` event per round
@@ -174,10 +168,10 @@ class PullEngine:
             restrict which agents are samplable, substitute the true
             physical channel, and exclude faulty agents from consensus
             evaluation.  ``None`` (the default) runs the byte-identical
-            legacy path; :class:`~repro.faults.IdentityFaultModel` is
-            bit-for-bit equivalent to it.  With a non-null model and
-            telemetry enabled, recovery metrics are emitted under
-            ``faults.*``.
+            legacy path; a null model such as
+            :class:`~repro.faults.IdentityFaultModel` counts as absent.
+            With a non-null model and telemetry enabled, recovery
+            metrics are emitted under ``faults.*``.
         topology:
             Optional :class:`~repro.topology.TopologySampler` (or any
             spec :func:`~repro.topology.create_topology` accepts)
@@ -202,13 +196,13 @@ class PullEngine:
             )
         from ..engines import admit_seams
 
-        admit_seams(
+        fault_model, topology = admit_seams(
             "serial", None, fault_model, topology,
             alphabet_size=protocol.alphabet_size,
         )
         rng = merge_rng_seed(rng, seed)
         generator = coerce_rng(rng)
-        tele = ensure_telemetry(telemetry, observers)
+        tele = ensure_telemetry(telemetry)
         population = self.population
         sampler = None
         if topology is not None:

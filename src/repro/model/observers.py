@@ -1,12 +1,10 @@
 """Observers: per-round metric collectors, usable as telemetry sinks.
 
-Historically these were a separate ``observers=`` mechanism on the
-engines; they are now first-class :class:`~repro.telemetry.TelemetrySink`
-implementations — the engines route both ``observers=`` and
-``telemetry=`` through one event pipeline, and these classes consume the
-per-round ``round`` events directly via :meth:`handle`.  The original
-``observe(round_index, opinions)`` entry point remains and may still be
-called directly.
+They are :class:`~repro.telemetry.TelemetrySink` implementations: pass
+them to an engine as ``telemetry=Telemetry([tracker])`` and they consume
+the per-round ``round`` events via :meth:`handle`.  The
+``observe(round_index, opinions)`` entry point may also be called
+directly.
 """
 
 from __future__ import annotations

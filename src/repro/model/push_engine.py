@@ -15,7 +15,7 @@ observations at all.
 from __future__ import annotations
 
 import abc
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -76,7 +76,6 @@ class PushEngine:
         rng: RngLike = None,
         stop_on_consensus: bool = False,
         record_trace: bool = False,
-        observers: Sequence["object"] = (),
         topology=None,
     ) -> SimulationResult:
         """Simulate up to ``max_rounds`` rounds of noisy PUSH(h).
@@ -153,8 +152,6 @@ class PushEngine:
                     trace.append(RoundRecord(t, num_correct / population.n, num_correct))
                 if stop_on_consensus and all_correct:
                     break
-            for observer in observers:
-                observer.observe(t, opinions)
 
         final = protocol.opinions()
         converged = correct is not None and bool(np.all(final == correct))

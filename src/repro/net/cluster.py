@@ -227,7 +227,7 @@ class ClusterRunner:
             # Pin a master seed so every per-peer stream derives from one
             # SeedSequence even when the caller passed a live generator.
             master_seed = int(coerce_rng(rng).integers(0, 2**63 - 1))
-        tele = ensure_telemetry(telemetry, ())
+        tele = ensure_telemetry(telemetry)
         horizon, stop_default, patience_default = self._horizon(max_rounds)
         if stop_on_consensus is None:
             stop_on_consensus = stop_default

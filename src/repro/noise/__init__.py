@@ -14,7 +14,12 @@ from .reduction import (
     noise_reduction,
     reduction_delta,
 )
-from .channels import apply_noise, observation_distribution
+from .channels import (
+    apply_noise,
+    observation_distribution,
+    uniform_level,
+    uniform_observation,
+)
 from .estimation import ChannelEstimate, estimate_noise_matrix, probes_needed
 from .dynamic import (
     NoiseSchedule,
@@ -38,4 +43,6 @@ __all__ = [
     "noise_reduction",
     "observation_distribution",
     "reduction_delta",
+    "uniform_level",
+    "uniform_observation",
 ]

@@ -2,7 +2,8 @@
 
 These are thin conveniences over :class:`~repro.noise.matrix.NoiseMatrix`
 used where a one-off call reads better than constructing an object, plus
-the exchangeability identity the vectorized engines rely on.
+the exchangeability identity the vectorized engines rely on and its
+closed form under a delta-uniform channel.
 """
 
 from __future__ import annotations
@@ -11,10 +12,16 @@ from typing import Union
 
 import numpy as np
 
+from ..exceptions import ConfigurationError
 from ..types import RngLike
 from .matrix import NoiseMatrix
 
-__all__ = ["apply_noise", "observation_distribution"]
+__all__ = [
+    "apply_noise",
+    "observation_distribution",
+    "uniform_level",
+    "uniform_observation",
+]
 
 
 def apply_noise(
@@ -52,3 +59,32 @@ def observation_distribution(
     if total <= 0:
         raise ValueError("display counts must sum to a positive population size")
     return noise.observation_probabilities(counts / total)
+
+
+def uniform_observation(fraction, delta: float, size: int):
+    """P(one noisy sample shows ``sigma``) when a ``fraction`` of the
+    sampled pool displays ``sigma``, under the delta-uniform channel over
+    ``size`` letters: ``delta + fraction * (1 - size*delta)``, the closed
+    form of :func:`observation_distribution`.  Scalar or elementwise."""
+    return delta + fraction * (1.0 - size * delta)
+
+
+def uniform_level(noise: Union[NoiseMatrix, float], size: int) -> float:
+    """The level ``delta`` in ``[0, 1/size]`` of ``noise``, a float or a
+    uniform :class:`NoiseMatrix` over ``size`` letters; a
+    :class:`~repro.exceptions.ConfigurationError` otherwise (a
+    :class:`~repro.exceptions.NoiseMatrixError` if not uniform)."""
+    if isinstance(noise, NoiseMatrix):
+        if noise.size != size:
+            raise ConfigurationError(
+                f"noise matrix has alphabet size {noise.size}, expected "
+                f"|Sigma| = {size}"
+            )
+        delta = noise.uniform_delta
+    else:
+        delta = float(noise)
+    if not 0.0 <= delta <= 1.0 / size:
+        raise ConfigurationError(
+            f"uniform delta must lie in [0, {1.0 / size:g}], got {delta}"
+        )
+    return delta

@@ -13,6 +13,7 @@ Each protocol ships in two distributionally identical implementations:
 
 from .parameters import (
     SFSchedule,
+    SFStage,
     SSFSchedule,
     sf_sample_budget,
     ssf_sample_budget,
@@ -52,6 +53,7 @@ __all__ = [
     "MultiBitSourceFilter",
     "SFRunResult",
     "SFSchedule",
+    "SFStage",
     "SSFRunResult",
     "SSFSchedule",
     "SelfStabilizingSourceFilterProtocol",

@@ -37,6 +37,7 @@ from typing import List, Sequence
 import numpy as np
 
 from ..exceptions import ConfigurationError
+from ..noise import uniform_observation
 from ..results import RunReport, register_record
 from ..types import RngLike, coerce_rng
 
@@ -151,9 +152,8 @@ class FastKAryPluralityFilter:
 
     # ------------------------------------------------------------------
     def _observation_distribution(self, display_counts: np.ndarray) -> np.ndarray:
-        k = self.config.k
-        return self.delta + (display_counts / self.config.n) * (
-            1.0 - k * self.delta
+        return uniform_observation(
+            display_counts / self.config.n, self.delta, self.config.k
         )
 
     def draw_weak_opinions(self, rng: RngLike = None) -> np.ndarray:

@@ -18,9 +18,12 @@ EXPERIMENTS.md for the calibration evidence).  Logarithms are natural.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import functools
+import itertools
 import math
+from typing import NamedTuple, Tuple
 
 from ..exceptions import ConfigurationError
 from ..model.config import PopulationConfig
@@ -93,6 +96,16 @@ def ssf_sample_budget(
     return max(int(math.ceil(m)), 1)
 
 
+class SFStage(NamedTuple):
+    """``rounds`` rounds of fixed displays, opinions changing only at the
+    end: ``kind`` is ``"phase0"``, ``"phase1"`` (commits the weak
+    opinions), ``"boosting"`` or ``"boosting_final"`` (adopt a majority).
+    """
+
+    kind: str
+    rounds: int
+
+
 @dataclasses.dataclass(frozen=True)
 class SFSchedule:
     """Fully resolved round plan for one SF execution (Algorithm 1).
@@ -156,28 +169,54 @@ class SFSchedule:
         """Duration of the long, final boosting sub-phase: ``ceil(m/h)``."""
         return self.phase_rounds
 
-    # Computed once: the agent-level protocol reads these every round.
+    # The plan is built once: the agent-level protocol reads it every round.
     @functools.cached_property
-    def boosting_rounds(self) -> int:
-        """Total rounds of the Majority Boosting phase."""
-        return self.subphase_rounds * self.num_subphases + self.final_rounds
+    def _stages(self) -> Tuple[SFStage, ...]:
+        return (
+            SFStage("phase0", self.phase_rounds),
+            SFStage("phase1", self.phase_rounds),
+            *[SFStage("boosting", self.subphase_rounds)] * self.num_subphases,
+            SFStage("boosting_final", self.final_rounds),
+        )
 
     @functools.cached_property
-    def total_rounds(self) -> int:
-        """Total rounds of one SF execution."""
-        return 2 * self.phase_rounds + self.boosting_rounds
+    def _ends(self) -> Tuple[int, ...]:
+        return tuple(itertools.accumulate(stage.rounds for stage in self._stages))
 
-    def phase_of(self, round_index: int) -> str:
-        """Which part of the protocol round ``round_index`` belongs to."""
+    def stages(self) -> Tuple[SFStage, ...]:
+        """Algorithm 1's plan: Phase 0, Phase 1, ``num_subphases`` short
+        boosting sub-phases, then the final sub-phase."""
+        return self._stages
+
+    def stage_ends(self) -> Tuple[int, ...]:
+        """The round each stage of :meth:`stages` ends before."""
+        return self._ends
+
+    def stage_at(self, round_index: int) -> int:
+        """Index into :meth:`stages` of the stage round ``round_index``
+        belongs to (``len(stages())`` from the horizon on)."""
         if round_index < 0:
             raise ValueError("round index must be non-negative")
-        if round_index < self.phase_rounds:
-            return "phase0"
-        if round_index < 2 * self.phase_rounds:
-            return "phase1"
-        if round_index < self.total_rounds:
-            return "boosting"
-        return "done"
+        return bisect.bisect_right(self._ends, round_index)
+
+    @property
+    def boosting_rounds(self) -> int:
+        """Total rounds of the Majority Boosting phase."""
+        return self.total_rounds - self._ends[1]
+
+    @property
+    def total_rounds(self) -> int:
+        """Total rounds of one SF execution."""
+        return self._ends[-1]
+
+    def phase_of(self, round_index: int) -> str:
+        """Which part of the protocol round ``round_index`` belongs to:
+        ``"phase0"``, ``"phase1"``, ``"boosting"`` or ``"done"``."""
+        index = self.stage_at(round_index)
+        if index == len(self._stages):
+            return "done"
+        kind = self._stages[index].kind
+        return "boosting" if kind == "boosting_final" else kind
 
 
 @dataclasses.dataclass(frozen=True)

@@ -50,7 +50,6 @@ class SourceFilterProtocol(PullProtocol):
         self._weak_opinions: np.ndarray = None
         self._boost_counts_1: np.ndarray = None
         self._boost_total: int = 0
-        self._subphases_done: int = 0
         self._listening_displays: dict = None
 
     # ------------------------------------------------------------------
@@ -69,7 +68,6 @@ class SourceFilterProtocol(PullProtocol):
         self._weak_opinions = None
         self._boost_counts_1 = np.zeros(n, dtype=np.int64)
         self._boost_total = 0
-        self._subphases_done = 0
         # Phase 0 and Phase 1 displays never change within a run: sources
         # show their preference, everyone else 0 (Phase 0) or 1 (Phase 1).
         mask = population.is_source
@@ -99,24 +97,26 @@ class SourceFilterProtocol(PullProtocol):
     def receive(self, round_index: int, observations: np.ndarray) -> None:
         self._require_reset()
         schedule = self.schedule
-        stage = schedule.phase_of(round_index)
+        index = schedule.stage_at(round_index)
+        if index == len(schedule.stages()):
+            raise ProtocolError(f"round {round_index} is past the SF horizon")
+        kind = schedule.stages()[index].kind
+        stage_ends = round_index == schedule.stage_ends()[index] - 1
         obs = np.asarray(observations)
-        if stage == "phase0":
+        if kind == "phase0":
             self._counter1 += (obs == 1).sum(axis=1)
-        elif stage == "phase1":
+        elif kind == "phase1":
             self._counter0 += (obs == 0).sum(axis=1)
-            if round_index == 2 * schedule.phase_rounds - 1:
+            if stage_ends:
                 self._commit_weak_opinions()
-        elif stage == "boosting":
+        else:
             self._boost_counts_1 += (obs == 1).sum(axis=1)
             self._boost_total += obs.shape[1]
-            self._maybe_end_subphase(round_index)
-        else:
-            raise ProtocolError(f"round {round_index} is past the SF horizon")
+            if stage_ends:
+                self._end_subphase()
 
     def _commit_weak_opinions(self) -> None:
         """End of Phase 1: Y_hat = 1{Counter1 > Counter0}, coin on ties."""
-        n = self._population.n
         ties = self._counter1 == self._counter0
         weak = (self._counter1 > self._counter0).astype(np.int8)
         if ties.any():
@@ -124,17 +124,8 @@ class SourceFilterProtocol(PullProtocol):
         self._weak_opinions = weak
         self._opinions = weak.copy()
 
-    def _maybe_end_subphase(self, round_index: int) -> None:
-        schedule = self.schedule
-        boost_start = 2 * schedule.phase_rounds
-        local = round_index - boost_start + 1  # rounds completed in boosting
-        short_total = schedule.subphase_rounds * schedule.num_subphases
-        if local <= short_total:
-            ends_now = local % schedule.subphase_rounds == 0
-        else:
-            ends_now = local == short_total + schedule.final_rounds
-        if not ends_now:
-            return
+    def _end_subphase(self) -> None:
+        """End of a boosting stage: adopt the majority, coin on ties."""
         total = self._boost_total
         count1 = self._boost_counts_1
         new = np.where(2 * count1 > total, 1, 0).astype(np.int8)
@@ -144,7 +135,6 @@ class SourceFilterProtocol(PullProtocol):
         self._opinions = new
         self._boost_counts_1[:] = 0
         self._boost_total = 0
-        self._subphases_done += 1
 
     # ------------------------------------------------------------------
     def opinions(self) -> np.ndarray:

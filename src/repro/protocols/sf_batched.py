@@ -3,8 +3,8 @@
 The same Algorithm 1 as :class:`~repro.protocols.sf.SourceFilterProtocol`
 with a leading replica axis on every state array, written against the
 engine's per-stage contract.  SF changes an opinion only at the end of
-Phase 1 and at the end of each boosting sub-phase, so its stages, read
-from :class:`SFSchedule`, are Phase 0, Phase 1, each short boosting
+Phase 1 and at the end of each boosting sub-phase, so its stages are
+:meth:`SFSchedule.stages`: Phase 0, Phase 1, each short boosting
 sub-phase and the final sub-phase.  Replica-local coin flips (initial
 opinions, tie-breaking) are drawn from each replica's own generator in
 the same order as the serial protocol, which is what makes a
@@ -30,11 +30,6 @@ class BatchedSourceFilter(BatchedPullProtocol):
 
     def __init__(self, schedule: SFSchedule) -> None:
         self.schedule = schedule
-        listen = 2 * schedule.phase_rounds
-        self._ends = [schedule.phase_rounds, listen] + [
-            listen + k * schedule.subphase_rounds
-            for k in range(1, schedule.num_subphases + 1)
-        ] + [schedule.total_rounds]
         self._population: Population = None
         self._rngs: List[np.random.Generator] = None
         self._counter1: np.ndarray = None
@@ -66,7 +61,7 @@ class BatchedSourceFilter(BatchedPullProtocol):
 
     # ------------------------------------------------------------------
     def stage_ends(self) -> Sequence[int]:
-        return self._ends
+        return self.schedule.stage_ends()
 
     def stage_displays(self, stage: int) -> np.ndarray:
         self._require_reset()
@@ -86,8 +81,7 @@ class BatchedSourceFilter(BatchedPullProtocol):
         ``1{Counter1 > Counter0}``; each boosting sub-phase adopts the
         majority of its observations.  Coins break ties."""
         self._require_reset()
-        start = self._ends[stage - 1] if stage else 0
-        samples = (self._ends[stage] - start) * self.schedule.h
+        samples = self.schedule.stages()[stage].rounds * self.schedule.h
         if stage == 0:
             self._counter1[replicas] = ones
             return

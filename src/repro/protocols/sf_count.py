@@ -15,7 +15,9 @@ variates.  Exchangeability collapses the agent axis too:
 
 Both probabilities come from :mod:`repro.theory.tails` in O(1), making a
 full SF execution cost O(num_subphases) arithmetic regardless of ``n``
-— n = 10^8 runs in the same milliseconds as n = 10^3.
+— n = 10^8 runs in the same milliseconds as n = 10^3.  They are
+:meth:`CountSourceFilter.stage_law`, which
+:class:`repro.analysis.MeanFieldEngine` iterates in expectation.
 
 An optional mean-field handoff (:class:`repro.analysis.MeanFieldHandoff`)
 replaces the Binomial draw by its expectation whenever the success
@@ -33,11 +35,10 @@ import numpy as np
 
 from ..model.config import PopulationConfig
 from ..model.count_engine import CountProtocol, CountPullEngine, CountSimulationResult
-from ..noise import NoiseMatrix
+from ..noise import NoiseMatrix, uniform_level
 from ..telemetry import Telemetry
 from ..types import RngLike
 from .parameters import SFSchedule
-from .sf_fast import _uniform_delta
 
 __all__ = ["CountSourceFilter"]
 
@@ -81,7 +82,7 @@ class CountSourceFilter(CountProtocol):
         fault_model=None,
     ) -> None:
         self.config = config
-        self.delta = _uniform_delta(noise)
+        self.delta = uniform_level(noise, 2)
         self._noise = noise
         self._dynamics_noise = noise
         self.dynamics_delta = self.delta
@@ -97,28 +98,26 @@ class CountSourceFilter(CountProtocol):
             schedule = SFSchedule.from_config(config, self.delta, **kwargs)
         self.schedule = schedule
         self.handoff = handoff
-        # Stage plan: (kind, rounds) consumed in order by the engine.
-        sched = schedule
-        self._stages: List[tuple] = (
-            [("phase0", sched.phase_rounds), ("phase1", sched.phase_rounds)]
-            + [("boost", sched.subphase_rounds)] * sched.num_subphases
-            + [("boost_final", sched.final_rounds)]
-        )
+        # The stage plan, consumed in order by the engine.
+        self._stages = schedule.stages()
         # Read every stage: bound once rather than recomputed.
-        self._total_rounds = sched.total_rounds
+        self._total_rounds = schedule.total_rounds
         self._correct = config.correct_opinion
         self._stage_index = 0
-        self._phase0_samples = 0
-        self._q1 = 0.0
+        self._phase0 = (0, 0.0)
         self.opinion_count = 0
         self.weak_count = 0
         self.boost_trace: List[float] = []
         self._engine = CountPullEngine(config, self._dynamics_noise)
+        # Ready to price before any run: the mean-field engine and the
+        # verify legs call stage_law directly.
+        self._start_pricing()
 
     # ------------------------------------------------------------------
-    # CountProtocol interface
+    # The stage laws
     # ------------------------------------------------------------------
-    def reset(self, rng: np.random.Generator) -> None:
+    def _start_pricing(self) -> None:
+        super()._start_pricing()
         # Bound here, once per run: repro.theory.amplification pulls in
         # repro.analysis, which reaches back into repro.protocols — a
         # module-level import would close that cycle.
@@ -129,10 +128,42 @@ class CountSourceFilter(CountProtocol):
 
         self._weak_law = binomial_vs_binomial_probability
         self._boost_law = majority_success_probability
+
+    def shown_ones(self, kind: str, ones):
+        """Agents displaying 1 in a stage of ``kind`` while ``ones`` agents
+        hold opinion 1: sources show their preference and everyone else
+        0 in Phase 0, 1 in Phase 1; in boosting everyone shows its
+        opinion."""
+        cfg = self.config
+        if kind == "phase0":
+            return cfg.s1
+        if kind == "phase1":
+            return cfg.n - cfg.s0
+        return ones
+
+    def stage_law(self, kind: str, samples: int, q: np.ndarray) -> Optional[float]:
+        """P(an agent holds opinion 1 when a stage of ``kind`` ends), the
+        ``p`` of the engine's ``Binomial(n, p)`` draw of the next 1-count,
+        for ``samples`` observations per agent distributed as ``q``.
+
+        Phase 0 changes no opinion (``None``); its Counter1 counts observed
+        1s, which Phase 1's weak law compares with Counter0, the observed
+        0s.  A boosting stage adopts the majority.  Prices go through the
+        per-run memo.
+        """
+        if kind == "phase0":
+            self._phase0 = (samples, float(q[1]))
+            return None
+        if kind == "phase1":
+            return self._price(self._weak_law, *self._phase0, samples, float(q[0]))
+        return self._price(self._boost_law, float(q[1]), samples)
+
+    # ------------------------------------------------------------------
+    # CountProtocol interface
+    # ------------------------------------------------------------------
+    def reset(self, rng: np.random.Generator) -> None:
         cfg = self.config
         self._stage_index = 0
-        self._phase0_samples = 0
-        self._q1 = 0.0
         self.boost_trace = []
         # Initial opinions mirror the agent-level engines: random except
         # sources pinned on their preference.  They only matter for the
@@ -142,20 +173,12 @@ class CountSourceFilter(CountProtocol):
         self.weak_count = 0
 
     def display_counts(self) -> np.ndarray:
-        cfg = self.config
-        kind = self._stages[self._stage_index][0]
-        if kind == "phase0":
-            # Sources display their preference, non-sources display 0.
-            ones = cfg.s1
-        elif kind == "phase1":
-            # Non-sources display 1, sources keep their preference.
-            ones = cfg.n - cfg.s0
-        else:
-            ones = self.opinion_count
-        return np.array([cfg.n - ones, ones], dtype=np.int64)
+        kind = self._stages[self._stage_index].kind
+        ones = self.shown_ones(kind, self.opinion_count)
+        return np.array([self.config.n - ones, ones], dtype=np.int64)
 
     def gap(self, round_index: int) -> int:
-        return self._stages[self._stage_index][1]
+        return self._stages[self._stage_index].rounds
 
     def advance(
         self,
@@ -164,26 +187,14 @@ class CountSourceFilter(CountProtocol):
         q: np.ndarray,
         rng: np.random.Generator,
     ) -> None:
-        cfg = self.config
-        n = cfg.n
-        kind = self._stages[self._stage_index][0]
-        samples = gap * self.schedule.h
-        if kind == "phase0":
-            # Counter1 counts observed 1s while only sources show 1s.
-            self._phase0_samples = samples
-            self._q1 = float(q[1])
-        elif kind == "phase1":
-            # Counter0 counts observed 0s while non-sources show 1s; the
-            # weak opinion is the counter comparison, i.i.d. per agent.
-            p_weak = self._price(
-                self._weak_law, self._phase0_samples, self._q1, samples, float(q[0])
-            )
-            self.weak_count = self._draw(n, p_weak, rng)
-            self.opinion_count = self.weak_count
-        else:
-            p_one = self._price(self._boost_law, float(q[1]), samples)
+        n = self.config.n
+        kind = self._stages[self._stage_index].kind
+        p_one = self.stage_law(kind, gap * self.schedule.h, q)
+        if p_one is not None:
             self.opinion_count = self._draw(n, p_one, rng)
-            if self._correct is not None:
+            if kind == "phase1":
+                self.weak_count = self.opinion_count
+            elif self._correct is not None:
                 ones = self.opinion_count
                 correct = ones if self._correct == 1 else n - ones
                 self.boost_trace.append(correct / n)
@@ -199,7 +210,7 @@ class CountSourceFilter(CountProtocol):
     def copies(self, round_index: int) -> int:
         # The plain boosting sub-phases left, this one included, share a
         # window and the majority law; the final one's window differs.
-        if self._stages[self._stage_index][0] != "boost":
+        if self._stages[self._stage_index].kind != "boosting":
             return 1
         return len(self._stages) - 1 - self._stage_index
 
@@ -237,21 +248,3 @@ class CountSourceFilter(CountProtocol):
             record_trace=record_trace,
             telemetry=telemetry,
         )
-
-    def expected_weak_probability(self) -> float:
-        """The exact per-agent weak-opinion success probability.
-
-        ``P(weak = 1)`` under the schedule's full listening phases —
-        the count engine's transition law, exposed for the mean-field
-        engine and the theory cross-checks.
-        """
-        from ..theory.tails import binomial_vs_binomial_probability
-
-        cfg, sched = self.config, self.schedule
-        samples = sched.phase_rounds * sched.h
-        delta = self.dynamics_delta
-        frac1 = cfg.s1 / cfg.n
-        frac0 = cfg.s0 / cfg.n
-        q1 = frac1 * (1.0 - delta) + (1.0 - frac1) * delta
-        q0 = frac0 * (1.0 - delta) + (1.0 - frac0) * delta
-        return binomial_vs_binomial_probability(samples, q1, samples, q0)

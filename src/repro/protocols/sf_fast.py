@@ -14,8 +14,9 @@ One kernel writes this law over an ``(R, n)`` opinion array.  It is
 parameterised by the *observation law* that maps the displays in force
 to ``q``:
 
-* uniform sampling: ``q = (k/n)(1-delta) + (1-k/n) delta`` with ``k``
-  the number of agents displaying the counted symbol;
+* uniform sampling: ``q = delta + (k/n)(1-2delta)``
+  (:func:`~repro.noise.uniform_observation`) with ``k`` the number of
+  agents displaying the counted symbol;
 * a fault model: ``k`` counts the samplable agents after the model's
   display transform, at the model's effective ``delta``;
 * a static graph: ``k/n`` becomes each agent's ``k_i/deg_i`` over its
@@ -41,36 +42,12 @@ import numpy as np
 from ..exceptions import ConfigurationError, UnsupportedFeatureError
 from ..faults.base import validate_sample_loss
 from ..model.config import PopulationConfig
-from ..noise import NoiseMatrix
+from ..noise import NoiseMatrix, uniform_level, uniform_observation
 from ..results import RunReport
 from ..telemetry import Telemetry, ensure_telemetry
 from ..types import RngLike, coerce_rng, seed_of
 from .parameters import SFSchedule
 from .ssf import majority_with_ties
-
-
-def _uniform_delta(noise: Union[float, NoiseMatrix]) -> float:
-    """Extract the uniform noise level for the binary alphabet."""
-    if isinstance(noise, NoiseMatrix):
-        if noise.size != 2:
-            raise ConfigurationError("SF uses the binary alphabet (|Sigma| = 2)")
-        return noise.uniform_delta
-    delta = float(noise)
-    if not 0.0 <= delta <= 0.5:
-        raise ConfigurationError(f"uniform delta must lie in [0, 0.5], got {delta}")
-    return delta
-
-
-def observe_one_probability(k_displaying: int, n: int, delta: float) -> float:
-    """P(one noisy observation equals the counted symbol).
-
-    ``k_displaying`` agents display the symbol; a uniform sample hits one
-    of them with probability ``k/n`` and the binary symmetric channel
-    keeps/flips with probabilities ``1-delta`` / ``delta``.  Works
-    elementwise on arrays (e.g. neighbour counts over per-agent degrees).
-    """
-    frac = k_displaying / n
-    return frac * (1.0 - delta) + (1.0 - frac) * delta
 
 
 @dataclasses.dataclass
@@ -173,7 +150,7 @@ class FastSourceFilter:
         from ..engines import admit_seams
 
         self.config = config
-        self.delta = _uniform_delta(noise)
+        self.delta = uniform_level(noise, 2)
         self.sample_loss = validate_sample_loss(sample_loss)
         self._fault, _ = admit_seams("fast", "sf", fault_model, topology)
         self.fault_model = fault_model
@@ -211,9 +188,8 @@ class FastSourceFilter:
         # Per row in Python floats: for a handful of rows that is cheaper
         # than array arithmetic, and the values are the same.
         counts = (displays == symbol).sum(axis=1).tolist()
-        return np.array(
-            [[observe_one_probability(k, self.config.n, self.delta)] for k in counts]
-        )
+        n = self.config.n
+        return np.array([[uniform_observation(k / n, self.delta, 2)] for k in counts])
 
     def _observer(self, fault, sampler, generator: np.random.Generator):
         """This run's observation law and evaluation mask.
@@ -231,7 +207,7 @@ class FastSourceFilter:
                 k = np.stack(
                     [sampler.neighbor_symbol_counts(row, symbol) for row in displays]
                 )
-                return observe_one_probability(k, degrees, self.delta)
+                return uniform_observation(k / degrees, self.delta, 2)
 
             return observe_graph, None
         if fault is None:
@@ -239,7 +215,7 @@ class FastSourceFilter:
         from ..model.population import Population
 
         fault.reset(Population(cfg, shuffle=False), 2, generator)
-        delta = _uniform_delta(fault.effective_uniform_delta(self.delta))
+        delta = uniform_level(fault.effective_uniform_delta(self.delta), 2)
         visible = fault.visible_agents(0)
         pool = np.arange(cfg.n) if visible is None else np.asarray(visible)
         eval_mask = fault.evaluation_mask()
@@ -253,12 +229,8 @@ class FastSourceFilter:
                 np.asarray(fault.transform_displays(round_index, row, generator))[pool]
                 for row in displays
             )
-            return np.array(
-                [
-                    [observe_one_probability(np.count_nonzero(row == symbol), pool.size, delta)]
-                    for row in shown
-                ]
-            )
+            shares = [np.count_nonzero(row == symbol) / pool.size for row in shown]
+            return uniform_observation(np.array(shares)[:, None], delta, 2)
 
         return observe_faulted, eval_mask
 
@@ -387,30 +359,24 @@ class FastSourceFilter:
 
         opinions = weak
         traces: List[List[float]] = [[] for _ in range(replicas)]
-        steps = [sched.subphase_rounds] * sched.num_subphases + [sched.final_rounds]
         start = 2 * sched.phase_rounds
         with tele.phase("sf.boosting", rounds=sched.boosting_rounds, **phase_tags):
-            for index, rounds in enumerate(steps):
+            for index, stage in enumerate(sched.stages()[2:]):
                 opinions = self.boost_step(
                     opinions,
-                    rounds * sched.h,
+                    stage.rounds * sched.h,
                     generator,
                     observe=observe,
                     round_index=start,
                 )
-                start += rounds
+                start += stage.rounds
                 if correct is None:
                     continue
                 fractions = fraction_correct(opinions)
                 for trace, fraction in zip(traces, fractions):
                     trace.append(float(fraction))
-                if index == sched.num_subphases:
-                    record(start - 1, fractions, opinions, phase="boosting_final")
-                else:
-                    record(
-                        start - 1, fractions, opinions,
-                        phase="boosting", subphase=index,
-                    )
+                tags = {"subphase": index} if stage.kind == "boosting" else {}
+                record(start - 1, fractions, opinions, phase=stage.kind, **tags)
 
         converged = (
             np.all(opinions[:, judged] == correct, axis=1)

@@ -35,12 +35,11 @@ import numpy as np
 
 from ..model.config import PopulationConfig
 from ..model.count_engine import CountProtocol, CountPullEngine, CountSimulationResult
-from ..noise import NoiseMatrix
+from ..noise import NoiseMatrix, uniform_level
 from ..telemetry import Telemetry
 from ..types import RngLike
 from .parameters import SSFSchedule
 from .ssf import SYMBOL_NONSOURCE_1, SYMBOL_SOURCE_0, SYMBOL_SOURCE_1
-from .ssf_fast import _uniform_delta4
 
 __all__ = ["CountSelfStabilizingSourceFilter"]
 
@@ -82,7 +81,7 @@ class CountSelfStabilizingSourceFilter(CountProtocol):
         fault_model=None,
     ) -> None:
         self.config = config
-        self.delta = _uniform_delta4(noise)
+        self.delta = uniform_level(noise, 4)
         self._noise = noise
         self._dynamics_noise = noise
         self.dynamics_delta = self.delta
@@ -91,8 +90,8 @@ class CountSelfStabilizingSourceFilter(CountProtocol):
         fault, _ = admit_seams("count", "ssf", fault_model)
         if fault is not None:
             # The gate admits only uniform true channels here.
-            self.dynamics_delta = _uniform_delta4(
-                float(fault.effective_uniform_delta(self.delta))
+            self.dynamics_delta = uniform_level(
+                fault.effective_uniform_delta(self.delta), 4
             )
             self._dynamics_noise = self.dynamics_delta
         if schedule is None:

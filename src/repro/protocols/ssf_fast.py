@@ -31,7 +31,7 @@ import numpy as np
 from ..exceptions import ConfigurationError
 from ..faults.base import validate_sample_loss
 from ..model.config import PopulationConfig
-from ..noise import NoiseMatrix
+from ..noise import NoiseMatrix, uniform_level, uniform_observation
 from ..results import RunReport
 from ..telemetry import Telemetry, ensure_telemetry
 from ..types import RngLike, coerce_rng, seed_of
@@ -42,18 +42,6 @@ from .ssf import (
     SYMBOL_SOURCE_1,
     majority_with_ties,
 )
-
-
-def _uniform_delta4(noise: Union[float, NoiseMatrix]) -> float:
-    """Extract the uniform noise level for the 4-letter alphabet."""
-    if isinstance(noise, NoiseMatrix):
-        if noise.size != 4:
-            raise ConfigurationError("SSF uses the 2-bit alphabet (|Sigma| = 4)")
-        return noise.uniform_delta
-    delta = float(noise)
-    if not 0.0 <= delta <= 0.25:
-        raise ConfigurationError(f"uniform delta must lie in [0, 0.25], got {delta}")
-    return delta
 
 
 @dataclasses.dataclass
@@ -125,7 +113,7 @@ class FastSelfStabilizingSourceFilter:
         from ..engines import admit_seams
 
         self.config = config
-        self.delta = _uniform_delta4(noise)
+        self.delta = uniform_level(noise, 4)
         self.sample_loss = validate_sample_loss(sample_loss)
         # SSF's window accounting assumes exchangeable uniform sampling
         # throughout, so the capability row admits no graph here.
@@ -223,7 +211,8 @@ class FastSelfStabilizingSourceFilter:
         For each row of ``weak`` (one per replica) it tallies the
         positional displays — sources show ``(1, preference)``,
         non-sources ``(0, weak)`` — into one row of per-symbol
-        probabilities ``q = delta + (counts/pool) * (1 - 4*delta)``.
+        probabilities ``q = delta + (counts/pool) * (1 - 4*delta)``
+        (:func:`~repro.noise.uniform_observation`).
         Under a ``fault`` model the displays pass through its display
         transform, only its samplable agents count, and ``delta`` is its
         effective level: still exact, because displays are constant
@@ -233,7 +222,7 @@ class FastSelfStabilizingSourceFilter:
         cfg = self.config
         delta = self.delta
         if fault is not None:
-            delta = _uniform_delta4(fault.effective_uniform_delta(self.delta))
+            delta = uniform_level(fault.effective_uniform_delta(self.delta), 4)
 
         def observe(weak: np.ndarray, round_index: int) -> np.ndarray:
             displays = np.empty(weak.shape, dtype=np.int64)
@@ -248,7 +237,7 @@ class FastSelfStabilizingSourceFilter:
                     if visible is not None:
                         row = row[visible]
                 counts = np.bincount(row, minlength=4).astype(float)
-                q.append(delta + (counts / row.size) * (1.0 - 4.0 * delta))
+                q.append(uniform_observation(counts / row.size, delta, 4))
             return np.array(q)
 
         return observe

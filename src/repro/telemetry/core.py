@@ -68,12 +68,11 @@ class TelemetrySink:
 
 
 class ObserverSinkAdapter(TelemetrySink):
-    """Wrap a legacy ``observe(round_index, opinions)`` observer as a sink.
+    """Wrap an ``observe(round_index, opinions)`` observer as a sink.
 
     The engines emit one ``round`` event per round whose tags carry the
-    post-update opinion vector; the adapter forwards exactly the call the
-    old ``observers=`` mechanism made, so pre-telemetry observers keep
-    working unchanged.
+    post-update opinion vector; the adapter calls ``observe`` with them,
+    so ``Telemetry([observer])`` feeds an observer every round.
     """
 
     def __init__(self, observer: object) -> None:
@@ -163,16 +162,6 @@ class Telemetry:
     def attach(self, sink: object) -> None:
         """Add one sink (coerced via :func:`as_sink`)."""
         self.sinks.append(as_sink(sink))
-
-    def scoped(self, extra_sinks: Sequence[object]) -> "Telemetry":
-        """A recorder feeding this recorder's sinks plus ``extra_sinks``.
-
-        Used by the engines to unify a caller-provided recorder with
-        per-call ``observers=`` without mutating either.
-        """
-        scoped = Telemetry(())
-        scoped.sinks = self.sinks + [as_sink(s) for s in extra_sinks]
-        return scoped
 
     def close(self) -> None:
         """Close every sink (flushes file sinks)."""
@@ -274,20 +263,12 @@ class NullTelemetry(Telemetry):
 NULL_TELEMETRY = NullTelemetry()
 
 
-def ensure_telemetry(
-    telemetry: Optional[Telemetry], observers: Sequence[object] = ()
-) -> Telemetry:
-    """Unify a ``telemetry=`` argument and legacy ``observers=`` into one.
+def ensure_telemetry(telemetry: Optional[Telemetry]) -> Telemetry:
+    """The recorder to use for a ``telemetry=`` argument.
 
-    Returns :data:`NULL_TELEMETRY` when neither is provided — the engine
-    hot loops then skip all metric computation.  Observers become sinks
-    via :func:`as_sink`, so ``observers=`` and telemetry are a single
-    event pipeline rather than two parallel mechanisms.
+    Returns :data:`NULL_TELEMETRY` for ``None`` or a disabled recorder —
+    the engine hot loops then skip all metric computation.
     """
     if telemetry is None or not telemetry.enabled:
-        if not observers:
-            return NULL_TELEMETRY
-        return Telemetry(observers)
-    if not observers:
-        return telemetry
-    return telemetry.scoped(observers)
+        return NULL_TELEMETRY
+    return telemetry

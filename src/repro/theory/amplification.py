@@ -26,6 +26,7 @@ from __future__ import annotations
 from typing import List
 
 from ..analysis.mean_field import boosting_map, iterate_map
+from ..noise import uniform_observation
 from .tails import majority_success_probability
 
 __all__ = [
@@ -52,7 +53,7 @@ def stage_success_probability(
         raise ValueError(f"delta must lie in [0, 0.5], got {delta}")
     if window < 1:
         raise ValueError(f"window must be positive, got {window}")
-    q = delta + fraction_correct * (1.0 - 2.0 * delta)
+    q = uniform_observation(fraction_correct, delta, 2)
     return majority_success_probability(min(max(q, 0.0), 1.0), window)
 
 

@@ -20,6 +20,7 @@ import dataclasses
 import math
 
 from ..model.config import PopulationConfig
+from ..noise import uniform_observation
 from .tails import multinomial_pair_gt_probability
 
 
@@ -70,15 +71,16 @@ class TrinomialStep:
 def sf_step_distribution(config: PopulationConfig, delta: float) -> TrinomialStep:
     """SF's step distribution (the displayed computation in Lemma 28).
 
-    ``P(A_k = 1) = (s1/n)(1-delta) + (1-s1/n)delta`` and
-    ``P(B_k = 1) = (s0/n)delta + (1-s0/n)(1-delta)``; the pair is
-    independent, ``X_k = +1`` iff both are 1, ``-1`` iff both are 0.
+    ``P(A_k = 1) = delta + (s1/n)(1-2delta)`` (Phase 0: ``s1`` agents
+    display 1) and ``P(B_k = 1) = delta + ((n-s0)/n)(1-2delta)`` (Phase 1:
+    all but ``s0`` do); the pair is independent, ``X_k = +1`` iff both
+    are 1, ``-1`` iff both are 0.
     """
     if not 0.0 <= delta <= 0.5:
         raise ValueError(f"delta must lie in [0, 0.5], got {delta}")
     n = config.n
-    a1 = (config.s1 / n) * (1.0 - delta) + (1.0 - config.s1 / n) * delta
-    b1 = (config.s0 / n) * delta + (1.0 - config.s0 / n) * (1.0 - delta)
+    a1 = uniform_observation(config.s1 / n, delta, 2)
+    b1 = uniform_observation((n - config.s0) / n, delta, 2)
     p_plus = a1 * b1
     p_minus = (1.0 - a1) * (1.0 - b1)
     return TrinomialStep(p_plus=p_plus, p_zero=1.0 - p_plus - p_minus, p_minus=p_minus)
@@ -87,15 +89,15 @@ def sf_step_distribution(config: PopulationConfig, delta: float) -> TrinomialSte
 def ssf_step_distribution(config: PopulationConfig, delta: float) -> TrinomialStep:
     """SSF's step distribution (Eq. 33).
 
-    ``P(X_k = +1) = (s1/n)(1-3delta) + (1-s1/n)delta`` (a clean sample of
-    a 1-source, or any other sample corrupted into (1,1)); symmetrically
+    ``P(X_k = +1) = delta + (s1/n)(1-4delta)`` (a clean sample of a
+    1-source, or any other sample corrupted into (1,1)); symmetrically
     for ``-1``.
     """
     if not 0.0 <= delta <= 0.25:
         raise ValueError(f"delta must lie in [0, 0.25], got {delta}")
     n = config.n
-    p_plus = (config.s1 / n) * (1.0 - 3.0 * delta) + (1.0 - config.s1 / n) * delta
-    p_minus = (config.s0 / n) * (1.0 - 3.0 * delta) + (1.0 - config.s0 / n) * delta
+    p_plus = uniform_observation(config.s1 / n, delta, 4)
+    p_minus = uniform_observation(config.s0 / n, delta, 4)
     return TrinomialStep(p_plus=p_plus, p_zero=1.0 - p_plus - p_minus, p_minus=p_minus)
 
 

@@ -32,6 +32,7 @@ from ..model.async_engine import AsyncPullEngine
 from ..noise import NoiseMatrix
 from ..protocols import (
     BatchedSourceFilter,
+    CountSourceFilter,
     FastSelfStabilizingSourceFilter,
     FastSourceFilter,
     SFSchedule,
@@ -136,20 +137,23 @@ _SEAM_RUNS = {"batched": {"replicas": 3}, "async": {"consensus_patience": 0}}
 
 
 def _run_seam_row(name: str, protocol: str, **seam_value) -> list:
-    """Final opinions and flags of one run on the ``exact`` instance.  The
-    handle is built below ``create_engine``, which drops the complete
-    graph before any engine sees it."""
+    """Final opinions (opinion counts on an agent-blind engine) and flags
+    of one run on the ``exact`` instance.  The handle is built below
+    ``create_engine``, which drops the complete graph before any engine
+    sees it."""
+    spec = engine_spec(name)
     setup = _SEAM_SETUPS[protocol]
     schedule = setup.schedule(protocol)
     kwargs = dict(_SEAM_RUNS.get(name, {}))
     if protocol == "ssf":
         kwargs["max_rounds"] = 4 * schedule.epoch_rounds
     results = EngineHandle(
-        engine_spec(name), protocol, setup.config, setup.delta,
+        spec, protocol, setup.config, setup.delta,
         schedule=schedule, **seam_value,
     ).run(seed=7, **kwargs)
+    field = "final_opinion_counts" if spec.agent_blind else "final_opinions"
     return [
-        (np.asarray(result.final_opinions).tolist(), result.converged)
+        (np.asarray(getattr(result, field)).tolist(), result.converged)
         for result in (results if isinstance(results, list) else [results])
     ]
 
@@ -178,11 +182,13 @@ def _check_exact(scale: str, budget: FalsePositiveBudget) -> str:
     A *seam* is an optional engine input whose null value must leave a
     run unchanged: the fault model (``IdentityFaultModel()``) and the
     topology (``"complete"``).  For every capability-table pair whose
-    agent-level engine takes a seam, the null value must give the plain
-    run's final opinions and ``converged`` flag; for every fault trait
-    and graph kind the pair's row excludes, a value carrying it must
-    make ``create_engine`` raise
-    :class:`~repro.exceptions.UnsupportedFeatureError`.
+    engine takes a seam, the null value must give the plain run's final
+    opinions (opinion counts on an agent-blind engine) and ``converged``
+    flag; for every fault trait and graph kind the pair's row excludes,
+    a value carrying it must make ``create_engine`` raise
+    :class:`~repro.exceptions.UnsupportedFeatureError`.  Mean-field SF's
+    weak fraction must match, within 1e-12, the weak law the count
+    engine prices from the two listening phases' display counts.
     """
     from ..faults import IdentityFaultModel
 
@@ -216,9 +222,7 @@ def _check_exact(scale: str, budget: FalsePositiveBudget) -> str:
             pair, plain = f"{name}/{protocol}", None
             setup, values = _SEAM_SETUPS[protocol], _seam_values(protocol)
             for seam, (column, null) in seams.items():
-                # Agent-level engines that take this seam: their rows
-                # compare per-agent final opinions.
-                if not row["agent_blind"] and any(row[column].values()):
+                if any(row[column].values()):
                     plain = plain or _run_seam_row(name, protocol)
                     if _run_seam_row(name, protocol, **{seam: null}) != plain:
                         raise ConfigurationError(
@@ -246,7 +250,14 @@ def _check_exact(scale: str, budget: FalsePositiveBudget) -> str:
 
     config = PopulationConfig(n=1_000_000, sources=SourceCounts(0, 4), h=16)
     mean_field = create_engine("mean-field", "sf", config, 0.2).run()
-    closed_form = create_engine("count", "sf", config, 0.2).expected_weak_probability()
+    # The count engine prices each listening phase's q from its display
+    # counts through the noise matrix; the weak law is Phase 1's.
+    n, count = config.n, CountSourceFilter(config, 0.2)
+    matrix = NoiseMatrix.uniform(0.2, 2)
+    for stage in count.schedule.stages()[:2]:
+        shown = count.shown_ones(stage.kind, 0)
+        q = matrix.observation_probabilities(np.array([n - shown, shown]) / n)
+        closed_form = count.stage_law(stage.kind, stage.rounds * config.h, q)
     weak, final = mean_field.weak_fraction_correct, mean_field.final_fraction_correct
     if abs(weak - closed_form) > 1e-12 or not mean_field.converged or final != 1.0:
         raise ConfigurationError(
@@ -715,10 +726,8 @@ def _check_net(scale: str, budget: FalsePositiveBudget) -> str:
     net_trials = 4 if scale == "quick" else 8
     fast_trials = 30 if scale == "quick" else 60
     correct = config.correct_opinion
-    boundaries = [
-        2 * schedule.phase_rounds + k * schedule.subphase_rounds - 1
-        for k in range(1, schedule.num_subphases + 1)
-    ] + [schedule.total_rounds - 1]
+    # The last round of each boosting stage.
+    boundaries = [end - 1 for end in schedule.stage_ends()[2:]]
 
     def consensus_subphase(fractions):
         """1-based sub-phase from which full consensus holds to the end

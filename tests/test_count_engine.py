@@ -7,8 +7,9 @@ Three layers of evidence that the exchangeability collapse is faithful:
   weak law;
 * **statistical** — count vs fast conformance on the weak law and on
   end-to-end convergence rates, under one shared
-  :class:`~repro.verify.FalsePositiveBudget` (the heavyweight version
-  lives in the ``count`` leg of ``repro-spreading verify``);
+  :class:`~repro.verify.FalsePositiveBudget` (the heavyweight versions
+  are the ``laws`` and ``reliability`` legs of ``repro-spreading
+  verify``);
 * **property** — Hypothesis invariants on the count state through full
   runs (counts non-negative, conserved, traces in [0, 1]).
 """
@@ -339,8 +340,8 @@ class TestMeanFieldHandoff:
             == results[1].final_opinion_counts.tolist()
         )
         assert protocols[0].weak_count == protocols[1].weak_count
-        expected = round(config.n * protocols[0].expected_weak_probability())
-        assert protocols[0].weak_count == expected
+        weak_law = MeanFieldEngine(config, 0.2).run().weak_fraction_correct
+        assert protocols[0].weak_count == round(config.n * weak_law)
         assert results[0].converged
 
 
@@ -357,8 +358,13 @@ class TestMeanFieldEngine:
 
     def test_weak_law_matches_count_transition_exactly(self):
         mf = MeanFieldEngine(self.CONFIG, 0.2).run()
-        law = CountSourceFilter(self.CONFIG, 0.2).expected_weak_probability()
-        assert mf.weak_fraction_correct == pytest.approx(law, abs=1e-12)
+        # The count engine's first draw is the weak commit's Binomial(n, p).
+        protocol = CountSourceFilter(self.CONFIG, 0.2)
+        drawn = []
+        draw = protocol._draw
+        protocol._draw = lambda n, p, rng: drawn.append(p) or draw(n, p, rng)
+        protocol.run(rng=0)
+        assert abs(mf.weak_fraction_correct - drawn[0]) <= 1e-12
 
     def test_converges_to_fixed_point(self):
         result = MeanFieldEngine(self.CONFIG, 0.2).run()

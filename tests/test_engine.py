@@ -6,6 +6,7 @@ import pytest
 from repro.exceptions import ProtocolError
 from repro.model import Population, PopulationConfig, PullEngine, PullProtocol
 from repro.noise import NoiseMatrix
+from repro.telemetry import Telemetry
 from repro.types import SourceCounts
 
 
@@ -167,7 +168,10 @@ class TestConsensusTracking:
             def observe(self, round_index, opinions):
                 calls.append((round_index, opinions.sum()))
 
-        engine.run(RecordingProtocol(), max_rounds=4, rng=rng, observers=[Observer()])
+        engine.run(
+            RecordingProtocol(), max_rounds=4, rng=rng,
+            telemetry=Telemetry([Observer()]),
+        )
         assert [c[0] for c in calls] == [0, 1, 2, 3]
 
     def test_final_opinions_copied(self, engine, rng):

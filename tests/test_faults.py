@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.engines import create_engine
 from repro.exceptions import (
     ConfigurationError,
     NoiseMatrixError,
@@ -398,6 +399,21 @@ class TestEngineIdentity:
         ]
         assert np.array_equal(runs[0].final_opinions, runs[1].final_opinions)
         assert runs[0].trace == runs[1].trace
+
+    @pytest.mark.parametrize("engine", ["serial", "batched", "fast", "count"])
+    def test_null_model_emits_no_metric_of_its_own(self, engine):
+        """A null model is absent on every SF engine: the same metric
+        names with and without it (no ``faults.*`` recovery metrics)."""
+        schedule = SFSchedule.from_config(CONFIG, 0.2, m=24)
+
+        def names(**seam):
+            sink = MemorySink()
+            create_engine(engine, "sf", CONFIG, 0.2, schedule=schedule, **seam).run(
+                seed=3, telemetry=Telemetry([sink])
+            )
+            return {(event.kind, event.name) for event in sink.events}
+
+        assert names(fault_model=IdentityFaultModel()) == names()
 
 
 class TestEngineFaultBehavior:

@@ -1,9 +1,13 @@
 """Tests for the mean-field recursions against theory and simulation."""
 
+import json
+import pathlib
+
 import numpy as np
 import pytest
 
 from repro.analysis import (
+    MeanFieldEngine,
     boosting_map,
     iterate_map,
     majority_map,
@@ -125,3 +129,33 @@ class TestIterateMap:
     def test_tolerance_stops_early(self):
         trajectory = iterate_map(lambda x: x, 0.5, 1000, tolerance=1e-9)
         assert len(trajectory.fractions) == 2
+
+
+#: ``MeanFieldEngine`` runs recorded before the engine was rebuilt on the
+#: count adapter's stage laws: n in {10^3, 10^6, 10^8}, either opinion
+#: correct, delta in {0.1, 0.2, 0.3}, one short schedule and one tie.
+PINS = json.loads(
+    (pathlib.Path(__file__).parent / "mean_field_pins.json").read_text()
+)
+
+
+class TestMeanFieldEnginePins:
+    @pytest.mark.parametrize(
+        "pin",
+        PINS,
+        ids=lambda p: f"n{p['n']}-s{p['s0']},{p['s1']}-h{p['h']}-d{p['delta']}",
+    )
+    def test_matches_pinned_run(self, pin):
+        config = PopulationConfig(
+            n=pin["n"],
+            sources=SourceCounts(pin["s0"], pin["s1"]),
+            h=pin["h"],
+            allow_zero_bias=pin["s0"] == pin["s1"],
+        )
+        result = MeanFieldEngine(config, pin["delta"], constant=pin["constant"]).run()
+        assert abs(result.weak_fraction_correct - pin["weak"]) <= 1e-12
+        assert abs(result.final_fraction_correct - pin["final"]) <= 1e-12
+        assert result.converged is pin["converged"]
+        assert result.total_rounds == pin["rounds"]
+        assert len(result.trace) == len(pin["trace"])
+        assert np.max(np.abs(np.subtract(result.trace, pin["trace"]))) <= 1e-12

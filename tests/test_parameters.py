@@ -1,18 +1,27 @@
 """Tests for protocol parameter schedules (Eq. 19, Eq. 30)."""
 
+import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.analysis import MeanFieldEngine
 from repro.exceptions import ConfigurationError
 from repro.model.config import PopulationConfig
 from repro.protocols import (
+    BatchedSourceFilter,
+    CountSourceFilter,
+    FastSourceFilter,
     SFSchedule,
     SSFSchedule,
     sf_sample_budget,
     ssf_sample_budget,
 )
+from repro.telemetry import MemorySink, Telemetry
 from repro.types import SourceCounts
+from repro.verify.strategies import population_configs
 
 
 def config(n=1024, s0=0, s1=1, h=1):
@@ -155,3 +164,71 @@ class TestSSFSchedule:
     def test_invalid_m(self):
         with pytest.raises(ConfigurationError):
             SSFSchedule.from_config(config(), 0.1, m=-5)
+
+
+@st.composite
+def sf_schedule_inputs(draw):
+    """A config (either opinion correct), a noise level and any subset of
+    :meth:`SFSchedule.from_config`'s knobs."""
+    config = draw(population_configs(max_n=256, max_h=16))
+    if draw(st.booleans()):
+        config = PopulationConfig(
+            n=config.n, sources=SourceCounts(config.s1, config.s0), h=config.h
+        )
+    delta = draw(st.floats(0.0, 0.45))
+    knobs = draw(
+        st.fixed_dictionaries(
+            {},
+            optional={
+                "m": st.integers(1, 400),
+                "constant": st.floats(0.01, 4.0),
+                "boost_numerator": st.floats(1.0, 200.0),
+                "subphase_factor": st.floats(0.1, 10.0),
+            },
+        )
+    )
+    return config, delta, knobs
+
+
+class TestStagePlan:
+    @settings(max_examples=30, deadline=None)
+    @given(sf_schedule_inputs())
+    def test_every_reader_follows_the_plan(self, inputs):
+        config, delta, knobs = inputs
+        schedule = SFSchedule.from_config(config, delta, **knobs)
+        stages = schedule.stages()
+        assert [stage.kind for stage in stages] == (
+            ["phase0", "phase1"]
+            + ["boosting"] * schedule.num_subphases
+            + ["boosting_final"]
+        )
+        assert [stage.rounds for stage in stages[:2]] == [schedule.phase_rounds] * 2
+        assert stages[-1].rounds == schedule.final_rounds
+        ends = list(itertools.accumulate(stage.rounds for stage in stages))
+        assert ends[-1] == schedule.total_rounds
+        assert list(schedule.stage_ends()) == ends
+
+        # phase_of names the first and last round of every stage.
+        for stage, start, end in zip(stages, [0] + ends, ends):
+            phase = "boosting" if stage.kind == "boosting_final" else stage.kind
+            assert schedule.phase_of(start) == schedule.phase_of(end - 1) == phase
+        assert schedule.phase_of(ends[-1]) == "done"
+
+        assert list(BatchedSourceFilter(schedule).stage_ends()) == ends
+        # Fast SF reports the weak commit and every boosting stage end.
+        sink = MemorySink()
+        FastSourceFilter(config, delta, schedule=schedule).run(
+            rng=0, telemetry=Telemetry([sink])
+        )
+        assert [e.round_index for e in sink.events_of("round")] == [
+            end - 1 for end in ends[1:]
+        ]
+        # Count SF books one trace record per stage.
+        count = CountSourceFilter(config, delta, schedule=schedule).run(
+            rng=0, record_trace=True
+        )
+        assert [record.round_index for record in count.trace] == [
+            end - 1 for end in ends
+        ]
+        mean_field = MeanFieldEngine(config, delta, schedule=schedule).run()
+        assert len(mean_field.trace) == len(stages) - 2

@@ -7,14 +7,13 @@ import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.model.config import PopulationConfig
-from repro.noise import NoiseMatrix
+from repro.noise import NoiseMatrix, uniform_observation
 from repro.protocols import (
     FastAlternatingSourceFilter,
     FastSelfStabilizingSourceFilter,
     FastSourceFilter,
     SFSchedule,
 )
-from repro.protocols.sf_fast import observe_one_probability
 from repro.theory import sf_step_distribution, weak_opinion_success_probability
 from repro.types import SourceCounts
 from repro.verify import assert_binomial_plausible, assert_success_probability
@@ -54,17 +53,19 @@ class TestConstruction:
 
 
 class TestObserveOneProbability:
+    """The binary observation law fast SF prices its tallies with."""
+
     def test_no_displayers(self):
-        assert observe_one_probability(0, 100, 0.2) == pytest.approx(0.2)
+        assert uniform_observation(0 / 100, 0.2, 2) == pytest.approx(0.2)
 
     def test_all_displayers(self):
-        assert observe_one_probability(100, 100, 0.2) == pytest.approx(0.8)
+        assert uniform_observation(100 / 100, 0.2, 2) == pytest.approx(0.8)
 
     def test_noiseless(self):
-        assert observe_one_probability(25, 100, 0.0) == pytest.approx(0.25)
+        assert uniform_observation(25 / 100, 0.0, 2) == pytest.approx(0.25)
 
     def test_max_noise_is_uninformative(self):
-        assert observe_one_probability(10, 100, 0.5) == pytest.approx(0.5)
+        assert uniform_observation(10 / 100, 0.5, 2) == pytest.approx(0.5)
 
 
 class TestWeakOpinions:

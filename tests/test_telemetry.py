@@ -166,18 +166,9 @@ class TestEnsureTelemetry:
                 self.calls.append((round_index, opinions))
 
         observer = Observer()
-        tele = ensure_telemetry(None, observers=[observer])
+        tele = ensure_telemetry(Telemetry([observer]))
         tele.round(2, opinions=np.arange(3))
         assert observer.calls and observer.calls[0][0] == 2
-
-    def test_scoped_union_leaves_original_alone(self):
-        sink = MemorySink()
-        base = Telemetry([sink])
-        extra = MemorySink()
-        scoped = ensure_telemetry(base, observers=[extra])
-        scoped.counter("x")
-        assert sink.counters == extra.counters == {"x": 1.0}
-        assert len(base.sinks) == 1
 
     def test_as_sink_rejects_unknown_objects(self):
         with pytest.raises(TypeError):
