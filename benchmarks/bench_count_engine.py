@@ -10,24 +10,25 @@ O(|Sigma|) memory.  Five measurements land in
 * full count-SF runs across n in {10^3, 10^4, 10^6, 10^8}, with
   ``tracemalloc`` peaks proving the memory claim;
 * 25-trial ``run_trials`` calls on the three count targets of perfbench's
-  certify workload (SF at n = 10^6 and 10^8, SSF at n = 10^6);
-* per-round cost head-to-head against the batched exact engine at
-  n = 10^6 (batched measured at n = 10^4 and extrapolated linearly —
-  its per-round cost is Theta(n*h));
+  certify workload (SF at n = 10^6 and 10^8, SSF at n = 10^6), each
+  repeat on its own seed, as perfbench's calls are;
+* per-round cost head-to-head against the batched exact engine, both
+  measured at n = 10^6;
 * full-run head-to-head against the fast per-agent engine at n = 10^6;
 * alphabet dependence (SF's |Sigma| = 2 vs SSF's |Sigma| = 4) and the
   deterministic mean-field engine alongside.
 
-Count and mean-field timings are the median of :func:`median_timing`'s
-repeats; the cases that time nothing else record the range too.  The
-batched and fast sides of the two head-to-heads stay single runs of
-seconds each.  Memory peaks come from a
-separate run under ``tracemalloc``, which slows the interpreter
-several-fold and so stays out of every timed run.
+Count, mean-field and batched timings are the median of
+:func:`median_timing`'s repeats; the cases that time nothing else record
+the range too.  The fast side of the full-run head-to-head stays a single
+run of seconds.  Memory peaks come from a separate run under
+``tracemalloc``, which slows the interpreter several-fold and so stays
+out of every timed run.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
 import tracemalloc
 
@@ -102,11 +103,16 @@ CERTIFY_TARGETS = [
     ids=[target[0] for target in CERTIFY_TARGETS],
 )
 def test_perf_count_trials_certify(label, protocol, n, sources, h, delta):
-    """One 25-trial certificate chunk, as perfbench's certify calls it."""
+    """One 25-trial certificate chunk, as perfbench's certify calls it:
+    on a handle that lives across calls, each call on a fresh seed (a
+    repeated seed would find every price memoized)."""
     config = PopulationConfig(n=n, sources=SourceCounts(*sources), h=h)
     handle = create_engine("count", protocol, config, delta)
     trials = 25
-    timing = median_timing(lambda: run_trials(handle, trials, seed=1), repeats=7)
+    seeds = itertools.count(1)
+    timing = median_timing(
+        lambda: run_trials(handle, trials, seed=next(seeds)), repeats=7
+    )
     stats = run_trials(handle, trials, seed=1)
     assert stats.successes == trials
     record_count_engine(
@@ -129,49 +135,47 @@ def test_perf_count_trials_certify(label, protocol, n, sources, h, delta):
 
 
 def test_perf_count_vs_batched_per_round():
-    """Count per-round cost at n=1e6 vs the batched exact engine.
+    """Count per-round cost at n=1e6 vs the batched exact engine, both
+    measured there.
 
-    The batched exact engine draws Theta(n*h) variates per round, so its
-    per-round cost is measured at n = 10^4 and extrapolated linearly to
-    n = 10^6 (running it there directly would take minutes and gigabytes
-    — which is the point).  The gate requires >= 10x; in practice the
-    collapse buys >10^3x.
+    The batched exact engine draws Theta(n*h) variates per round (about
+    half a second and half a gigabyte a round at n = 10^6), so it runs a
+    few rounds of Phase 0 and the count engine a full run.  The gate
+    requires >= 10x.
     """
-    n_small, n_large, h = 10_000, 1_000_000, 16
-    rounds = 20
-    config = PopulationConfig(n=n_small, sources=SourceCounts(0, 4), h=h)
+    n, h, rounds = 1_000_000, 16, 3
+    config = _count_sf_config(n)
     population = Population(config, rng=np.random.default_rng(0))
     schedule = SFSchedule.from_config(config, DELTA, m=rounds * h)
     engine = BatchedPullEngine(population, NoiseMatrix.uniform(DELTA, 2))
-    start = time.perf_counter()
-    engine.run(
-        BatchedSourceFilter(schedule), max_rounds=rounds, replicas=1, rng=0
+    batched = median_timing(
+        lambda: engine.run(
+            BatchedSourceFilter(schedule), max_rounds=rounds, replicas=1, rng=0
+        ),
+        repeats=3,
     )
-    batched_per_round_small = (time.perf_counter() - start) / rounds
-    batched_per_round = batched_per_round_small * (n_large / n_small)
+    batched_per_round = batched["seconds"] / rounds
 
-    large = _count_sf_config(n_large)
-    result = CountSourceFilter(large, DELTA).run(rng=1)
-    timing = median_timing(lambda: CountSourceFilter(large, DELTA).run(rng=1))
+    result = CountSourceFilter(config, DELTA).run(rng=1)
+    timing = median_timing(lambda: CountSourceFilter(config, DELTA).run(rng=1))
     count_per_round = timing["seconds"] / result.rounds_executed
 
     speedup = batched_per_round / count_per_round
     record_count_engine(
         {
             "case": "count_vs_batched_per_round",
-            "n": n_large,
+            "n": n,
             "h": h,
-            "batched_measured_at_n": n_small,
+            "batched_rounds": rounds,
+            "batched_repeats": batched["repeats"],
             "batched_seconds_per_round": round(batched_per_round, 6),
-            "count_seconds_per_round": round(count_per_round, 9),
+            "count_seconds_per_round": round(count_per_round, 12),
             "speedup": round(speedup, 1),
-            "extrapolated": True,
         }
     )
     print(
-        f"\n  per-round at n=1e6: batched {batched_per_round * 1e3:.2f} ms "
-        f"(extrapolated), count {count_per_round * 1e6:.2f} us "
-        f"({speedup:,.0f}x)"
+        f"\n  per-round at n=1e6: batched {batched_per_round * 1e3:.2f} ms, "
+        f"count {count_per_round * 1e6:.4f} us ({speedup:,.0f}x)"
     )
     assert speedup >= 10.0
 

@@ -234,9 +234,10 @@ class MeanFieldEngine:
     is ``n * p`` instead of ``Binomial(n, p)``, with ``p`` the count
     adapter's own :meth:`~repro.protocols.CountSourceFilter.stage_law`
     (weak-opinion comparison, then one majority tail per boosting
-    sub-phase) through its per-run price memo.  Each stage's ``q`` is
-    the uniform observation law on the display fractions.  No sampling:
-    the whole run is O(num_subphases) arithmetic and deterministic.
+    sub-phase) through its price memo, which lasts the engine's life.
+    Each stage's ``q`` is the uniform observation law on the display
+    fractions.  No sampling: the whole run is O(num_subphases)
+    arithmetic and deterministic.
     ``run(rng=..., telemetry=...)`` matches the engine seam used by
     ``repeat_trials``/``run_trials``; the ``rng`` argument is accepted
     and ignored.
@@ -276,7 +277,6 @@ class MeanFieldEngine:
         tele = ensure_telemetry(telemetry)
         cfg, sched, counts = self.config, self.schedule, self._counts
         n, correct = cfg.n, cfg.correct_opinion
-        counts._start_pricing()
         x = 0.0  # the expected fraction of agents holding opinion 1
         trace: List[float] = []
         with tele.phase("mean_field.run", rounds=sched.total_rounds):

@@ -123,7 +123,7 @@ _REGISTRY: Dict[str, EngineSpec] = {
             name="count",
             description="count-level engine, O(|Sigma|) per transition at any n",
             protocols=("sf", "ssf"),
-            supports_batch=False,
+            supports_batch=True,
             agent_blind=True,
             fault_traits={"sf": _COUNT_EXACT, "ssf": _COUNT_EXACT},
         ),

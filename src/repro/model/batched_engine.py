@@ -472,8 +472,13 @@ class BatchedPullEngine:
                 bulk.random(out=uniforms)
             if visible is not None:
                 picks = visible[picks]
-            # One flat 1-D take — cheaper than take_along_axis.
-            picks += offsets
+            # One flat 1-D take — cheaper than take_along_axis — on intp
+            # indices: shared mode's int32 draws are widened by the
+            # offset sum instead of again inside take.
+            if picks.dtype == np.intp:
+                picks += offsets
+            else:
+                picks = picks + offsets
             gathered = round_rows.reshape(-1).take(picks)
             channel = self._matrix_at(t) if self._matrix_at else self.noise
             if fault_model is not None:

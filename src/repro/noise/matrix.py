@@ -239,11 +239,15 @@ class NoiseMatrix:
             raise NoiseMatrixError(
                 f"display distribution must have shape ({self.size},), got {p.shape}"
             )
-        if not np.isclose(p.sum(), 1.0, atol=1e-9) or p.min() < -1e-12:
+        # np.isclose's tolerance (atol 1e-9, rtol 1e-5) on plain floats;
+        # the comparison fails on NaN too.
+        values = p.tolist()
+        if not abs(sum(values) - 1.0) <= 1e-9 + 1e-5 or min(values) < -1e-12:
             raise NoiseMatrixError("display distribution must be a probability vector")
         out = p @ self._matrix
-        # Clip away negative rounding dust and renormalize exactly.
-        out = np.clip(out, 0.0, None)
+        # Clip away negative rounding dust (np.clip with no upper bound is
+        # np.maximum) and renormalize exactly.
+        np.maximum(out, 0.0, out=out)
         return out / out.sum()
 
     def compose(self, other: "NoiseMatrix") -> "NoiseMatrix":

@@ -51,6 +51,12 @@ def _validate_common(n: int, delta: float, h: int) -> None:
         raise ConfigurationError(f"sample size h must be >= 1, got {h}")
 
 
+def _validate_sf(config: PopulationConfig, delta: float) -> None:
+    _validate_common(config.n, delta, config.h)
+    if not 0.0 <= delta < 0.5:
+        raise ConfigurationError(f"SF requires uniform delta in [0, 0.5), got {delta}")
+
+
 def sf_sample_budget(
     config: PopulationConfig,
     delta: float,
@@ -62,9 +68,7 @@ def sf_sample_budget(
     the Section 4 reduction if the physical noise is non-uniform); for the
     binary alphabet it must lie in ``[0, 1/2)``.
     """
-    _validate_common(config.n, delta, config.h)
-    if not 0.0 <= delta < 0.5:
-        raise ConfigurationError(f"SF requires uniform delta in [0, 0.5), got {delta}")
+    _validate_sf(config, delta)
     n = config.n
     s = max(config.bias, 1)
     log_n = math.log(n)
@@ -150,6 +154,8 @@ class SFSchedule:
         """
         if m is None:
             m = sf_sample_budget(config, delta, constant)
+        else:
+            _validate_sf(config, delta)
         if m < 1:
             raise ConfigurationError(f"sample budget m must be >= 1, got {m}")
         h = config.h

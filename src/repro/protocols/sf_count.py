@@ -109,8 +109,8 @@ class CountSourceFilter(CountProtocol):
         self.weak_count = 0
         self.boost_trace: List[float] = []
         self._engine = CountPullEngine(config, self._dynamics_noise)
-        # Ready to price before any run: the mean-field engine and the
-        # verify legs call stage_law directly.
+        # Prices last the protocol's life; ready before any run, since the
+        # mean-field engine and the verify legs call stage_law directly.
         self._start_pricing()
 
     # ------------------------------------------------------------------
@@ -118,7 +118,7 @@ class CountSourceFilter(CountProtocol):
     # ------------------------------------------------------------------
     def _start_pricing(self) -> None:
         super()._start_pricing()
-        # Bound here, once per run: repro.theory.amplification pulls in
+        # Bound here, not at import: repro.theory.amplification pulls in
         # repro.analysis, which reaches back into repro.protocols — a
         # module-level import would close that cycle.
         from ..theory.tails import (
@@ -148,15 +148,19 @@ class CountSourceFilter(CountProtocol):
 
         Phase 0 changes no opinion (``None``); its Counter1 counts observed
         1s, which Phase 1's weak law compares with Counter0, the observed
-        0s.  A boosting stage adopts the majority.  Prices go through the
-        per-run memo.
+        0s.  A boosting stage adopts the majority, priced from the
+        majority side so that either consensus prices at exactly 0 or 1.
+        Prices go through the protocol's memo.
         """
         if kind == "phase0":
             self._phase0 = (samples, float(q[1]))
             return None
         if kind == "phase1":
             return self._price(self._weak_law, *self._phase0, samples, float(q[0]))
-        return self._price(self._boost_law, float(q[1]), samples)
+        q0, q1 = float(q[0]), float(q[1])
+        if q1 < q0:
+            return 1.0 - self._price(self._boost_law, q0, samples)
+        return self._price(self._boost_law, q1, samples)
 
     # ------------------------------------------------------------------
     # CountProtocol interface
@@ -188,7 +192,12 @@ class CountSourceFilter(CountProtocol):
         rng: np.random.Generator,
     ) -> None:
         n = self.config.n
-        kind = self._stages[self._stage_index].kind
+        stage = self._stages[self._stage_index]
+        if gap < stage.rounds:
+            # Truncated stage (engine hit max_rounds): opinions change
+            # only when a stage ends.
+            return
+        kind = stage.kind
         p_one = self.stage_law(kind, gap * self.schedule.h, q)
         if p_one is not None:
             self.opinion_count = self._draw(n, p_one, rng)
@@ -245,6 +254,30 @@ class CountSourceFilter(CountProtocol):
             self,
             max_rounds=self.schedule.total_rounds,
             rng=rng,
+            record_trace=record_trace,
+            telemetry=telemetry,
+        )
+
+    def run_batch(
+        self,
+        replicas: int,
+        rng: RngLike = None,
+        telemetry: Optional[Telemetry] = None,
+        record_trace: bool = False,
+    ) -> List[CountSimulationResult]:
+        """``replicas`` full SF runs in spawn mode, on one stage loop.
+
+        Replica ``i`` runs on the ``i``-th generator spawned from ``rng``,
+        the one :func:`repro.analysis.run_trials` gives trial ``i``, so it
+        equals :meth:`run` on that generator.  One replica runs on this
+        protocol's state, more on :meth:`replica` copies that leave it
+        untouched.
+        """
+        protocols, rngs = self._batch(replicas, rng)
+        return self._engine.run_batch(
+            protocols,
+            self.schedule.total_rounds,
+            rngs,
             record_trace=record_trace,
             telemetry=telemetry,
         )

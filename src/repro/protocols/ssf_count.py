@@ -29,7 +29,7 @@ same-epoch weak/opinion cross-correlations are approximated.  The
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import List, Optional, Union
 
 import numpy as np
 
@@ -103,12 +103,12 @@ class CountSelfStabilizingSourceFilter(CountProtocol):
         self.opinion_count = 0  # all agents with opinion 1
         self._fill = 0
         self._engine = CountPullEngine(config, self._dynamics_noise)
+        # Prices last the protocol's life.
+        self._start_pricing()
 
-    # ------------------------------------------------------------------
-    # CountProtocol interface
-    # ------------------------------------------------------------------
-    def reset(self, rng: np.random.Generator) -> None:
-        # Bound here, once per run: a module-level theory import would
+    def _start_pricing(self) -> None:
+        super()._start_pricing()
+        # Bound here, not at import: a module-level theory import would
         # close the protocols -> theory -> analysis -> protocols cycle.
         from ..theory.tails import (
             majority_success_probability,
@@ -117,6 +117,11 @@ class CountSelfStabilizingSourceFilter(CountProtocol):
 
         self._opinion_law = majority_success_probability
         self._weak_law = multinomial_pair_gt_probability
+
+    # ------------------------------------------------------------------
+    # CountProtocol interface
+    # ------------------------------------------------------------------
+    def reset(self, rng: np.random.Generator) -> None:
         cfg = self.config
         # Clean start: random opinions (sources pinned on preference),
         # weak opinions copy opinions — one shared draw keeps the joint
@@ -194,6 +199,41 @@ class CountSelfStabilizingSourceFilter(CountProtocol):
             self,
             max_rounds=max_rounds,
             rng=rng,
+            stop_on_consensus=stop_on_consensus,
+            consensus_patience=consensus_epochs * sched.epoch_rounds,
+            record_trace=record_trace,
+            telemetry=telemetry,
+        )
+
+    def run_batch(
+        self,
+        replicas: int,
+        max_rounds: Optional[int] = None,
+        rng: RngLike = None,
+        stop_on_consensus: bool = True,
+        consensus_epochs: int = 2,
+        telemetry: Optional[Telemetry] = None,
+        record_trace: bool = False,
+    ) -> List[CountSimulationResult]:
+        """``replicas`` clean-start SSF runs in spawn mode, on one loop.
+
+        From a clean start every replica's buffers fill at ``h`` per
+        round, so the replicas share the flush clock; those that settle
+        under ``stop_on_consensus`` leave the batch.  Replica ``i`` runs
+        on the ``i``-th generator spawned from ``rng``, the one
+        :func:`repro.analysis.run_trials` gives trial ``i``, so it equals
+        :meth:`run` on that generator with the same arguments.  One
+        replica runs on this protocol's state, more on :meth:`replica`
+        copies that leave it untouched.
+        """
+        sched = self.schedule
+        if max_rounds is None:
+            max_rounds = 20 * sched.epoch_rounds
+        protocols, rngs = self._batch(replicas, rng)
+        return self._engine.run_batch(
+            protocols,
+            max_rounds,
+            rngs,
             stop_on_consensus=stop_on_consensus,
             consensus_patience=consensus_epochs * sched.epoch_rounds,
             record_trace=record_trace,

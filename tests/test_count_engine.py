@@ -30,7 +30,12 @@ from repro.faults import (
     NoiseMisspecification,
 )
 from repro.model import PopulationConfig
-from repro.model.count_engine import CountProtocol, CountPullEngine
+from repro.model import count_engine
+from repro.model.count_engine import (
+    PRICE_MEMO_CAP,
+    CountProtocol,
+    CountPullEngine,
+)
 from repro.noise import NoiseMatrix
 from repro.protocols import (
     CountSelfStabilizingSourceFilter,
@@ -38,6 +43,7 @@ from repro.protocols import (
     FastSelfStabilizingSourceFilter,
     FastSourceFilter,
 )
+from repro.rng import spawn_generators
 from repro.types import SourceCounts
 from repro.verify import FalsePositiveBudget, assert_proportions_close
 from repro.verify.strategies import population_configs
@@ -235,20 +241,50 @@ def _outcome(protocol, result):
 class TestCountPricingMemo:
     def test_sf_prices_each_state_once(self, monkeypatch):
         # 188 stages, nearly all repeating the consensus state: an
-        # unmemoized run evaluates a tail law on every one of them.
+        # unmemoized run evaluates a tail law on every one of them.  The
+        # protocol binds its laws when it is built, so it is built after
+        # they are wrapped.
         config = PopulationConfig(n=10**8, sources=SourceCounts(1, 3), h=16)
-        protocol = CountSourceFilter(config, 0.2)
         laws, rows = [], []
         for law in ("majority_success_probability",
                     "binomial_vs_binomial_probability"):
             _counting(monkeypatch, tails, law, laws)
         _counting(monkeypatch, NoiseMatrix, "observation_probabilities", rows)
+        protocol = CountSourceFilter(config, 0.2)
         result = protocol.run(rng=0)
         assert result.converged
         assert len(protocol._stages) == 188
         assert laws.count("binomial_vs_binomial_probability") == 1
         assert len(laws) <= 10
         assert len(rows) <= 10
+        # Prices outlive the run: the next run prices only the boosting
+        # states it has not seen, never Phase 0, Phase 1 or consensus.
+        laws.clear()
+        rows.clear()
+        assert protocol.run(rng=1).converged
+        assert laws.count("binomial_vs_binomial_probability") == 0
+        assert len(laws) <= 6
+        assert len(rows) <= 6
+
+    def test_memos_stay_under_their_cap(self):
+        # Each trial brings random boosting states: the memos fill and
+        # clear rather than grow.
+        config = PopulationConfig(n=10**6, sources=SourceCounts(1, 3), h=16)
+        protocol = CountSourceFilter(config, 0.2)
+        highest = [0, 0]
+        for chunk in range(100):
+            for result in protocol.run_batch(20, rng=chunk):
+                assert result.converged
+            highest[0] = max(highest[0], len(protocol._prices))
+            highest[1] = max(highest[1], len(protocol._engine._q_by_counts))
+        ssf = CountSelfStabilizingSourceFilter(
+            PopulationConfig(n=256, sources=SourceCounts(0, 2), h=16), 0.05
+        )
+        for seed in range(200):
+            ssf.run(rng=seed)
+            highest[0] = max(highest[0], len(ssf._prices))
+            highest[1] = max(highest[1], len(ssf._engine._q_by_counts))
+        assert 0 < min(highest) and max(highest) <= PRICE_MEMO_CAP
 
     @pytest.mark.parametrize(
         "build",
@@ -580,6 +616,14 @@ def _full_run(protocol, rng, telemetry):
     return protocol.run(rng=rng, record_trace=True, telemetry=telemetry)
 
 
+def _bare(protocol, run, seed):
+    """Outcome of ``run(rng, None)`` — no trace, no telemetry, so runs of
+    copies are booked in closed form — and the generator's next draw."""
+    rng = np.random.default_rng(seed)
+    result = run(protocol, rng, None)
+    return _outcome(protocol, result), rng.random()
+
+
 class TestCountCopies:
     @pytest.mark.parametrize(
         "n,sources,keywords,copied",
@@ -588,9 +632,9 @@ class TestCountCopies:
             (10**3, (1, 3), {}, True),
             (10**6, (1, 3), {}, True),
             (10**8, (1, 3), {}, True),
-            # Correct opinion 0: at consensus p is tiny, not 0.0, so
-            # the stages are drawn one by one.
-            (10**3, (3, 1), {}, False),
+            # Correct opinion 0: priced from the majority side, the
+            # consensus state's p is exactly 0.0, so copies apply.
+            (10**3, (3, 1), {}, True),
             (10**6, (3, 1), {"handoff": MeanFieldHandoff()}, True),
             (10**6, (1, 3), {"fault_model": NoiseMisspecification.uniform(0.25)},
              True),
@@ -623,13 +667,16 @@ class TestCountCopies:
                 protocol, max_rounds=schedule.total_rounds, rng=rng,
                 stop_on_consensus=True,
                 consensus_patience=5 * schedule.subphase_rounds + 1,
-                record_trace=True, telemetry=telemetry,
+                record_trace=telemetry is not None, telemetry=telemetry,
             )
 
         for seed in range(3):
             got = _books(replay, run, seed)
             assert got == _books(single, run, seed)
             assert got[0][2] < schedule.total_rounds - schedule.final_rounds
+            bare = _bare(replay, run, seed)
+            assert bare == _bare(single, run, seed)
+            assert bare[0][:3] == got[0][:3]
         assert replays and all(stages >= 5 for stages in replays)
 
     def test_max_rounds_cuts_a_run_of_copies(self, monkeypatch):
@@ -643,31 +690,252 @@ class TestCountCopies:
 
         def run(protocol, rng, telemetry):
             return engine.run(
-                protocol, max_rounds=cut, rng=rng, record_trace=True,
-                telemetry=telemetry,
+                protocol, max_rounds=cut, rng=rng,
+                record_trace=telemetry is not None, telemetry=telemetry,
             )
 
         for seed in range(3):
             got = _books(replay, run, seed)
             assert got == _books(single, run, seed)
             assert got[0][2] == cut
+            assert _bare(replay, run, seed) == _bare(single, run, seed)
         assert replays
 
     def test_converged_run_at_1e8_makes_few_rng_calls(self, monkeypatch):
         # Stage by stage, this run makes 188 RNG calls: one per stage.
-        config = PopulationConfig(n=10**8, sources=SourceCounts(1, 3), h=16)
-        protocol = CountSourceFilter(config, 0.2)
-        calls = []
-        draw = protocol._draw
+        # Either opinion's consensus prices at exactly 0 or 1.
+        for sources in ((1, 3), (3, 1)):
+            config = PopulationConfig(n=10**8, sources=SourceCounts(*sources), h=16)
+            protocol = CountSourceFilter(config, 0.2)
+            calls = []
+            draw = protocol._draw
 
-        def counted(n, p, rng):
-            calls.append("draw")
-            return draw(n, p, rng)
+            def counted(n, p, rng, draw=draw):
+                calls.append("draw")
+                return draw(n, p, rng)
 
-        monkeypatch.setattr(protocol, "_draw", counted)
-        replays = _replays(monkeypatch, protocol)
-        for seed in range(5):
-            calls.clear()
-            replays.clear()
-            assert protocol.run(rng=seed).converged
-            assert len(calls) + len(replays) <= 15
+            monkeypatch.setattr(protocol, "_draw", counted)
+            replays = _replays(monkeypatch, protocol)
+            for seed in range(5):
+                calls.clear()
+                replays.clear()
+                assert protocol.run(rng=seed).converged
+                assert len(calls) + len(replays) <= 15
+
+
+# ----------------------------------------------------------------------
+# Replica axis: run_batch equals per-trial runs, trial for trial
+# ----------------------------------------------------------------------
+def _sf(n, sources=(1, 3), delta=0.2, h=16, **keywords):
+    config = PopulationConfig(n=n, sources=SourceCounts(*sources), h=h)
+    return lambda: CountSourceFilter(config, delta, **keywords)
+
+
+def _ssf(n, s1, h, delta):
+    config = PopulationConfig(n=n, sources=SourceCounts(0, s1), h=h)
+    return lambda: CountSelfStabilizingSourceFilter(config, delta)
+
+
+_SSF_SMALL = PopulationConfig(n=256, sources=SourceCounts(0, 2), h=16)
+#: Mid-epoch, as the count_ssf golden cuts its run.
+_SSF_CUT = 2 * CountSelfStabilizingSourceFilter(_SSF_SMALL, 0.05).schedule.epoch_rounds + 3
+
+#: (build, run keywords): certify's three targets, n in {48, 10^3, 10^8},
+#: correct opinion 0, replicas reaching consensus at different stages (so
+#: some book copies while others advance), the handoff, misspecified
+#: channels (one that fails), and SSF stopping on consensus or cut by
+#: max_rounds.
+_BATCH_CASES = {
+    "certify-sf-n1e6": (_sf(10**6), {}),
+    "certify-sf-n1e8": (_sf(10**8), {}),
+    "certify-ssf-n1e6": (_ssf(10**6, 1, 10**6, 0.1), {}),
+    "sf-n48": (_sf(48), {}),
+    "sf-n1e3": (_sf(10**3), {}),
+    "sf-s0>s1": (_sf(10**6, sources=(3, 1)), {}),
+    "sf-staggered": (_sf(10**4, sources=(0, 1), delta=0.3, h=4), {}),
+    "sf-handoff": (_sf(10**6, handoff=MeanFieldHandoff()), {}),
+    "sf-misspec": (_sf(10**3, fault_model=NoiseMisspecification.uniform(0.3)), {}),
+    "sf-misspec-fails": (
+        _sf(10**3, fault_model=NoiseMisspecification.uniform(0.47)), {}),
+    "ssf-stop": (_ssf(256, 2, 16, 0.05), {}),
+    "ssf-cut": (_ssf(256, 2, 16, 0.05),
+                {"max_rounds": _SSF_CUT, "stop_on_consensus": False}),
+}
+
+
+def _spawned(monkeypatch, protocol):
+    """The replicas and generators ``protocol.run_batch`` makes."""
+    made = {"replicas": [], "generators": []}
+    replica = protocol.replica
+
+    def counted():
+        made["replicas"].append(replica())
+        return made["replicas"][-1]
+
+    spawn = count_engine.spawn_generators
+
+    def spawned(seed, count):
+        made["generators"] += spawn(seed, count)
+        return made["generators"][-count:]
+
+    monkeypatch.setattr(protocol, "replica", counted)
+    monkeypatch.setattr(count_engine, "spawn_generators", spawned)
+    return made
+
+
+class TestCountRunBatch:
+    @pytest.mark.parametrize("case", list(_BATCH_CASES))
+    def test_replicas_equal_per_trial_runs(self, monkeypatch, case):
+        build, keywords = _BATCH_CASES[case]
+        replicas, seed = 6, 5
+        protocol = build()
+        made = _spawned(monkeypatch, protocol)
+        results = protocol.run_batch(
+            replicas, rng=seed, record_trace=True, **keywords
+        )
+        got = [
+            (_outcome(replica, result), generator.random())
+            for replica, result, generator in zip(
+                made["replicas"], results, made["generators"]
+            )
+        ]
+        expected = []
+        for generator in spawn_generators(seed, replicas):
+            fresh = build()
+            result = fresh.run(rng=generator, record_trace=True, **keywords)
+            expected.append((_outcome(fresh, result), generator.random()))
+        assert len(got) == replicas
+        assert got == expected
+        # run_trials takes the batch path now, with the same statistics.
+        monkeypatch.undo()
+        batched = run_trials(protocol, replicas, seed=seed)
+        serial = run_trials(build(), replicas, seed=seed, batch=False)
+        assert (batched.trials, batched.successes, batched.values) == (
+            serial.trials, serial.successes, serial.values
+        )
+
+    def test_cases_cover_mixed_outcomes(self):
+        # Replicas that settle, fail and get cut all leave the loop, and
+        # replicas reach consensus, hence copies, at different stages.
+        fails = _BATCH_CASES["sf-misspec-fails"][0]().run_batch(6, rng=3)
+        assert not any(result.converged for result in fails)
+        stopped = _BATCH_CASES["ssf-stop"][0]().run_batch(6, rng=3)
+        assert len({result.rounds_executed for result in stopped}) > 1
+        staggered = _BATCH_CASES["sf-staggered"][0]().run_batch(
+            6, rng=5, record_trace=True
+        )
+        first_full = {
+            next(r.round_index for r in result.trace if r.fraction_correct == 1.0)
+            for result in staggered
+        }
+        assert len(first_full) > 1
+
+    @pytest.mark.parametrize("case", ["certify-sf-n1e6", "sf-s0>s1", "ssf-stop"])
+    def test_one_replica_is_run(self, case):
+        build, keywords = _BATCH_CASES[case]
+        seed = 7
+
+        def books(run):
+            sink = MemorySink()
+            protocol = build()
+            result = run(protocol, Telemetry([sink]))
+            rounds = [(e.round_index, e.tags) for e in sink.events_of("round")]
+            return (_outcome(protocol, result), rounds, sink.counters,
+                    sorted(sink.phases))
+
+        (generator,) = spawn_generators(seed, 1)
+        batch = books(lambda p, tele: p.run_batch(
+            1, rng=seed, telemetry=tele, record_trace=True, **keywords)[0])
+        single = books(lambda p, tele: p.run(
+            rng=generator, telemetry=tele, record_trace=True, **keywords))
+        assert batch == single
+        assert batch[3] == ["count.run"]
+
+    def test_batch_telemetry_counts_every_replica(self):
+        sink = MemorySink()
+        results = _BATCH_CASES["ssf-stop"][0]().run_batch(
+            5, rng=11, telemetry=Telemetry([sink])
+        )
+        assert sorted(sink.phases) == ["count.run_batch{replicas=5}"]
+        assert sink.counters["count.runs"] == 5
+        assert sink.counters["count.rounds"] == sum(
+            r.rounds_executed for r in results)
+        assert sink.counters["count.converged_runs"] == sum(
+            r.converged for r in results)
+        replicas = {e.tags["replica"] for e in sink.events_of("round")}
+        assert replicas == set(range(5))
+
+    def test_registry_batches_count_trials(self):
+        from repro.engines import engine_spec
+
+        assert engine_spec("count").supports_batch
+        config = PopulationConfig(n=10**6, sources=SourceCounts(1, 3), h=16)
+        handle = create_engine("count", "sf", config, 0.2)
+        sink = MemorySink()
+        stats = run_trials(handle, 4, seed=5, telemetry=Telemetry([sink]))
+        assert stats.trials == 4
+        assert sorted(sink.phases) == ["count.run_batch{replicas=4}"]
+
+    def test_replicas_must_share_the_stage_clock(self):
+        engine = CountPullEngine(_toy_config(), 0.1)
+        with pytest.raises(ConfigurationError, match="stage clock"):
+            engine.run_batch(
+                [_Ramp(10, step=4, gap=2), _Ramp(10, step=4, gap=3)],
+                12, spawn_generators(0, 2),
+            )
+
+    def test_replica_count_validated(self):
+        with pytest.raises(ConfigurationError, match="replicas"):
+            _BATCH_CASES["sf-n48"][0]().run_batch(0, rng=1)
+        with pytest.raises(ConfigurationError, match="generator"):
+            CountPullEngine(_toy_config(), 0.1).run_batch(
+                [_Ramp(10, step=4)], 4, spawn_generators(0, 2))
+
+    def test_batch_leaves_the_protocol_alone(self):
+        protocol = _BATCH_CASES["sf-n1e3"][0]()
+        protocol.run(rng=1)
+        before = _outcome(protocol, protocol.run(rng=2))[5:]
+        protocol.run_batch(4, rng=3)
+        assert (protocol.weak_count, list(protocol.boost_trace)) == before
+
+
+class TestTruncatedStage:
+    """A stage that max_rounds cuts short applies no law: opinions change
+    only when a stage ends, as on the agent-level engines."""
+
+    CONFIG = PopulationConfig(n=10**4, sources=SourceCounts(0, 3), h=4)
+
+    def _cut(self, rounds_before_phase1_ends):
+        protocol = CountSourceFilter(self.CONFIG, 0.2)
+        return protocol, 2 * protocol.schedule.phase_rounds - rounds_before_phase1_ends
+
+    def test_run_cut_inside_phase1_commits_nothing(self):
+        protocol, cut = self._cut(1)
+        result = protocol._engine.run(protocol, max_rounds=cut, rng=0)
+        assert result.rounds_executed == cut
+        assert protocol.weak_count == 0
+        # Cut where Phase 1 ends, the weak commit happens.
+        protocol, cut = self._cut(0)
+        protocol._engine.run(protocol, max_rounds=cut, rng=0)
+        assert protocol.weak_count > 0
+
+    def test_run_batch_cut_inside_phase1_commits_nothing(self):
+        protocol, cut = self._cut(1)
+        replicas = [protocol.replica() for _ in range(3)]
+        results = protocol._engine.run_batch(
+            replicas, cut, spawn_generators(0, 3)
+        )
+        assert [r.rounds_executed for r in results] == [cut] * 3
+        assert [replica.weak_count for replica in replicas] == [0] * 3
+
+    def test_cut_inside_boosting_keeps_opinions(self):
+        protocol = CountSourceFilter(self.CONFIG, 0.2)
+        schedule = protocol.schedule
+        cut = 2 * schedule.phase_rounds + 3 * schedule.subphase_rounds
+        engine = protocol._engine
+        whole = engine.run(protocol, max_rounds=cut, rng=4)
+        trace = list(protocol.boost_trace)
+        cut_short = engine.run(protocol, max_rounds=cut + 1, rng=4)
+        assert protocol.boost_trace == trace
+        assert (cut_short.final_opinion_counts.tolist()
+                == whole.final_opinion_counts.tolist())

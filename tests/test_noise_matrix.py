@@ -158,6 +158,24 @@ class TestObservationProbabilities:
         out = noise.observation_probabilities(np.array([0.1, 0.2, 0.3, 0.4]))
         assert out.sum() == pytest.approx(1.0)
 
+    @pytest.mark.parametrize(
+        "display",
+        [[np.nan, 1.0], [np.inf, 0.0], [0.5, 0.5 - 2e-5], [0.5, 0.5 + 2e-5]],
+    )
+    def test_rejects_what_isclose_rejects(self, display):
+        # The sum check keeps np.isclose's tolerance, 1e-9 + 1e-5.
+        noise = NoiseMatrix.uniform(0.2, 2)
+        assert not np.isclose(np.sum(display), 1.0, atol=1e-9)
+        with pytest.raises(NoiseMatrixError):
+            noise.observation_probabilities(np.array(display))
+
+    def test_accepts_what_isclose_accepts(self):
+        noise = NoiseMatrix.uniform(0.2, 2)
+        display = np.array([0.5, 0.5 + 9e-6])
+        assert np.isclose(display.sum(), 1.0, atol=1e-9)
+        out = noise.observation_probabilities(display)
+        assert out.sum() == pytest.approx(1.0)
+
 
 class TestComposeAndEquality:
     def test_compose_is_matrix_product(self):

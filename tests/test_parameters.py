@@ -137,6 +137,12 @@ class TestSFSchedule:
         with pytest.raises(ConfigurationError):
             SFSchedule.from_config(config(), 0.2, m=0)
 
+    @pytest.mark.parametrize("delta", [0.5, -0.1, 0.7])
+    def test_explicit_m_still_checks_delta(self, delta):
+        # The boosting window 100/(1-2*delta)^2 has no value at 0.5.
+        with pytest.raises(ConfigurationError, match="delta"):
+            SFSchedule.from_config(config(64, 0, 3, 4), delta, m=10)
+
     def test_lemma_31_boosting_not_longer_than_listening(self):
         """Lemma 31: L*ceil(w/h) <= ceil(m/h) once c1 is large enough.
 
