@@ -115,9 +115,9 @@ class Record(NamedTuple):
 #: topology record the topology package plus the graph builders, and the
 #: adversary record the search package, the sequential-testing module its
 #: SPRT savings claim depends on, the engine registry whose seam gate
-#: routes each candidate, and what its SF candidates run: the fast
-#: engine under Byzantine faults, the count engine under
-#: misspecification.
+#: routes each candidate, and what its SF candidates run: the count
+#: engine, whose tail laws price every Byzantine and misspecification
+#: candidate, and the fast engine, which re-checks them.
 RECORDS: Dict[str, Record] = {
     "BENCH_engine_throughput.json": Record(
         "bench_engine_throughput.py", THROUGHPUT_SOURCES, [
@@ -175,7 +175,8 @@ RECORDS: Dict[str, Record] = {
         ["src/repro/adversary_search/*.py", "src/repro/analysis/sequential.py",
          "src/repro/engines.py",
          "src/repro/model/count_engine.py", "src/repro/protocols/sf_count.py",
-         "src/repro/protocols/sf_fast.py", "src/repro/faults/*.py"], [
+         "src/repro/theory/tails.py", "src/repro/protocols/sf_fast.py",
+         "src/repro/faults/*.py"], [
             # SPRT-gated candidate screening on the benchmark's mixed
             # benign/damaging pool (measured ~2-3x; 1.3 keeps the gate
             # robust to unlucky trial draws).

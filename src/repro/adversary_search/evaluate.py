@@ -8,16 +8,21 @@ of trials) — and charges its error mass to the search's shared
 :class:`~repro.verify.statistical.FalsePositiveBudget`.
 
 Engine routing: candidates the count engine's capability row admits
-(:func:`repro.engines.admit_seams`; today the uniform-channel
-misspecifications) evaluate on the O(1) count engines; everything else
-uses the fast phase-collapsed engines (the fast SSF engine handles
-scheduled crash/recovery exactly).
+(:func:`repro.engines.admit_seams`) evaluate on the O(1) count engines:
+uniform-channel misspecifications and every exchangeable subset fault,
+fixed-symbol and anti-majority Byzantine displays included.  Everything
+else uses the fast phase-collapsed engines: the fast SSF engine handles
+scheduled crash/recovery windows exactly, which one count draw per
+epoch cannot price.
 
 Certification is *not* sequential: the final worst candidate gets a
 fixed-size fresh-seed run whose failure count yields an exact one-sided
 Clopper–Pearson bound (:func:`failure_lower_bound`), so every frontier
 point can later be re-checked by the same exact-binomial assertions
-``repro.verify.statistical`` uses everywhere else.
+``repro.verify.statistical`` uses everywhere else.  On the count
+engines that run is one spawn-mode ``run_batch`` call, whose replica
+``i`` runs on the ``i``-th child of the seed's ``SeedSequence``: the
+generator the per-trial loop gives trial ``i``.
 """
 
 from __future__ import annotations
@@ -150,11 +155,10 @@ class CandidateEvaluator:
             self.epoch_rounds = probe.schedule.epoch_rounds
 
     # ------------------------------------------------------------------
-    def failure_runner(
-        self, candidate: AdversaryConfig
-    ) -> Tuple[str, Callable[[np.random.Generator], bool]]:
-        """Build ``(engine_name, run_one)`` where ``run_one(rng)`` is
-        ``True`` iff the run *failed* (did not converge)."""
+    def _engine_for(self, candidate: AdversaryConfig) -> Tuple[str, object, dict]:
+        """``(engine_name, protocol, run_kwargs)`` for ``candidate``: the
+        count engine when its row admits the fault and ``prefer_count``
+        holds, the fast engine otherwise."""
         fault = self.space.build(candidate, epoch_rounds=self.epoch_rounds)
         delta = self.space.assumed_delta
         on_count = self.prefer_count
@@ -163,40 +167,30 @@ class CandidateEvaluator:
                 admit_seams("count", self.space.protocol, fault)
             except UnsupportedFeatureError:
                 on_count = False
-        if self.space.protocol == "sf":
-            if on_count:
-                from ..protocols import CountSourceFilter
+        from .. import protocols
 
-                protocol = CountSourceFilter(
-                    self.config, delta, fault_model=fault
-                )
-                return "count", lambda rng: not protocol.run(rng=rng).converged
-            from ..protocols import FastSourceFilter
+        cls = {
+            ("sf", True): protocols.CountSourceFilter,
+            ("sf", False): protocols.FastSourceFilter,
+            ("ssf", True): protocols.CountSelfStabilizingSourceFilter,
+            ("ssf", False): protocols.FastSelfStabilizingSourceFilter,
+        }[self.space.protocol, on_count]
+        protocol = cls(self.config, delta, fault_model=fault)
+        kwargs = {}
+        if self.space.protocol == "ssf":
+            kwargs = {
+                "max_rounds": self.horizon_epochs * protocol.schedule.epoch_rounds,
+                "stop_on_consensus": False,
+            }
+        return ("count" if on_count else "fast"), protocol, kwargs
 
-            protocol = FastSourceFilter(self.config, delta, fault_model=fault)
-            return "fast", lambda rng: not protocol.run(rng=rng).converged
-        if on_count:
-            from ..protocols import CountSelfStabilizingSourceFilter
-
-            protocol = CountSelfStabilizingSourceFilter(
-                self.config, delta, fault_model=fault
-            )
-        else:
-            from ..protocols import FastSelfStabilizingSourceFilter
-
-            protocol = FastSelfStabilizingSourceFilter(
-                self.config, delta, fault_model=fault
-            )
-        horizon = self.horizon_epochs * protocol.schedule.epoch_rounds
-        name = "count" if on_count else "fast"
-
-        def run_one(rng: np.random.Generator) -> bool:
-            result = protocol.run(
-                max_rounds=horizon, rng=rng, stop_on_consensus=False
-            )
-            return not result.converged
-
-        return name, run_one
+    def failure_runner(
+        self, candidate: AdversaryConfig
+    ) -> Tuple[str, Callable[[np.random.Generator], bool]]:
+        """Build ``(engine_name, run_one)`` where ``run_one(rng)`` is
+        ``True`` iff the run *failed* (did not converge)."""
+        engine, protocol, kwargs = self._engine_for(candidate)
+        return engine, lambda rng: not protocol.run(rng=rng, **kwargs).converged
 
     # ------------------------------------------------------------------
     def evaluate(
@@ -294,11 +288,15 @@ class CandidateEvaluator:
                 failures=cached["failures"],
                 cached=True,
             )
-        engine, run_one = self.failure_runner(candidate)
-        failures = sum(
-            bool(run_one(generator))
-            for generator in islice(generator_stream(seed), trials)
-        )
+        engine, protocol, kwargs = self._engine_for(candidate)
+        if engine == "count":
+            results = protocol.run_batch(trials, rng=seed, **kwargs)
+        else:
+            results = [
+                protocol.run(rng=generator, **kwargs)
+                for generator in islice(generator_stream(seed), trials)
+            ]
+        failures = sum(not result.converged for result in results)
         if budget is not None:
             budget.charge(alpha, label)
         if ledger is not None:

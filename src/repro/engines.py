@@ -62,7 +62,8 @@ class EngineSpec:
     samples from; a protocol missing from either admits none.
     ``agent_blind`` engines collapse the population to exchangeable
     counts (or the deterministic limit), so they admit no graph and no
-    fault that indexes agents; ``supports_batch`` marks engines with a
+    fault that indexes agents beyond a subset that counts can carry
+    (the ``subset`` trait); ``supports_batch`` marks engines with a
     vectorized ``run_batch`` replica axis.
     """
 
@@ -98,10 +99,14 @@ _EVERY_TRAIT = frozenset(FAULT_TRAITS)
 #: Faults whose displays stay constant within a phase (or, given the
 #: transition rounds, within a gap) and whose channel is one uniform
 #: level: what the phase-exact fast engines reduce to symbol counts.
-_PHASE_EXACT = frozenset({"agent-indexed", "global-displays", "uniform-channel"})
-#: The one trait that survives the count collapse: a uniform channel is
-#: a noise level, whatever agent it reaches.
-_COUNT_EXACT = frozenset({"uniform-channel"})
+_PHASE_EXACT = frozenset(
+    {"subset", "agent-indexed", "global-displays", "uniform-channel"}
+)
+#: What survives the count collapse: a uniform channel is a noise level,
+#: whatever agent it reaches, and agents are anonymous, so a subset of
+#: non-sources whose displays depend only on display counts (those of
+#: the whole population included) is a count law too.
+_COUNT_EXACT = frozenset({"subset", "global-displays", "uniform-channel"})
 _ANY_GRAPH = ("static", "dynamic")
 
 _REGISTRY: Dict[str, EngineSpec] = {
@@ -199,6 +204,7 @@ _ALPHABETS = {"sf": 2, "ssf": 4}
 
 #: Why an engine lacking a fault trait cannot run a model carrying it.
 _TRAIT_REASONS = {
+    "subset": "the model owns a subset of the agents",
     "agent-indexed": "the model acts on individual agents",
     "randomized": "the engine needs deterministic displays, constant within a phase",
     "global-displays": "the engine never materializes the global display vector",

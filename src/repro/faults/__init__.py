@@ -15,7 +15,7 @@ from .base import (
     validate_probability,
     validate_sample_loss,
 )
-from .display import ByzantineDisplayFault, CrashFault, StuckAtFault
+from .display import ByzantineDisplayFault, CountView, CrashFault, StuckAtFault
 from .metrics import RecoveryTracker, emit_recovery_batch
 from .misspecification import (
     MisspecifiedReduction,
@@ -33,6 +33,7 @@ __all__ = [
     "validate_probability",
     "validate_sample_loss",
     "ByzantineDisplayFault",
+    "CountView",
     "CrashFault",
     "StuckAtFault",
     "RecoveryTracker",

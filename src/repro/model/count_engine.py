@@ -113,7 +113,9 @@ class CountProtocol(abc.ABC):
 
     @abc.abstractmethod
     def display_counts(self) -> np.ndarray:
-        """Current display counts, shape ``(alphabet_size,)``, summing to n."""
+        """Current display counts of the samplable agents, shape
+        ``(alphabet_size,)``: they sum to n unless a fault takes agents
+        out of the sampling pool."""
 
     @abc.abstractmethod
     def gap(self, round_index: int) -> int:
@@ -135,7 +137,9 @@ class CountProtocol(abc.ABC):
 
     @abc.abstractmethod
     def opinion_counts(self) -> np.ndarray:
-        """Current opinion counts ``[#opinion-0, #opinion-1]``."""
+        """Current opinion counts ``[#opinion-0, #opinion-1]`` of the
+        agents judged for consensus: all n unless a fault's agents are
+        not judged."""
 
     def finished(self, round_index: int) -> bool:
         """Whether the protocol's schedule is exhausted (fixed horizons)."""
@@ -234,7 +238,7 @@ class CountSimulationResult(RunReport):
     Attributes
     ----------
     converged:
-        Every agent held the correct opinion at the end of the run.
+        Every judged agent held the correct opinion at the end of the run.
     consensus_round:
         First round from which consensus held through the end (``None``
         if it never did).
@@ -260,8 +264,8 @@ class _Replica:
     generator and books."""
 
     __slots__ = (
-        "protocol", "rng", "tags", "trace", "consensus_start",
-        "num_correct", "opinions", "last", "copies", "pending", "rounds",
+        "protocol", "rng", "tags", "trace", "consensus_start", "num_correct",
+        "num_wrong", "opinions", "last", "copies", "pending", "rounds",
     )
 
     def __init__(self, protocol: CountProtocol, rng: np.random.Generator, tags):
@@ -271,6 +275,7 @@ class _Replica:
         self.trace: List[RoundRecord] = []
         self.consensus_start: Optional[int] = None
         self.num_correct: Optional[int] = None
+        self.num_wrong: Optional[int] = None
         self.opinions: Optional[np.ndarray] = None
         self.last: Optional[list] = None  # opinion counts after its last stage
         self.copies = 0  # coming stages booked as copies of the last one
@@ -297,11 +302,15 @@ class CountPullEngine:
         uniform noise level from which the engine builds the
         delta-uniform matrix of the protocol's ``alphabet_size`` at run
         time.  Non-uniform matrices are supported: the engine prices
-        observations as ``q = (counts/n) @ N`` either way.
+        observations as ``q = (counts/pool) @ N`` either way.
 
     The engine takes no fault model: the count adapters, which the
-    registry builds, admit a uniform true channel and fold it into the
-    ``noise`` they pass here.
+    registry builds, admit a uniform true channel and subset faults
+    (:class:`~repro.faults.CountView`).  They fold the channel into the
+    ``noise`` they pass here and the subset into their counts, so the
+    engine prices ``q`` over the display counts' total (the samplable
+    pool) and calls consensus when no judged agent holds the wrong
+    opinion; without a fault both counts cover all n agents.
     """
 
     def __init__(
@@ -344,15 +353,15 @@ class CountPullEngine:
         memo = self._q_by_counts
         q = memo.get(key)
         if q is None:
-            n = self.config.n
-            if min(key) < 0 or sum(key) != n:
+            n, pool = self.config.n, sum(key)
+            if min(key) < 0 or not 0 < pool <= n:
                 raise ConfigurationError(
                     f"display counts must be non-negative and sum "
-                    f"to n={n}, got {list(key)}"
+                    f"to a pool of 1..n={n} agents, got {list(key)}"
                 )
             if len(memo) >= PRICE_MEMO_CAP:
                 memo.clear()
-            q = noise.observation_probabilities(np.array(key) / n)
+            q = noise.observation_probabilities(np.array(key) / pool)
             q.flags.writeable = False
             memo[key] = q
         return q
@@ -426,7 +435,6 @@ class CountPullEngine:
         replicas = len(protocols)
         tele = ensure_telemetry(telemetry)
         recording = record_trace or tele.enabled
-        n = self.config.n
         correct = self.config.correct_opinion
         size = protocols[0].alphabet_size
         noise = self._resolve_noise(size)
@@ -444,7 +452,7 @@ class CountPullEngine:
             if num_correct is None:
                 return False
             if recording:
-                fraction = num_correct / n
+                fraction = num_correct / (num_correct + run.num_wrong)
                 if record_trace:
                     run.trace.append(RoundRecord(end - 1, fraction, num_correct))
                 if tele.enabled:
@@ -455,7 +463,7 @@ class CountPullEngine:
                         opinion_counts=np.asarray(run.opinions, dtype=np.int64),
                         **run.tags,
                     )
-            if num_correct == n:
+            if not run.num_wrong:
                 if run.consensus_start is None:
                     run.consensus_start = end - 1
             else:
@@ -474,10 +482,9 @@ class CountPullEngine:
                     if book(run, start + booked * gap):
                         return booked, True
                 return stages, False
-            num_correct = run.num_correct
-            if num_correct is None:
+            if run.num_correct is None:
                 return stages, False
-            if num_correct != n:
+            if run.num_wrong:
                 run.consensus_start = None
                 return stages, False
             if run.consensus_start is None:
@@ -566,6 +573,7 @@ class CountPullEngine:
                         run.opinions, run.last = opinions, last
                         if correct is not None:
                             run.num_correct = last[correct]
+                            run.num_wrong = last[1 - correct]
                     if book(run, t + gap):
                         run.settle(t + gap)
                     else:
@@ -580,7 +588,7 @@ class CountPullEngine:
         results = []
         for run in runs:
             final = np.asarray(run.protocol.opinion_counts(), dtype=np.int64)
-            converged = correct is not None and int(final[correct]) == n
+            converged = correct is not None and not final[1 - correct]
             results.append(CountSimulationResult(
                 converged=converged,
                 consensus_round=run.consensus_start if converged else None,

@@ -56,38 +56,45 @@ _BETACF_FPMIN = 1e-300
 
 
 def _betacf(a: float, b: float, x: float) -> float:
-    """Continued fraction for the incomplete beta (Lentz's method)."""
+    """Continued fraction for the incomplete beta (Lentz's method).
+
+    ``v < t and -t < v`` and ``-t < v < t`` are ``abs(v) < t`` for every
+    float, -0.0, NaN and +-inf included, without a builtin call; the
+    first form stops after one comparison on the usual large ``v``.
+    The constants are bound locally for the same reason.
+    """
+    fpmin, eps = _BETACF_FPMIN, _BETACF_EPS
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
     c = 1.0
     d = 1.0 - qab * x / qap
-    if abs(d) < _BETACF_FPMIN:
-        d = _BETACF_FPMIN
+    if d < fpmin and -fpmin < d:
+        d = fpmin
     d = 1.0 / d
     h = d
     for m in range(1, _BETACF_MAX_ITERATIONS + 1):
         m2 = 2 * m
         aa = m * (b - m) * x / ((qam + m2) * (a + m2))
         d = 1.0 + aa * d
-        if abs(d) < _BETACF_FPMIN:
-            d = _BETACF_FPMIN
+        if d < fpmin and -fpmin < d:
+            d = fpmin
         c = 1.0 + aa / c
-        if abs(c) < _BETACF_FPMIN:
-            c = _BETACF_FPMIN
+        if c < fpmin and -fpmin < c:
+            c = fpmin
         d = 1.0 / d
         h *= d * c
         aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
         d = 1.0 + aa * d
-        if abs(d) < _BETACF_FPMIN:
-            d = _BETACF_FPMIN
+        if d < fpmin and -fpmin < d:
+            d = fpmin
         c = 1.0 + aa / c
-        if abs(c) < _BETACF_FPMIN:
-            c = _BETACF_FPMIN
+        if c < fpmin and -fpmin < c:
+            c = fpmin
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < _BETACF_EPS:
+        if -eps < delta - 1.0 < eps:
             return h
     raise ConfigurationError(
         f"incomplete-beta continued fraction failed to converge for "

@@ -8,6 +8,7 @@ record round-trip.
 """
 
 import json
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -25,7 +26,9 @@ from repro.adversary_search import (
     search_worst_case,
 )
 from repro.exceptions import ConfigurationError
+from repro.faults import ComposedFaultModel, CrashFault
 from repro.model.config import PopulationConfig
+from repro.rng import generator_stream
 from repro.types import SourceCounts
 from repro.verify.statistical import FalsePositiveBudget, binomial_cdf, binomial_sf
 
@@ -157,22 +160,85 @@ class TestExactBounds:
             assert lower < failures / trials < upper
 
 
+class _ComposedSpace(FaultConfigSpace):
+    """A space whose candidates build as two composed subset faults."""
+
+    def build(self, config, epoch_rounds=None):
+        return ComposedFaultModel(
+            [super().build(config, epoch_rounds), CrashFault(fraction=0.05)]
+        )
+
+
 class TestCandidateEvaluator:
     def test_count_fast_path_for_agent_blind_candidates(self):
         space = FaultConfigSpace("sf", 0.2, families=("byzantine", "misspec"))
         evaluator = CandidateEvaluator(space, SF_CONFIG)
         mis = AdversaryConfig(family="misspec", mode="uniform", true_delta=0.25)
-        engine, _ = evaluator.failure_runner(mis)
-        assert engine == "count"
-        byz = AdversaryConfig(
+        fixed = AdversaryConfig(
             family="byzantine", fraction=0.1, mode="fixed", symbol=0
         )
-        engine, _ = evaluator.failure_runner(byz)
+        anti = AdversaryConfig(family="byzantine", fraction=0.1, mode="anti-majority")
+        # Exchangeable subset faults are count laws.
+        for candidate in (mis, fixed, anti):
+            engine, _ = evaluator.failure_runner(candidate)
+            assert engine == "count"
+        # A crash window opening mid-epoch is not one count draw.
+        ssf_space = FaultConfigSpace("ssf", 0.1, max_fraction=0.3)
+        window = AdversaryConfig(
+            family="crash", fraction=0.25, mode="symbol", symbol=1,
+            crash_start=2.0, crash_length=2.0,
+        )
+        engine, _ = CandidateEvaluator(ssf_space, SSF_CONFIG).failure_runner(window)
+        assert engine == "fast"
+        # Two random subsets overlap: no count view covers them.
+        composed = CandidateEvaluator(
+            _ComposedSpace("sf", 0.2, families=("byzantine",)), SF_CONFIG
+        )
+        engine, _ = composed.failure_runner(fixed)
         assert engine == "fast"
         # prefer_count=False forces the agent-level engines.
         forced = CandidateEvaluator(space, SF_CONFIG, prefer_count=False)
-        engine, _ = forced.failure_runner(mis)
-        assert engine == "fast"
+        for candidate in (mis, fixed, anti):
+            engine, _ = forced.failure_runner(candidate)
+            assert engine == "fast"
+
+    @pytest.mark.parametrize("protocol", ["sf", "ssf"])
+    def test_count_certification_batch_equals_the_trial_loop(self, protocol):
+        """A count certification runs as one spawn-mode run_batch call,
+        bit-identical to the per-trial loop on the seed's stream."""
+        if protocol == "sf":
+            space = FaultConfigSpace("sf", 0.2, families=("byzantine",))
+            evaluator, fraction = CandidateEvaluator(space, SF_CONFIG), 0.3
+        else:
+            space = FaultConfigSpace("ssf", 0.1, families=("byzantine",))
+            evaluator = CandidateEvaluator(space, SSF_CONFIG, horizon_epochs=4)
+            fraction = 0.2
+        candidate = AdversaryConfig(
+            family="byzantine", fraction=fraction, mode="anti-majority"
+        )
+        engine, protocol_, kwargs = evaluator._engine_for(candidate)
+        assert engine == "count"
+        seed, trials = 321, 24
+        batch = protocol_.run_batch(trials, rng=seed, **kwargs)
+        loop = [
+            protocol_.run(rng=generator, **kwargs)
+            for generator in islice(generator_stream(seed), trials)
+        ]
+        assert [
+            (r.converged, r.consensus_round, r.rounds_executed,
+             r.final_opinion_counts.tolist())
+            for r in batch
+        ] == [
+            (r.converged, r.consensus_round, r.rounds_executed,
+             r.final_opinion_counts.tolist())
+            for r in loop
+        ]
+        cert = evaluator.certify(
+            candidate, stage="certify", seed=seed, trials=trials, alpha=1e-3
+        )
+        assert cert.engine == "count"
+        assert cert.failures == sum(not r.converged for r in loop)
+        assert 0 < cert.failures < trials  # both outcomes occur
 
     def test_evaluate_is_deterministic_in_the_seed(self):
         space = FaultConfigSpace("sf", 0.2, families=("byzantine", "misspec"))

@@ -147,22 +147,24 @@ class TestCanonicalRunContract:
 
 
 class TestFaultCapabilityErrors:
-    """Agent-blind engines raise one typed error on fault models —
-    identically at the registry seam and under direct construction."""
+    """Agent-blind engines raise one typed error on the fault models
+    their rows refuse (count admits subset faults, but not per-round
+    random displays) — identically at the registry seam and under
+    direct construction."""
 
     @pytest.mark.parametrize("engine", ["count", "mean-field"])
     def test_registry_rejects_faults_on_agent_blind(self, engine):
         with pytest.raises(UnsupportedFeatureError, match="agent-blind"):
             create_engine(
                 engine, "sf", _config(), 0.2,
-                fault_model=ByzantineDisplayFault(fraction=0.1),
+                fault_model=ByzantineDisplayFault(fraction=0.1, mode="random"),
             )
 
     def test_direct_construction_raises_same_type(self):
         from repro.analysis.mean_field import MeanFieldEngine
         from repro.protocols import CountSourceFilter
 
-        fault = ByzantineDisplayFault(fraction=0.1)
+        fault = ByzantineDisplayFault(fraction=0.1, mode="random")
         with pytest.raises(UnsupportedFeatureError):
             CountSourceFilter(_config(), 0.2, fault_model=fault)
         with pytest.raises(UnsupportedFeatureError):
@@ -552,41 +554,41 @@ _PINNED_SEAM_MATRIX = {
     },
     "count/sf": {
         "null": "accepted",
-        "byzantine-fixed": "create:UnsupportedFeatureError",
+        "byzantine-fixed": "accepted",
         "byzantine-random": "create:UnsupportedFeatureError",
-        "byzantine-anti-majority": "create:UnsupportedFeatureError",
-        "crash-symbol": "create:UnsupportedFeatureError",
-        "crash-exclude": "create:UnsupportedFeatureError",
+        "byzantine-anti-majority": "accepted",
+        "crash-symbol": "accepted",
+        "crash-exclude": "accepted",
         "crash-symbol-recovery": "create:UnsupportedFeatureError",
         "crash-exclude-recovery": "create:UnsupportedFeatureError",
-        "stuck-at": "create:UnsupportedFeatureError",
+        "stuck-at": "accepted",
         "misspecified-uniform": "accepted",
         "misspecified-wrong-alphabet": "create:ConfigurationError",
         "misspecified-skewed": "create:UnsupportedFeatureError",
         "null+complete": "accepted",
         "null+regular": "create:UnsupportedFeatureError",
         "null+churn": "create:UnsupportedFeatureError",
-        "byzantine-fixed+complete": "create:UnsupportedFeatureError",
+        "byzantine-fixed+complete": "accepted",
         "byzantine-fixed+regular": "create:UnsupportedFeatureError",
         "byzantine-fixed+churn": "create:UnsupportedFeatureError",
     },
     "count/ssf": {
         "null": "accepted",
-        "byzantine-fixed": "create:UnsupportedFeatureError",
+        "byzantine-fixed": "accepted",
         "byzantine-random": "create:UnsupportedFeatureError",
-        "byzantine-anti-majority": "create:UnsupportedFeatureError",
-        "crash-symbol": "create:UnsupportedFeatureError",
-        "crash-exclude": "create:UnsupportedFeatureError",
+        "byzantine-anti-majority": "accepted",
+        "crash-symbol": "accepted",
+        "crash-exclude": "accepted",
         "crash-symbol-recovery": "create:UnsupportedFeatureError",
         "crash-exclude-recovery": "create:UnsupportedFeatureError",
-        "stuck-at": "create:UnsupportedFeatureError",
+        "stuck-at": "accepted",
         "misspecified-uniform": "accepted",
         "misspecified-wrong-alphabet": "create:ConfigurationError",
         "misspecified-skewed": "create:UnsupportedFeatureError",
         "null+complete": "accepted",
         "null+regular": "create:UnsupportedFeatureError",
         "null+churn": "create:UnsupportedFeatureError",
-        "byzantine-fixed+complete": "create:UnsupportedFeatureError",
+        "byzantine-fixed+complete": "accepted",
         "byzantine-fixed+regular": "create:UnsupportedFeatureError",
         "byzantine-fixed+churn": "create:UnsupportedFeatureError",
     },

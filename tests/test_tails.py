@@ -4,6 +4,7 @@ Cross-validated against the exact O(n) log-pmf sums of
 ``tests/binomial_reference.py`` and against Monte Carlo.
 """
 
+import hashlib
 import itertools
 import json
 import math
@@ -335,6 +336,36 @@ class TestContinuedFractionFallback:
                 worst = max(worst, abs(value - exact))
         assert worst <= FALLBACK_ERROR
         assert worst > 0.9 * FALLBACK_ERROR
+
+
+#: sha256 of ``_betacf``'s outputs on the sweep below, taken from the
+#: form with builtin ``abs`` checks: a faster form must keep every float.
+BETACF_SWEEP_SHA256 = (
+    "30d4abf19afce968574f1a9141c7642c4d77de72c6d70022bfa5faba2fd97059"
+)
+
+
+class TestContinuedFractionBits:
+    def test_sweep_outputs_are_pinned(self):
+        rng = np.random.default_rng(20_000)
+        a, b = np.exp(rng.uniform(math.log(0.05), math.log(2e4), (2, 20_000)))
+        x = rng.uniform(0.0, 1.0, 20_000)
+        # The side of the symmetry split regularized_incomplete_beta takes.
+        args = [
+            (float(ai), float(bi), float(xi)) if xi < (ai + 1) / (ai + bi + 2)
+            else (float(bi), float(ai), float(1.0 - xi))
+            for ai, bi, xi in zip(a, b, x)
+        ]
+        specials = [-0.0, 0.0, math.nan, math.inf, -math.inf, 1e-320]
+        args += [(3.0, 4.0, s) for s in specials] + [(s, 2.0, 0.3) for s in specials]
+        outputs = []
+        for point in args:
+            try:
+                outputs.append(repr(tails._betacf(*point)))
+            except ConfigurationError:
+                outputs.append("no-convergence")
+        digest = hashlib.sha256("\n".join(outputs).encode()).hexdigest()
+        assert digest == BETACF_SWEEP_SHA256
 
 
 # ----------------------------------------------------------------------

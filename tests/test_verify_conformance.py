@@ -291,3 +291,37 @@ class TestOracleCoverage:
         assert set(ORACLE_LINKS) <= pairs
         for pair, reason in UNCHECKED_PAIRS.items():
             assert pair in pairs and pair not in ORACLE_LINKS and reason
+
+    def test_every_count_admitted_subset_model_has_a_law_row(self):
+        """Each subset fault model (class and mode) the count row admits
+        faces the oracle in the ``laws`` leg, on fast and count alike."""
+        from repro.engines import admit_seams
+        from repro.exceptions import UnsupportedFeatureError
+        from repro.faults import ByzantineDisplayFault, CrashFault, StuckAtFault
+        from repro.verify.runner import _FAULT_LAWS, _law_faults
+
+        def kind(fault):
+            return type(fault).__name__, getattr(fault, "mode", None)
+
+        models = [
+            ByzantineDisplayFault(fraction=0.1, mode=mode)
+            for mode in ByzantineDisplayFault.MODES
+        ] + [
+            CrashFault(fraction=0.1, mode=mode, **schedule)
+            for mode in CrashFault.MODES
+            for schedule in ({}, {"crash_round": 2, "recovery_round": 6})
+        ] + [StuckAtFault(fraction=0.1)]
+        assert {"serial", "fast", "count"} <= {e for e, _ in _FAULT_LAWS}
+        admitted = 0
+        for protocol in ("sf", "ssf"):
+            rows = {kind(fault) for fault in _law_faults(protocol).values()}
+            for fault in models:
+                try:
+                    admit_seams("count", protocol, fault)
+                except UnsupportedFeatureError:
+                    continue
+                admitted += 1
+                assert kind(fault) in rows, (protocol, kind(fault))
+            for fault in _law_faults(protocol).values():
+                admit_seams("fast", protocol, fault)  # raises if refused
+        assert admitted == 10  # five models on each protocol
