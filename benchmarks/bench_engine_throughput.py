@@ -27,7 +27,7 @@ from repro.protocols import (
 )
 from repro.types import SourceCounts
 
-from .conftest import record_engine_throughput
+from .conftest import interleaved_timings, record_engine_throughput
 
 
 @pytest.mark.parametrize("n,h", [(256, 4), (1024, 16)])
@@ -205,32 +205,47 @@ class _BenchTrial:
         return FastSourceFilter(self.config, self.delta).run(rng)
 
 
-@pytest.mark.parametrize("workers", [None, 2])
-def test_perf_trial_runner_workers(workers):
-    """repeat_trials serial vs process pool (same statistics either way).
+@pytest.mark.parametrize("n", [256, 2048])
+def test_perf_trial_runner_workers(n):
+    """repeat_trials serial vs a 2-worker pool (same statistics either way).
 
-    On a single-core runner the pool adds overhead rather than speed;
-    the measurement is recorded so multi-core machines can see the
-    scaling and single-core ones the honest cost.
+    The two run interleaved, median of ``median_timing``'s repeats.  At
+    n = 256 a fast SF trial costs a few milliseconds and the pool's
+    start-up outweighs the second core; at n = 2048 a trial costs about
+    20 ms and two cores pay.  On a single-core host the pool never
+    pays; the record shows the honest cost there too.
     """
-    config = PopulationConfig(n=256, sources=SourceCounts(1, 3), h=16)
+    config = PopulationConfig(n=n, sources=SourceCounts(1, 3), h=16)
     trial = _BenchTrial(config, 0.2)
+    trials = 8
+    runs = {}
 
-    start = time.perf_counter()
-    stats = repeat_trials(trial, trials=8, seed=3, workers=workers)
-    elapsed = time.perf_counter() - start
+    def timed(workers):
+        def call():
+            runs[workers] = repeat_trials(trial, trials=trials, seed=3, workers=workers)
 
-    assert stats.trials == 8
+        return call
+
+    serial, pool = interleaved_timings([timed(None), timed(2)])
+    assert runs[None] == runs[2]
+    speedup = serial["seconds"] / pool["seconds"]
     record_engine_throughput(
         {
             "case": "trial_runner",
-            "workers": workers or 1,
-            "trials": 8,
-            "seconds": round(elapsed, 4),
-            "successes": stats.successes,
+            "n": n,
+            "h": 16,
+            "trials": trials,
+            "trial_seconds": round(serial["seconds"] / trials, 6),
+            "serial": serial,
+            "pool": dict(pool, workers=2),
+            "speedup": round(speedup, 2),
+            "successes": runs[None].successes,
         }
     )
-    print(f"\n  workers={workers or 1}: {elapsed:.3f}s for 8 trials")
+    print(
+        f"\n  n={n}: {trials} trials serial {serial['seconds']:.3f}s, "
+        f"2-worker pool {pool['seconds']:.3f}s ({speedup:.2f}x)"
+    )
 
 
 def test_perf_run_trials_batch_backend():
@@ -243,7 +258,7 @@ def test_perf_run_trials_batch_backend():
     batched_s = time.perf_counter() - start
 
     start = time.perf_counter()
-    serial = run_trials(engine, 64, seed=11, batch=False)
+    serial = repeat_trials(lambda g: engine.run(rng=g), 64, seed=11)
     serial_s = time.perf_counter() - start
 
     assert batched.trials == serial.trials == 64

@@ -51,7 +51,7 @@ COUNT_ENGINE_SOURCES = [
 
 #: Exactly the modules the engine-throughput benchmark runs: the
 #: agent-level and batched engines, the fast engines and the trial
-#: runner.  It runs no count-engine code.
+#: runner with its loops.  It runs no count-engine code.
 THROUGHPUT_SOURCES = [
     "src/repro/model/engine.py",
     "src/repro/model/batched_engine.py",
@@ -64,6 +64,7 @@ THROUGHPUT_SOURCES = [
     "src/repro/protocols/sf_fast.py",
     "src/repro/protocols/ssf_fast.py",
     "src/repro/analysis/trials.py",
+    "src/repro/analysis/resilience.py",
 ]
 
 #: Source files whose behavior the service-load record measures —

@@ -53,18 +53,33 @@ record_adversary_search = _recorder("BENCH_adversary_search.json")
 def median_timing(call: Callable[[], object], repeats: int = 9) -> Dict[str, object]:
     """Wall seconds of ``call``: one warm-up, then the median of
     ``repeats`` timed calls with their range, as record case fields."""
-    call()
-    times = []
-    for _ in range(repeats):
-        start = time.perf_counter()
+    return interleaved_timings([call], repeats)[0]
+
+
+def interleaved_timings(
+    calls: Sequence[Callable[[], object]], repeats: int = 9
+) -> List[Dict[str, object]]:
+    """:func:`median_timing` of several calls measured side by side: one
+    warm-up each, then ``repeats`` rounds that time every call once,
+    alternating the order, so host drift falls on all of them alike."""
+    for call in calls:
         call()
-        times.append(time.perf_counter() - start)
-    return {
-        "seconds": round(statistics.median(times), 6),
-        "repeats": repeats,
-        "min": round(min(times), 6),
-        "max": round(max(times), 6),
-    }
+    times: List[List[float]] = [[] for _ in calls]
+    order = list(range(len(calls)))
+    for repeat in range(repeats):
+        for i in order if repeat % 2 == 0 else order[::-1]:
+            start = time.perf_counter()
+            calls[i]()
+            times[i].append(time.perf_counter() - start)
+    return [
+        {
+            "seconds": round(statistics.median(samples), 6),
+            "repeats": repeats,
+            "min": round(min(samples), 6),
+            "max": round(max(samples), 6),
+        }
+        for samples in times
+    ]
 
 
 def pytest_deselected(items):

@@ -1,11 +1,13 @@
-"""Fault-tolerant trial execution: timeouts, retries, checkpoint/resume.
+"""The trial loops: one in process, one on a process pool, with an
+optional fault-tolerance policy (timeouts, retries, checkpoint/resume).
 
-The protocols this library reproduces are *robust by construction* — SSF
-tolerates arbitrary adversarial state corruption (Theorem 5) — but a
-multi-hour Monte-Carlo sweep used to die with ``BrokenProcessPool`` the
-moment one pool worker was OOM-killed, discarding every completed trial.
-This module gives the execution layer the same fault tolerance the
-protocols have at the model layer:
+Every per-trial run of :func:`repro.analysis.repeat_trials` and
+:func:`repro.analysis.run_trials` goes through :func:`run_resilient_trials`.
+Without a policy (``resilience=None``) a run has no retries, no timeout
+and no checkpoint, and the first failing trial raises.  With one, the
+execution layer gets the fault tolerance the protocols have at the
+model layer (SSF tolerates arbitrary adversarial state corruption,
+Theorem 5):
 
 * **Seed-preserving retries.**  A failed, timed-out, or crashed trial is
   resubmitted with its *original* :class:`~numpy.random.SeedSequence`,
@@ -30,7 +32,7 @@ protocols have at the model layer:
 
 Telemetry counters (all under ``resilience.*``; see
 ``docs/resilience.md``): ``retries``, ``timeouts``, ``trial_errors``,
-``pool_rebuilds``, ``failed_trials``, ``checkpoint_skipped``.
+``crashes``, ``pool_rebuilds``, ``failed_trials``, ``checkpoint_skipped``.
 """
 
 from __future__ import annotations
@@ -44,12 +46,13 @@ import pathlib
 import signal
 import time
 from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, Dict, List, NamedTuple, Optional, Set, Tuple, Union
+from queue import Empty, SimpleQueue
+from typing import Callable, Dict, List, NamedTuple, Optional, Set, Union
 
 import numpy as np
 
 from ..exceptions import ConfigurationError, ReproError
-from ..telemetry import AggregatingSink, Telemetry
+from ..telemetry import NULL_TELEMETRY, AggregatingSink, Telemetry
 
 __all__ = [
     "ChaosError",
@@ -57,6 +60,7 @@ __all__ = [
     "ChaosTrial",
     "ResilienceConfig",
     "TrialInfo",
+    "TrialOutcome",
     "run_resilient_trials",
 ]
 
@@ -73,8 +77,9 @@ class ChaosError(ReproError, RuntimeError):
 class TrialInfo(NamedTuple):
     """Identity of one trial attempt, passed to chaos-aware callables.
 
-    The resilient runner forwards this as a ``trial_info=`` keyword to
-    any trial callable whose signature accepts it; ordinary callables
+    Under a resilience policy the trial loops forward this as a
+    ``trial_info=`` keyword to any trial callable whose signature
+    accepts it; ordinary callables, and every run without a policy,
     never see it.
     """
 
@@ -116,9 +121,9 @@ class ChaosTrial:
 
     ``schedule`` maps trial indices to a fault — either a bare kind
     string (``"crash"``) or a full :class:`ChaosSpec`.  Off-schedule
-    indices (and every call made without ``trial_info``, e.g. by the
-    plain serial runner) pass straight through to ``run_one``, so the
-    same wrapper object produces the *unfaulted* baseline too.
+    indices (and every call made without ``trial_info``, as in any run
+    without a resilience policy) pass straight through to ``run_one``,
+    so the same wrapper object produces the *unfaulted* baseline too.
 
     Picklable whenever ``run_one`` is, so it crosses the ``workers=``
     process boundary like any other trial callable.
@@ -209,41 +214,62 @@ def _accepts_kw(fn: Callable, name: str) -> bool:
     return name in signature.parameters
 
 
-def _run_resilient_trial(
-    run_one,
-    index: int,
-    attempt: int,
-    seed_sequence,
-    success,
-    measure,
-    collect: bool,
-):
-    """One worker task of the resilient backend.
+class TrialOutcome(NamedTuple):
+    """One completed trial, as the loops hand it back.
 
-    Mirrors ``trials._run_single_trial`` — reduce inside the worker,
-    optionally aggregate telemetry into a shippable snapshot — plus the
-    ``trial_info=`` keyword for chaos-aware callables.
+    ``value`` is the measurement (0.0 when the trial did not succeed).
+    ``worker`` is ``"main"`` for an in-process trial, the pool worker's
+    pid otherwise, and ``None`` for a trial restored from a checkpoint;
+    ``snapshot`` is a pool worker's telemetry for the trial.
     """
-    generator = np.random.default_rng(seed_sequence)
+
+    ok: bool
+    value: float
+    worker: object = None
+    seconds: float = 0.0
+    snapshot: Optional[dict] = None
+
+
+def _run_trial(
+    run_one, seed_sequence, success, measure, telemetry: Telemetry,
+    trial_info: Optional[TrialInfo],
+) -> TrialOutcome:
+    """Run one trial in this process and reduce it to its outcome.
+
+    ``telemetry`` (when enabled) and ``trial_info`` (when set) go to a
+    ``run_one`` whose signature takes them; the trial's wall time is
+    recorded as ``trials.trial_seconds``.
+    """
     kwargs = {}
-    if _accepts_kw(run_one, "trial_info"):
-        kwargs["trial_info"] = TrialInfo(index=index, attempt=attempt)
-    snapshot = None
-    if collect:
-        sink = AggregatingSink()
-        local = Telemetry([sink])
-        if _accepts_kw(run_one, "telemetry"):
-            kwargs["telemetry"] = local
-        start = time.perf_counter()
-        result = run_one(generator, **kwargs)
-        local.observe("trials.trial_seconds", time.perf_counter() - start)
-        snapshot = sink.snapshot()
-        snapshot["pid"] = os.getpid()
-    else:
-        result = run_one(generator, **kwargs)
-    if success(result):
-        return True, measure(result), snapshot
-    return False, 0.0, snapshot
+    if trial_info is not None and _accepts_kw(run_one, "trial_info"):
+        kwargs["trial_info"] = trial_info
+    if telemetry.enabled and _accepts_kw(run_one, "telemetry"):
+        kwargs["telemetry"] = telemetry
+    start = time.perf_counter()
+    result = run_one(np.random.default_rng(seed_sequence), **kwargs)
+    seconds = time.perf_counter() - start
+    telemetry.observe("trials.trial_seconds", seconds)
+    ok = bool(success(result))
+    return TrialOutcome(ok, measure(result) if ok else 0.0, "main", seconds)
+
+
+def _pool_trial(
+    run_one, seed_sequence, success, measure, trial_info, collect: bool
+) -> TrialOutcome:
+    """One pool task: :func:`_run_trial` in a worker process.
+
+    Reducing inside the worker keeps large results (opinion vectors,
+    traces) out of the result pipe.  With ``collect`` the trial records
+    into a local sink whose snapshot ships back for the parent to merge.
+    """
+    sink = AggregatingSink()
+    outcome = _run_trial(
+        run_one, seed_sequence, success, measure,
+        Telemetry([sink]) if collect else NULL_TELEMETRY, trial_info,
+    )
+    return outcome._replace(
+        worker=os.getpid(), snapshot=sink.snapshot() if collect else None
+    )
 
 
 class _Checkpoint:
@@ -276,7 +302,7 @@ class _Checkpoint:
         self.seed = int(seed)
         self.trials = int(trials)
         self.scope = str(scope)
-        self.completed: Dict[int, Tuple[bool, float, None]] = {}
+        self.completed: Dict[int, TrialOutcome] = {}
         self._file = None
         if self.path.exists():
             self._load()
@@ -301,8 +327,8 @@ class _Checkpoint:
                 continue
             index = int(record["index"])
             if 0 <= index < self.trials:
-                self.completed[index] = (
-                    bool(record["ok"]), float(record["value"]), None
+                self.completed[index] = TrialOutcome(
+                    bool(record["ok"]), float(record["value"])
                 )
 
     def record(self, index: int, ok: bool, value: float) -> None:
@@ -358,220 +384,237 @@ def run_resilient_trials(
     success,
     measure,
     *,
-    workers: Optional[int],
-    config: ResilienceConfig,
+    workers: int,
+    config: Optional[ResilienceConfig],
     telemetry: Telemetry,
     seed: Optional[int] = None,
     checkpoint_scope: str = "",
-) -> Tuple[List[Optional[tuple]], Set[int]]:
-    """Run every seed under the resilience policy.
+) -> List[Optional[TrialOutcome]]:
+    """Run one trial per seed: in process for ``workers == 1``, else on a pool.
 
-    Returns ``(outcomes, failed)``: ``outcomes[i]`` is the
-    ``(ok, value, snapshot)`` tuple for trial ``i`` (``None`` when the
-    trial permanently failed), and ``failed`` is the set of indices that
-    exhausted their retries.  Outcomes restored from a checkpoint carry
-    ``snapshot=None``.
+    ``config`` is the resilience policy.  ``None`` means no retries, no
+    timeout, no checkpoint and no ``trial_info=``: the first trial that
+    fails raises its own exception (``BrokenProcessPool`` when a pool
+    worker died).  Returns ``outcomes[i]`` for trial ``i``, ``None``
+    where the policy gave up on the trial.  With telemetry on, pool
+    snapshots merge under a ``worker=<pid>`` tag and every worker
+    (``main`` in process) gets a ``trials.worker_throughput`` gauge.
     """
-    trials = len(seeds)
+    results: Dict[int, TrialOutcome] = {}
     checkpoint = None
-    if config.checkpoint is not None:
+    if config is not None and config.checkpoint is not None:
         checkpoint = _Checkpoint(
-            config.checkpoint, seed, trials, scope=checkpoint_scope
+            config.checkpoint, seed, len(seeds), scope=checkpoint_scope
         )
-    results: Dict[int, tuple] = {}
-    if checkpoint is not None and checkpoint.completed:
         results.update(checkpoint.completed)
-        if telemetry.enabled:
+        if checkpoint.completed:
             telemetry.counter(
                 "resilience.checkpoint_skipped", len(checkpoint.completed)
             )
     try:
-        if workers is not None and workers > 1:
-            failed = _resilient_pool(
+        if workers > 1:
+            _pool_loop(
                 run_one, seeds, success, measure, workers,
                 config, telemetry, results, checkpoint,
             )
         else:
-            failed = _resilient_serial(
+            _serial_loop(
                 run_one, seeds, success, measure,
                 config, telemetry, results, checkpoint,
             )
     finally:
         if checkpoint is not None:
             checkpoint.close()
-    if failed and telemetry.enabled:
-        telemetry.counter("resilience.failed_trials", len(failed))
-    outcomes: List[Optional[tuple]] = [results.get(i) for i in range(trials)]
-    return outcomes, failed
+    if len(results) < len(seeds):
+        telemetry.counter("resilience.failed_trials", len(seeds) - len(results))
+    outcomes = [results.get(i) for i in range(len(seeds))]
+    if telemetry.enabled:
+        _report_workers(telemetry, outcomes)
+    return outcomes
 
 
-def _resilient_serial(
+def _record(results, checkpoint, index: int, outcome: TrialOutcome) -> None:
+    results[index] = outcome
+    if checkpoint is not None:
+        checkpoint.record(index, outcome.ok, outcome.value)
+
+
+def _serial_loop(
     run_one, seeds, success, measure, config, telemetry, results, checkpoint
-) -> Set[int]:
-    """Serial backend: retries + checkpointing (timeouts need a pool)."""
-    collect = telemetry.enabled
-    failed: Set[int] = set()
+) -> None:
+    """In-process trials, recording straight into the caller's recorder.
+
+    Under a policy a trial that raises is retried on its seed; there is
+    no timeout, since a serial run has no second process to watch the
+    clock from.  Without a policy the exception propagates.
+    """
+    retries = 0 if config is None else config.retries
     for index, seed_sequence in enumerate(seeds):
         if index in results:
             continue
-        for attempt in range(config.retries + 1):
+        for attempt in range(retries + 1):
+            info = None if config is None else TrialInfo(index, attempt)
             try:
-                outcome = _run_resilient_trial(
-                    run_one, index, attempt, seed_sequence,
-                    success, measure, collect,
+                outcome = _run_trial(
+                    run_one, seed_sequence, success, measure, telemetry, info
                 )
             except Exception:
-                if telemetry.enabled:
-                    telemetry.counter("resilience.trial_errors")
-                if attempt >= config.retries:
-                    failed.add(index)
-                elif telemetry.enabled:
+                if config is None:
+                    raise
+                telemetry.counter("resilience.trial_errors")
+                if attempt < retries:
                     telemetry.counter("resilience.retries")
             else:
-                results[index] = outcome
-                if checkpoint is not None:
-                    checkpoint.record(index, outcome[0], outcome[1])
+                _record(results, checkpoint, index, outcome)
                 break
-    return failed
 
 
-def _resilient_pool(
+def _pool_loop(
     run_one, seeds, success, measure, workers, config, telemetry,
     results, checkpoint,
-) -> Set[int]:
-    """Pool backend: retries, per-trial timeouts, and pool rebuilds.
+) -> None:
+    """Trials on a process pool, one task each, finishing in any order.
 
-    Submission is *windowed*: at most ``pool_size`` futures are ever
-    outstanding, refilled as trials complete.  The window buys precise
-    failure accounting — when the pool breaks, the crashed trial is
-    necessarily among the (at most ``pool_size``) outstanding futures,
-    so only that window is charged an attempt while every queued trial
-    resubmits for free.  The wait loop runs in short ticks so it can
-    (a) harvest completed futures incrementally, (b) notice a trial
-    *running* past ``trial_timeout``, and (c) absorb
-    ``BrokenProcessPool``.  Both a timeout and a broken pool end the
-    round: the pool is torn down — killing the hung or orphaned
-    workers, the only way to reclaim them — and a fresh round resubmits
-    only what is still pending.
+    Without a policy every trial is queued at once.  The first failure
+    ends the run: the pool is torn down with the queued trials cancelled
+    and the trial's exception propagates.
+
+    Under a policy submission is *windowed*: at most ``pool_size`` tasks
+    are outstanding, refilled as trials complete.  The window buys
+    precise failure accounting — when the pool breaks, the crashed trial
+    is necessarily among the outstanding tasks, so only those are
+    charged an attempt while every queued trial resubmits for free.  A
+    trial that raises is charged and requeued.  A broken pool, or a
+    trial *running* past ``trial_timeout``, ends the round: the pool is
+    torn down — killing the hung or orphaned workers, the only way to
+    reclaim them — and a fresh pool runs what is still pending.
     """
     collect = telemetry.enabled
+    timeout = None if config is None else config.trial_timeout
     attempts = {i: 0 for i in range(len(seeds)) if i not in results}
     failed: Set[int] = set()
-    pool = None
 
     def charge(index: int, counter: str) -> None:
         attempts[index] += 1
-        if telemetry.enabled:
-            telemetry.counter(counter)
+        telemetry.counter(counter)
         if attempts[index] > config.retries:
             failed.add(index)
-        elif telemetry.enabled:
+        else:
             telemetry.counter("resilience.retries")
 
+    pool = None
     try:
         while True:
-            todo = [
-                i for i in sorted(attempts)
+            queue = [  # popped from the end: lowest index first
+                i for i in sorted(attempts, reverse=True)
                 if i not in results and i not in failed
             ]
-            if not todo:
-                break
-            pool_size = min(workers, len(todo))
-            if pool is None:
-                pool = concurrent.futures.ProcessPoolExecutor(
-                    max_workers=pool_size
-                )
-                if telemetry.enabled:
-                    telemetry.gauge("trials.pool_size", pool_size)
-            queue = list(reversed(todo))
-            future_index: Dict[object, int] = {}
-            pending: Set[object] = set()
+            if not queue:
+                return
+            pool_size = min(workers, len(queue))
+            window = len(queue) if config is None else pool_size
+            pool = concurrent.futures.ProcessPoolExecutor(max_workers=pool_size)
+            telemetry.gauge("trials.pool_size", pool_size)
+            finished: SimpleQueue = SimpleQueue()
+            outstanding: Dict[object, int] = {}
             running_since: Dict[object, float] = {}
-            charged: Set[object] = set()
-            broken_futures: Set[object] = set()
-            broken = False
-
-            def refill() -> bool:
-                while queue and len(pending) < pool_size:
+            broken, expired = False, []
+            while queue or outstanding:
+                while queue and len(outstanding) < window:
                     index = queue[-1]
+                    info = (
+                        None if config is None
+                        else TrialInfo(index, attempts[index])
+                    )
                     try:
                         future = pool.submit(
-                            _run_resilient_trial, run_one, index,
-                            attempts[index], seeds[index],
-                            success, measure, collect,
+                            _pool_trial, run_one, seeds[index],
+                            success, measure, info, collect,
                         )
-                    except (BrokenProcessPool, RuntimeError):
-                        return False
-                    queue.pop()
-                    future_index[future] = index
-                    pending.add(future)
-                return True
-
-            broken = not refill()
-            while pending and not broken:
-                done, pending = concurrent.futures.wait(
-                    pending,
-                    timeout=_POLL_SECONDS,
-                    return_when=concurrent.futures.FIRST_COMPLETED,
-                )
-                now = time.monotonic()
-                for future in done:
-                    index = future_index[future]
+                    except BrokenProcessPool:
+                        if config is None:
+                            raise
+                        broken = True
+                        break
+                    outstanding[future] = queue.pop()
+                    future.add_done_callback(finished.put)
+                if broken:
+                    break
+                try:
+                    future = finished.get(timeout=_POLL_SECONDS)
+                except Empty:
+                    pass
+                else:
+                    index = outstanding[future]
                     try:
                         outcome = future.result()
                     except concurrent.futures.BrokenExecutor:
+                        if config is None:
+                            raise
                         broken = True
-                        broken_futures.add(future)
+                        break
                     except Exception:
+                        if config is None:
+                            raise
                         charge(index, "resilience.trial_errors")
-                        charged.add(future)
+                        if index not in failed:
+                            queue.append(index)
                     else:
-                        results[index] = outcome
-                        if checkpoint is not None:
-                            checkpoint.record(index, outcome[0], outcome[1])
-                if broken or not refill():
-                    broken = True
-                    break
-                for future in pending:
-                    if future not in running_since and future.running():
-                        running_since[future] = now
-                if config.trial_timeout is not None:
+                        _record(results, checkpoint, index, outcome)
+                    del outstanding[future]
+                if timeout is not None:
+                    now = time.monotonic()
+                    for future in outstanding:
+                        if future not in running_since and future.running():
+                            running_since[future] = now
                     expired = [
-                        f
-                        for f, started in running_since.items()
-                        if f in pending
-                        and f not in charged
-                        and now - started > config.trial_timeout
+                        f for f in outstanding
+                        if not f.done()
+                        and now - running_since.get(f, now) > timeout
                     ]
                     if expired:
-                        for future in expired:
-                            charge(future_index[future], "resilience.timeouts")
-                            charged.add(future)
-                        _rebuild(pool, telemetry)
-                        pool = None
                         break
-            if broken:
-                # The exact culprit cannot be identified once the pool
-                # broke, but it is necessarily in the outstanding window
-                # (broken futures + still-pending ones): charge those,
-                # requeue everything else for free.
-                blamed = {
-                    f
-                    for f in broken_futures | pending
-                    if f not in charged and future_index[f] not in results
-                }
-                for future in blamed:
-                    charge(future_index[future], "resilience.crashes")
-                _rebuild(pool, telemetry)
-                pool = None
+            if broken or expired:
+                # The culprit of a broken pool cannot be identified, but
+                # it is among the outstanding tasks: charge those that did
+                # not finish.  A timeout charges only the expired tasks.
+                for future, index in outstanding.items():
+                    if (
+                        future.done() and not future.cancelled()
+                        and future.exception() is None
+                    ):
+                        _record(results, checkpoint, index, future.result())
+                    elif broken:
+                        charge(index, "resilience.crashes")
+                    elif future in expired:
+                        charge(index, "resilience.timeouts")
+                _kill_pool(pool)
+                telemetry.counter("resilience.pool_rebuilds")
+            else:
+                pool.shutdown(wait=True)
+            pool = None
     finally:
         if pool is not None:
-            pool.shutdown(wait=True)
-    return failed
+            _kill_pool(pool)
 
 
-def _rebuild(pool, telemetry: Telemetry) -> None:
-    """Tear the pool down (killing stuck workers) and count the rebuild."""
-    _kill_pool(pool)
-    if telemetry.enabled:
-        telemetry.counter("resilience.pool_rebuilds")
+def _report_workers(telemetry: Telemetry, outcomes) -> None:
+    """Merge pool snapshots, tagged ``worker=<pid>``, and gauge each
+    worker's trials per second of busy time.
+
+    In-process trials recorded into ``telemetry`` as they ran and count
+    as worker ``main``; a trial restored from a checkpoint ran nowhere.
+    """
+    busy: Dict[object, List[float]] = {}
+    for outcome in outcomes:
+        if outcome is None or outcome.worker is None:
+            continue
+        if outcome.snapshot is not None:
+            telemetry.merge_snapshot(outcome.snapshot, worker=outcome.worker)
+        busy.setdefault(outcome.worker, []).append(outcome.seconds)
+    for worker, seconds in busy.items():
+        if sum(seconds) > 0:
+            telemetry.gauge(
+                "trials.worker_throughput", len(seconds) / sum(seconds),
+                worker=worker,
+            )

@@ -1,26 +1,20 @@
 """Repeated independent trials of a stochastic experiment.
 
-Two execution backends produce the *same* statistics:
+Trial ``i`` runs on the generator spawned for index ``i`` from one root
+:class:`~numpy.random.SeedSequence`, in this process (``workers`` unset
+or 1) or on a :class:`concurrent.futures.ProcessPoolExecutor`
+(``workers=k``), and results aggregate in trial-index order.  So the
+returned :class:`TrialStats` is bit-identical for any worker count, with
+or without a resilience policy.  Both trial loops live in
+:mod:`repro.analysis.resilience`.
 
-* serial (default) — one trial per spawned generator, in trial order;
-* ``workers=k`` — trials are farmed out to a
-  :class:`concurrent.futures.ProcessPoolExecutor`.  Each trial still runs
-  on the generator spawned for its index from the same root
-  :class:`~numpy.random.SeedSequence`, and results are aggregated in
-  trial-index order, so the returned :class:`TrialStats` is bit-identical
-  to the serial run for any worker count.
-
-:func:`run_trials` additionally exploits engines that can simulate many
-replicas per call (``run_batch``), trading the per-trial stream identity
-for one batched draw.
+:func:`run_trials` additionally runs an engine that simulates many
+replicas per call (``run_batch``) in one batched call.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import dataclasses
-import inspect
-import os
 import pickle
 import time
 from typing import Callable, List, Optional
@@ -28,10 +22,10 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from ..results import register_record
-from ..rng import spawn_generators, spawn_seeds
-from ..telemetry import AggregatingSink, Telemetry, ensure_telemetry
+from ..rng import spawn_seeds
+from ..telemetry import Telemetry, ensure_telemetry
 from ..types import RngLike, coerce_seed
-from .resilience import ResilienceConfig, run_resilient_trials
+from .resilience import ResilienceConfig, _accepts_kw, run_resilient_trials
 from .stats import bootstrap_ci, median_and_iqr, wilson_interval
 
 #: Seed of the bootstrap in :meth:`TrialStats.summary`, so a summary is a
@@ -48,8 +42,8 @@ class TrialStats:
     for *successful* trials only; ``successes``/``trials`` count
     convergence outcomes.
 
-    ``failed_trials``/``incomplete`` account for trials the resilient
-    backend gave up on (retries exhausted after crashes, hangs, or
+    ``failed_trials``/``incomplete`` account for trials a resilience
+    policy gave up on (retries exhausted after crashes, hangs, or
     exceptions; see :mod:`repro.analysis.resilience`): those trials are
     in ``trials`` but contributed neither a success nor a value.  A
     clean run always has ``failed_trials == 0`` and ``incomplete is
@@ -111,48 +105,6 @@ def _default_measure(result: "object") -> float:
     return float(value)
 
 
-def _accepts_telemetry(fn: Callable) -> bool:
-    """Whether ``fn`` takes a ``telemetry=`` keyword (by signature)."""
-    try:
-        signature = inspect.signature(fn)
-    except (TypeError, ValueError):
-        return False
-    return "telemetry" in signature.parameters
-
-
-def _call_trial(run_one, generator, telemetry: Optional[Telemetry]):
-    """Invoke one trial, threading telemetry through when accepted."""
-    if telemetry is not None and _accepts_telemetry(run_one):
-        return run_one(generator, telemetry=telemetry)
-    return run_one(generator)
-
-
-def _run_single_trial(run_one, seed_sequence, success, measure, collect=False):
-    """One worker task: run trial, reduce to (success, measurement, snapshot).
-
-    Module-level (not a closure) so :mod:`pickle` can ship it to pool
-    workers; reducing inside the worker keeps large result payloads
-    (opinion vectors, traces) out of the inter-process pipe.  With
-    ``collect=True`` the worker aggregates the trial's telemetry into an
-    in-memory sink and ships the plain-dict snapshot (plus its pid and
-    the trial's wall time) back for the parent to merge.
-    """
-    snapshot = None
-    if collect:
-        sink = AggregatingSink()
-        local = Telemetry([sink])
-        start = time.perf_counter()
-        result = _call_trial(run_one, np.random.default_rng(seed_sequence), local)
-        local.observe("trials.trial_seconds", time.perf_counter() - start)
-        snapshot = sink.snapshot()
-        snapshot["pid"] = os.getpid()
-    else:
-        result = run_one(np.random.default_rng(seed_sequence))
-    if success(result):
-        return True, measure(result), snapshot
-    return False, 0.0, snapshot
-
-
 def _check_picklable(workers: int, **callables) -> None:
     for name, value in callables.items():
         try:
@@ -167,41 +119,21 @@ def _check_picklable(workers: int, **callables) -> None:
             ) from exc
 
 
-def _aggregate(outcomes, trials: int) -> TrialStats:
-    """Fold ordered (success, measurement, ...) tuples into TrialStats."""
-    successes = 0
-    values: List[float] = []
-    for outcome in outcomes:
-        ok, value = outcome[0], outcome[1]
-        if ok:
-            successes += 1
-            values.append(float(value))
-    return TrialStats(trials=trials, successes=successes, values=values)
+def _aggregate(outcomes, telemetry: Telemetry) -> TrialStats:
+    """Fold index-ordered ``(ok, value, ...)`` outcomes into TrialStats.
 
-
-def _merge_worker_snapshots(telemetry: Telemetry, outcomes) -> None:
-    """Fold worker snapshots into the parent recorder, per-worker tagged.
-
-    Counters/gauges/histograms/phases merge with a ``worker=<pid>`` tag;
-    afterwards one ``trials.worker_throughput`` gauge per worker reports
-    its trials per second of busy time.
+    ``None`` marks a trial the resilience policy gave up on.  The one
+    place ``trials.completed``/``trials.succeeded`` are counted.
     """
-    busy: dict = {}
-    count: dict = {}
-    for outcome in outcomes:
-        snapshot = outcome[2]
-        if not snapshot:
-            continue
-        pid = snapshot.pop("pid", None)
-        telemetry.merge_snapshot(snapshot, worker=pid)
-        seconds = sum(snapshot.get("histograms", {}).get("trials.trial_seconds", ()))
-        busy[pid] = busy.get(pid, 0.0) + seconds
-        count[pid] = count.get(pid, 0) + 1
-    for pid, seconds in busy.items():
-        if seconds > 0:
-            telemetry.gauge(
-                "trials.worker_throughput", count[pid] / seconds, worker=pid
-            )
+    completed = [outcome for outcome in outcomes if outcome is not None]
+    values = [float(outcome[1]) for outcome in completed if outcome[0]]
+    telemetry.counter("trials.completed", len(completed))
+    telemetry.counter("trials.succeeded", len(values))
+    failed = len(outcomes) - len(completed)
+    return TrialStats(
+        trials=len(outcomes), successes=len(values), values=values,
+        failed_trials=failed, incomplete=bool(failed),
+    )
 
 
 def repeat_trials(
@@ -224,7 +156,8 @@ def repeat_trials(
     run_one:
         Called once per trial with a fresh independent generator; returns
         any result object.  When it accepts a ``telemetry=`` keyword, the
-        active recorder is threaded through.
+        active recorder is threaded through.  Without ``resilience`` the
+        first trial that raises ends the run with its exception.
     success:
         Predicate extracting convergence from a result; defaults to the
         result's ``converged`` attribute.
@@ -232,24 +165,27 @@ def repeat_trials(
         Extracts the per-trial measurement for successful trials; defaults
         to ``consensus_round`` when present, else ``rounds_executed``.
     workers:
-        ``None`` or ``1`` runs serially.  ``k > 1`` distributes trials
-        over a process pool; trial ``i`` still runs on the generator
-        spawned for index ``i`` and results aggregate in index order, so
-        the statistics are bit-identical to the serial run regardless of
-        the worker count.  ``run_one`` (and any non-default ``success`` /
-        ``measure``) must then be picklable — module-level functions or
-        callable objects, not lambdas; a :class:`TypeError` is raised
-        otherwise.
+        ``None`` or ``1`` runs in this process.  ``k > 1`` distributes
+        trials over a process pool; trial ``i`` still runs on the
+        generator spawned for index ``i`` and results aggregate in index
+        order, so the statistics are bit-identical to the serial run
+        regardless of the worker count.  ``run_one`` (and any
+        non-default ``success`` / ``measure``) must then be picklable —
+        module-level functions or callable objects, not lambdas; a
+        :class:`TypeError` is raised otherwise.  Without ``resilience``
+        a failing trial cancels the queued ones and its exception
+        propagates (``BrokenProcessPool`` when a worker died).
     rng:
         Alternative spelling of the master seed (any
         :data:`~repro.types.RngLike`), reconciled with ``seed`` via
         :func:`repro.types.coerce_seed`.
     telemetry:
-        Optional :class:`~repro.telemetry.Telemetry` recorder.  Serial
-        trials record into it directly; pool workers aggregate locally
-        and the parent merges their snapshots with ``worker=<pid>`` tags
-        (plus a per-worker ``trials.worker_throughput`` gauge).
-        RNG-neutral: statistics are bit-identical with or without it.
+        Optional :class:`~repro.telemetry.Telemetry` recorder.
+        In-process trials record into it directly, under
+        ``worker=main``; pool workers aggregate locally and the parent
+        merges their snapshots with ``worker=<pid>`` tags (plus a
+        per-worker ``trials.worker_throughput`` gauge).  RNG-neutral:
+        statistics are bit-identical with or without it.
     resilience:
         Fault-tolerance policy
         (:class:`~repro.analysis.resilience.ResilienceConfig`).  When
@@ -266,85 +202,22 @@ def repeat_trials(
         raise ValueError(f"trials must be positive, got {trials}")
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be a positive int, got {workers}")
+    workers = workers or 1
     seed = coerce_seed(seed, rng)
     if success is None:
         success = _default_success
     if measure is None:
         measure = _default_measure
-    tele = ensure_telemetry(telemetry)
-
-    if resilience is not None:
-        if workers is not None and workers > 1:
-            _check_picklable(
-                workers, run_one=run_one, success=success, measure=measure
-            )
-        seeds = spawn_seeds(seed, trials)
-        with tele.phase(
-            "trials.repeat_trials", trials=trials, workers=workers or 1
-        ):
-            outcomes, failed = run_resilient_trials(
-                run_one, seeds, success, measure,
-                workers=workers, config=resilience, telemetry=tele,
-                seed=seed, checkpoint_scope=checkpoint_scope,
-            )
-        completed = [o for o in outcomes if o is not None]
-        if tele.enabled:
-            _merge_worker_snapshots(tele, completed)
-        stats = _aggregate(completed, trials)
-        stats.failed_trials = len(failed)
-        stats.incomplete = bool(failed)
-        if tele.enabled:
-            tele.counter("trials.completed", trials - len(failed))
-            tele.counter("trials.succeeded", stats.successes)
-        return stats
-
-    if workers is not None and workers > 1:
+    if workers > 1:
         _check_picklable(workers, run_one=run_one, success=success, measure=measure)
-        seeds = spawn_seeds(seed, trials)
-        pool_size = min(workers, trials)
-        if tele.enabled:
-            tele.gauge("trials.pool_size", pool_size)
-        with tele.phase("trials.repeat_trials", trials=trials, workers=workers):
-            with concurrent.futures.ProcessPoolExecutor(max_workers=pool_size) as pool:
-                futures = [
-                    pool.submit(
-                        _run_single_trial, run_one, s, success, measure,
-                        tele.enabled,
-                    )
-                    for s in seeds
-                ]
-                outcomes = [f.result() for f in futures]  # index order
-        if tele.enabled:
-            _merge_worker_snapshots(tele, outcomes)
-        stats = _aggregate(outcomes, trials)
-        if tele.enabled:
-            tele.counter("trials.completed", trials)
-            tele.counter("trials.succeeded", stats.successes)
-        return stats
-
-    outcomes = []
-    busy = 0.0
-    with tele.phase("trials.repeat_trials", trials=trials, workers=1):
-        for generator in spawn_generators(seed, trials):
-            if tele.enabled:
-                start = time.perf_counter()
-                result = _call_trial(run_one, generator, tele)
-                elapsed = time.perf_counter() - start
-                busy += elapsed
-                tele.observe("trials.trial_seconds", elapsed)
-            else:
-                result = run_one(generator)
-            ok = success(result)
-            outcomes.append((ok, measure(result) if ok else 0.0))
-    stats = _aggregate(outcomes, trials)
-    if tele.enabled:
-        tele.counter("trials.completed", trials)
-        tele.counter("trials.succeeded", stats.successes)
-        if busy > 0:
-            tele.gauge(
-                "trials.worker_throughput", trials / busy, worker="main"
-            )
-    return stats
+    tele = ensure_telemetry(telemetry)
+    with tele.phase("trials.repeat_trials", trials=trials, workers=workers):
+        outcomes = run_resilient_trials(
+            run_one, spawn_seeds(seed, trials), success, measure,
+            workers=workers, config=resilience, telemetry=tele,
+            seed=seed, checkpoint_scope=checkpoint_scope,
+        )
+    return _aggregate(outcomes, tele)
 
 
 class _EngineTrial:
@@ -364,7 +237,7 @@ class _EngineTrial:
         generator: np.random.Generator,
         telemetry: Optional[Telemetry] = None,
     ) -> "object":
-        if telemetry is not None and _accepts_telemetry(self.runner.run):
+        if telemetry is not None and _accepts_kw(self.runner.run, "telemetry"):
             return self.runner.run(rng=generator, telemetry=telemetry)
         return self.runner.run(rng=generator)
 
@@ -375,7 +248,6 @@ def run_trials(
     seed: Optional[int] = None,
     *,
     workers: Optional[int] = None,
-    batch: bool = True,
     success: Callable[["object"], bool] = None,
     measure: Callable[["object"], float] = None,
     rng: RngLike = None,
@@ -383,66 +255,53 @@ def run_trials(
     resilience: Optional[ResilienceConfig] = None,
     checkpoint_scope: str = "",
 ) -> TrialStats:
-    """Monte-Carlo trials of an engine object, fastest backend first.
+    """Monte-Carlo trials of an engine object, batched when it can batch.
 
     ``runner`` is an engine exposing ``run(rng=...)`` — e.g.
     :class:`~repro.protocols.FastSourceFilter` or
-    :class:`~repro.protocols.FastSelfStabilizingSourceFilter`.  Backend
-    selection:
+    :class:`~repro.protocols.FastSelfStabilizingSourceFilter`.  A serial
+    call without a ``resilience`` policy, on a runner whose ``run_batch``
+    takes its configuration (``can_batch``; a runner without that
+    property is taken to — the fast engines report ``False`` for fault
+    models, graphs and lossy SSF), simulates every trial in one
+    ``runner.run_batch(trials, rng=seed)`` call, timed as
+    ``trials.batch_seconds``.  The count engines' ``run_batch`` is
+    spawn-mode: replica ``i`` runs on trial ``i``'s generator, so its
+    statistics are bit-identical to the per-trial run.  The fast
+    engines' draws from one shared stream: statistically equivalent and
+    reproducible for a fixed ``(seed, trials)``, but not bit-identical.
 
-    1. ``batch=True`` (default), serial, and the runner has a
-       ``run_batch`` method that takes its configuration (a runner
-       without a ``can_batch`` property is taken to; the fast engines
-       report ``False`` for fault models, graphs and lossy SSF): all
-       trials are simulated in one batched call
-       (``runner.run_batch(trials, rng=seed)``).  Statistically
-       equivalent to per-trial runs and reproducible for a fixed
-       ``(seed, trials)``, but drawn from one shared stream — not
-       bit-identical to the per-trial backends.
-    2. ``workers > 1``: per-trial process pool via
-       :func:`repeat_trials` — bit-identical to the serial per-trial run.
-    3. Otherwise: serial per-trial loop, the :func:`repeat_trials`
-       baseline.
-
-    ``rng`` is the alternative master-seed spelling (reconciled with
-    ``seed`` via :func:`repro.types.coerce_seed`); ``telemetry`` is
-    threaded to the engine and the per-trial machinery exactly as in
-    :func:`repeat_trials`.  A ``resilience`` policy is forwarded to
-    :func:`repeat_trials` and forces the per-trial backend, since one
-    batched ``run_batch`` call has no per-trial unit to retry or
-    checkpoint.
+    Every other call — ``workers > 1``, a ``resilience`` policy (one
+    batched call has no per-trial unit to retry or checkpoint), or a
+    runner that cannot batch — runs trial by trial through
+    :func:`repeat_trials`, with the same ``rng``, ``telemetry`` and
+    ``checkpoint_scope`` meaning.
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     seed = coerce_seed(seed, rng)
-    use_batch = (
-        batch
-        and resilience is None
+    if (
+        resilience is None
         and (workers is None or workers <= 1)
         and hasattr(runner, "run_batch")
         and getattr(runner, "can_batch", True)
-    )
-    if use_batch:
+    ):
         if success is None:
             success = _default_success
         if measure is None:
             measure = _default_measure
         tele = ensure_telemetry(telemetry)
-        if tele.enabled:
-            start = time.perf_counter()
-            if _accepts_telemetry(runner.run_batch):
-                results = runner.run_batch(trials, rng=seed, telemetry=tele)
-            else:
-                results = runner.run_batch(trials, rng=seed)
-            tele.observe("trials.batch_seconds", time.perf_counter() - start)
-        else:
-            results = runner.run_batch(trials, rng=seed)
-        outcomes = [(success(r), measure(r) if success(r) else 0.0) for r in results]
-        stats = _aggregate(outcomes, trials)
-        if tele.enabled:
-            tele.counter("trials.completed", trials)
-            tele.counter("trials.succeeded", stats.successes)
-        return stats
+        kwargs = {}
+        if tele.enabled and _accepts_kw(runner.run_batch, "telemetry"):
+            kwargs["telemetry"] = tele
+        start = time.perf_counter()
+        results = runner.run_batch(trials, rng=seed, **kwargs)
+        tele.observe("trials.batch_seconds", time.perf_counter() - start)
+        outcomes = []
+        for result in results:
+            ok = bool(success(result))
+            outcomes.append((ok, measure(result) if ok else 0.0))
+        return _aggregate(outcomes, tele)
     return repeat_trials(
         _EngineTrial(runner),
         trials,

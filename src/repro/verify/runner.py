@@ -561,20 +561,25 @@ def _resilience_success(value: float) -> bool:
 
 
 def _check_resilience(scale: str, budget: FalsePositiveBudget) -> str:
-    """Chaos-recovered pool statistics vs a clean serial run.
+    """Every way through the trial loops vs a clean serial run.
 
-    The resilient backend promises that retries reuse each trial's
-    original seed, so a run that survives injected exceptions, worker
-    crashes and (at full scale) hung trials must be *bit-identical* to
-    the unfaulted serial baseline — same values, same successes, zero
-    ``failed_trials``.
+    Trials run on the seeds spawned for their indices whichever loop
+    runs them, and retries reuse a trial's original seed.  So a 2-worker
+    pool without a policy, a serial run under a policy, and a pool run
+    that survives injected exceptions, worker crashes and (at full
+    scale) hung trials must all be *bit-identical* to the serial
+    baseline — same values, same successes, zero ``failed_trials``.
     """
     trials = 12 if scale == "quick" else 24
     seed = 777
-    baseline = repeat_trials(
-        _resilience_probe, trials, seed=seed,
-        success=_resilience_success, measure=float,
-    )
+
+    def run(trial, **kwargs):
+        return repeat_trials(
+            trial, trials, seed=seed,
+            success=_resilience_success, measure=float, **kwargs,
+        )
+
+    baseline = run(_resilience_probe)
     schedule = {1: ChaosSpec("raise"), 5: ChaosSpec("crash")}
     trial_timeout = None
     if scale == "full":
@@ -584,31 +589,28 @@ def _check_resilience(scale: str, budget: FalsePositiveBudget) -> str:
         schedule[trials - 1] = ChaosSpec("hang")
         trial_timeout = 2.0
     chaos = ChaosTrial(_resilience_probe, schedule, hang_seconds=30.0)
-    recovered = repeat_trials(
-        chaos, trials, seed=seed,
-        success=_resilience_success, measure=float,
-        workers=2,
-        resilience=ResilienceConfig(trial_timeout=trial_timeout, retries=2),
-    )
-    if recovered.failed_trials or recovered.incomplete:
-        raise ConfigurationError(
-            f"resilient run gave up on {recovered.failed_trials} trial(s) "
-            f"despite every fault being transient (schedule "
-            f"{sorted(schedule)})"
-        )
-    if (
-        recovered.values != baseline.values
-        or recovered.successes != baseline.successes
-    ):
-        raise ConfigurationError(
-            "chaos-recovered statistics diverged from the clean serial "
-            f"baseline: successes {recovered.successes} vs "
-            f"{baseline.successes}, values {recovered.values} vs "
-            f"{baseline.values} — seed-preserving retry is broken"
-        )
+    runs = {
+        "2-worker pool without a policy": run(_resilience_probe, workers=2),
+        "serial run under a policy": run(
+            _resilience_probe, resilience=ResilienceConfig()
+        ),
+        "chaos-recovered pool": run(
+            chaos, workers=2,
+            resilience=ResilienceConfig(trial_timeout=trial_timeout, retries=2),
+        ),
+    }
+    for label, stats in runs.items():
+        if stats != baseline:
+            raise ConfigurationError(
+                f"{label} diverged from the clean serial baseline: "
+                f"{stats} vs {baseline} — a trial ran on the wrong seed, "
+                f"or a transient fault (schedule {sorted(schedule)}) was "
+                f"not retried"
+            )
     return (
-        f"{trials} trials bit-identical through "
-        f"{len(schedule)} injected fault(s) ({', '.join(sorted(s.kind for s in schedule.values()))})"
+        f"{trials} trials bit-identical on a 2-worker pool, under a serial "
+        f"policy, and through {len(schedule)} injected fault(s) "
+        f"({', '.join(sorted(s.kind for s in schedule.values()))})"
     )
 
 

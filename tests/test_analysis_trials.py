@@ -1,11 +1,17 @@
 """Tests for repro.analysis.trials."""
 
 import dataclasses
+import os
+import time
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 
-from repro.analysis import TrialStats, repeat_trials, run_trials
+from repro import PopulationConfig, SourceCounts
+from repro.analysis import ResilienceConfig, TrialStats, repeat_trials, run_trials
+from repro.engines import create_engine
+from repro.rng import spawn_seeds
 
 
 @dataclasses.dataclass
@@ -183,17 +189,11 @@ class TestRunTrials:
         again = run_trials(FakeRunner(), 10, seed=3)
         assert stats.successes == again.successes and stats.values == again.values
 
-    def test_batch_false_matches_repeat_trials(self):
-        runner = FakeRunner()
-        stats = run_trials(runner, 10, seed=3, batch=False)
-        assert runner.batch_calls == 0
-        baseline = repeat_trials(_picklable_run_one, trials=10, seed=3)
-        assert stats.successes == baseline.successes
-        assert stats.values == baseline.values
-
     def test_workers_matches_serial_per_trial(self):
-        parallel = run_trials(FakeRunner(), 10, seed=3, workers=2)
-        serial = run_trials(FakeRunner(), 10, seed=3, batch=False)
+        runner = FakeRunner()
+        parallel = run_trials(runner, 10, seed=3, workers=2)
+        assert runner.batch_calls == 0
+        serial = repeat_trials(lambda g: runner.run(rng=g), 10, seed=3)
         assert parallel.successes == serial.successes
         assert parallel.values == serial.values
 
@@ -212,9 +212,6 @@ class TestRunTrials:
 
 
 def _fast_engine(protocol, **kwargs):
-    from repro import PopulationConfig, SourceCounts
-    from repro.engines import create_engine
-
     config = PopulationConfig(n=128, sources=SourceCounts(0, 8), h=16)
     return create_engine(
         "fast", protocol, config, 0.2 if protocol == "sf" else 0.05, **kwargs
@@ -228,7 +225,8 @@ class TestRunTrialsFallsBackWhenTheEngineCannotBatch:
         engine = _fast_engine(protocol, **kwargs)
         assert not engine.can_batch
         stats = run_trials(engine, 4, seed=0)
-        baseline = run_trials(_fast_engine(protocol, **kwargs), 4, seed=0, batch=False)
+        fresh = _fast_engine(protocol, **kwargs)
+        baseline = repeat_trials(lambda g: fresh.run(rng=g), 4, seed=0)
         assert stats == baseline
 
     def test_fault_model(self):
@@ -248,3 +246,106 @@ class TestRunTrialsFallsBackWhenTheEngineCannotBatch:
         engine = _fast_engine("sf", sample_loss=0.1)
         assert engine.can_batch
         assert run_trials(engine, 3, seed=0).trials == 3
+
+
+def _token(seed_sequence) -> int:
+    return int(np.random.default_rng(seed_sequence).integers(2**32))
+
+
+class _MarkedTrial:
+    """Leaves a marker file named after its first draw when it starts;
+    the trial drawing ``fail_token`` raises, every other one sleeps."""
+
+    def __init__(self, directory, fail_token, seconds):
+        self.directory = directory
+        self.fail_token = fail_token
+        self.seconds = seconds
+
+    def __call__(self, rng):
+        token = int(rng.integers(2**32))
+        (self.directory / str(token)).touch()
+        if token == self.fail_token:
+            raise ValueError("trial 0 fails")
+        time.sleep(self.seconds)
+        return FakeResult(converged=True, consensus_round=1)
+
+
+class _DiesInWorkers:
+    """Kills any process but the one that built it."""
+
+    def __init__(self):
+        self.parent = os.getpid()
+
+    def __call__(self, rng):
+        if os.getpid() != self.parent:
+            os._exit(13)
+        return FakeResult(converged=True, consensus_round=1)
+
+
+class TestFirstFailureWithoutAPolicy:
+    """Without ``resilience=`` the first failing trial ends the run with
+    its own exception, and trials queued behind it never start."""
+
+    TRIALS = 20
+
+    def _started(self, tmp_path, workers):
+        seeds = spawn_seeds(9, self.TRIALS)
+        tokens = [_token(s) for s in seeds]
+        trial = _MarkedTrial(tmp_path, tokens[0], seconds=0.2)
+        with pytest.raises(ValueError, match="trial 0 fails"):
+            repeat_trials(trial, self.TRIALS, seed=9, workers=workers)
+        markers = {int(path.name) for path in tmp_path.iterdir()}
+        return {tokens.index(token) for token in markers}
+
+    def test_serial_raises_at_once(self, tmp_path):
+        assert self._started(tmp_path, workers=None) == {0}
+
+    def test_pool_cancels_the_queued_trials(self, tmp_path):
+        started = self._started(tmp_path, workers=2)
+        assert 0 in started
+        # Two trials run at a time, so at most a few can start before
+        # the failure tears the pool down; the queued ones never do.
+        assert len(started) < self.TRIALS // 2
+
+    def test_dead_worker_raises_broken_process_pool(self):
+        with pytest.raises(BrokenProcessPool):
+            repeat_trials(_DiesInWorkers(), 6, seed=0, workers=2)
+
+
+class _RunOnce:
+    """Picklable per-trial ``run`` of an engine handle."""
+
+    def __init__(self, handle):
+        self.handle = handle
+
+    def __call__(self, rng):
+        return self.handle.run(rng=rng)
+
+
+#: engine, protocol, n, h, delta: the per-trial ``run`` of each golden
+#: engine family, at a size where one trial takes milliseconds.
+_PER_TRIAL_ENGINES = {
+    "serial-sf": ("serial", "sf", 32, 4, 0.2),
+    "fast-sf": ("fast", "sf", 64, 4, 0.2),
+    "fast-ssf": ("fast", "ssf", 64, 64, 0.05),
+    "count-sf": ("count", "sf", 64, 4, 0.2),
+    "count-ssf": ("count", "ssf", 64, 64, 0.05),
+}
+
+
+@pytest.mark.parametrize("engine", sorted(_PER_TRIAL_ENGINES))
+def test_stats_identical_across_workers_and_policy(engine):
+    name, protocol, n, h, delta = _PER_TRIAL_ENGINES[engine]
+    config = PopulationConfig(n=n, sources=SourceCounts(0, 4), h=h)
+    trial = _RunOnce(create_engine(name, protocol, config, delta))
+    runs = {
+        (workers, policy): repeat_trials(
+            trial, 4, seed=5, workers=workers, resilience=policy
+        )
+        for workers in (1, 2)
+        for policy in (None, ResilienceConfig())
+    }
+    baseline = runs[(1, None)]
+    assert baseline.trials == 4 and not baseline.incomplete
+    for key, stats in runs.items():
+        assert stats == baseline, key

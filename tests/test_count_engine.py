@@ -19,7 +19,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import MeanFieldEngine, MeanFieldHandoff, run_trials
+from repro.analysis import (
+    MeanFieldEngine,
+    MeanFieldHandoff,
+    repeat_trials,
+    run_trials,
+)
 from repro.engines import create_engine
 from repro.exceptions import ConfigurationError
 from repro.telemetry import MemorySink, Telemetry
@@ -809,7 +814,8 @@ class TestCountRunBatch:
         # run_trials takes the batch path now, with the same statistics.
         monkeypatch.undo()
         batched = run_trials(protocol, replicas, seed=seed)
-        serial = run_trials(build(), replicas, seed=seed, batch=False)
+        runner = build()
+        serial = repeat_trials(lambda g: runner.run(rng=g), replicas, seed=seed)
         assert (batched.trials, batched.successes, batched.values) == (
             serial.trials, serial.successes, serial.values
         )

@@ -16,7 +16,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.analysis import repeat_trials
+from repro.analysis import ResilienceConfig, repeat_trials
 from repro.model import Population, PopulationConfig, PullEngine
 from repro.noise import NoiseMatrix
 from repro.protocols import FastSourceFilter, SFSchedule, SourceFilterProtocol
@@ -361,13 +361,22 @@ class TestTrialsTelemetry:
             assert stats.values == bare.values
 
     def test_serial_emits_throughput_and_counters(self):
-        sink = MemorySink()
-        repeat_trials(
-            _telemetry_trial, trials=8, seed=2, telemetry=Telemetry([sink])
-        )
-        assert sink.counters["trials.completed"] == 8.0
-        assert "trials.worker_throughput{worker=main}" in sink.gauges
-        assert len(sink.histograms["trials.trial_seconds"]) == 8
+        # In process, with or without a policy: untagged trial times and
+        # one throughput gauge, for worker "main".
+        for resilience in (None, ResilienceConfig()):
+            sink = MemorySink()
+            repeat_trials(
+                _telemetry_trial, trials=8, seed=2,
+                telemetry=Telemetry([sink]), resilience=resilience,
+            )
+            assert sink.counters["trials.completed"] == 8.0
+            throughput = [
+                name for name in sink.gauges
+                if name.startswith("trials.worker_throughput")
+            ]
+            assert throughput == ["trials.worker_throughput{worker=main}"]
+            assert len(sink.histograms["trials.trial_seconds"]) == 8
+            assert not any("worker=" in name for name in sink.histograms)
 
     def test_workers_emit_per_worker_throughput(self):
         sink = MemorySink()
