@@ -7,8 +7,8 @@ from .resilience import (
     ResilienceConfig,
     TrialInfo,
 )
-from .trials import TrialStats, repeat_trials, run_trials
-from .sweep import SweepPoint, SweepResult, run_sweep
+from .trials import EngineTrial, TrialStats, repeat_trials, run_length, run_trials
+from .sweep import scaling_sweep
 from .stats import bootstrap_ci, fit_loglog_slope, median_and_iqr, wilson_interval
 from .tables import format_markdown_table, format_table
 from .io import write_csv, write_json
@@ -59,8 +59,7 @@ __all__ = [
     "ChaosTrial",
     "ResilienceConfig",
     "TrialInfo",
-    "SweepPoint",
-    "SweepResult",
+    "EngineTrial",
     "TrialStats",
     "bootstrap_ci",
     "fit_loglog_slope",
@@ -68,8 +67,9 @@ __all__ = [
     "format_table",
     "median_and_iqr",
     "repeat_trials",
-    "run_sweep",
+    "run_length",
     "run_trials",
+    "scaling_sweep",
     "wilson_interval",
     "write_csv",
     "write_json",

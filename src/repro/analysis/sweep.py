@@ -1,69 +1,79 @@
-"""Parameter sweeps: the workhorse behind every benchmark table."""
+"""The n-sweep behind ``repro-spreading sweep`` and ``POST /sweep``."""
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
-import numpy as np
-
-from .trials import TrialStats, repeat_trials
-
-
-@dataclasses.dataclass
-class SweepPoint:
-    """One grid point of a sweep: the parameters and the trial aggregate."""
-
-    params: Dict[str, object]
-    stats: TrialStats
-
-    def row(self) -> Dict[str, object]:
-        """Flatten parameters + summary statistics into one table row."""
-        out = dict(self.params)
-        out.update(self.stats.summary())
-        return out
+from ..model.config import PopulationConfig
+from ..telemetry import Telemetry
+from ..types import SourceCounts
+from .resilience import ResilienceConfig
+from .trials import EngineTrial, repeat_trials, run_length
 
 
-@dataclasses.dataclass
-class SweepResult:
-    """All points of one sweep, in grid order."""
-
-    points: List[SweepPoint]
-
-    def rows(self) -> List[Dict[str, object]]:
-        """Table rows, one per grid point."""
-        return [point.row() for point in self.points]
-
-    def column(self, key: str) -> List[object]:
-        """Extract one column across all rows (missing keys become None)."""
-        return [row.get(key) for row in self.rows()]
-
-    def medians(self) -> List[Optional[float]]:
-        """Median measurement per point."""
-        return [point.stats.median for point in self.points]
-
-
-def run_sweep(
-    grid: Iterable[Dict[str, object]],
-    make_runner: Callable[[Dict[str, object]], Callable[[np.random.Generator], object]],
+def scaling_sweep(
+    engine: str,
+    protocol: str,
+    s0: int,
+    s1: int,
+    h: Optional[int],
+    delta: float,
+    seed: Optional[int],
     trials: int,
-    seed: Optional[int] = None,
-    success: Callable[[object], bool] = None,
-    measure: Callable[[object], float] = None,
-) -> SweepResult:
-    """Run ``trials`` independent trials at every grid point.
+    min_exp: int,
+    max_exp: int,
+    *,
+    workers: Optional[int] = None,
+    telemetry: Optional[Telemetry] = None,
+    resilience: Optional[ResilienceConfig] = None,
+) -> List[Dict[str, object]]:
+    """``trials`` runs of ``protocol`` at each ``n = 2^min_exp..2^max_exp``.
 
-    ``make_runner(params)`` builds the single-trial callable for a grid
-    point (so expensive per-point setup — schedules, configs — happens
-    once, outside the trial loop).  Seeds are derived per point from
-    ``seed`` so points are independent yet reproducible.
+    One row per ``n``: ``n``, ``success_rate``, ``median_rounds`` and the
+    protocol's theory bounds, ``lower_bound`` (Theorem 3, over SF's
+    binary or SSF's four-symbol alphabet) and ``upper_bound`` (Theorem 4
+    for SF, Theorem 5 for SSF).  Every ``n`` runs on the same ``seed``,
+    through the engine registry, and checkpoints under the scope
+    ``sweep/n=<n>``; ``h=None`` samples the whole population.
     """
-    points: List[SweepPoint] = []
-    for index, params in enumerate(grid):
-        runner = make_runner(params)
-        point_seed = None if seed is None else hash((seed, index)) % (2**63)
-        stats = repeat_trials(
-            runner, trials=trials, seed=point_seed, success=success, measure=measure
+    # Deferred: repro.theory imports repro.analysis.
+    from ..engines import create_engine
+    from ..theory import (
+        lower_bound_rounds,
+        sf_upper_bound_rounds,
+        ssf_upper_bound_rounds,
+    )
+
+    if protocol == "ssf":
+        upper_bound, alphabet_size = ssf_upper_bound_rounds, 4
+    else:
+        upper_bound, alphabet_size = sf_upper_bound_rounds, 2
+    rows = []
+    for exponent in range(min_exp, max_exp + 1):
+        n = 2**exponent
+        config = PopulationConfig(
+            n=n, sources=SourceCounts(s0=s0, s1=s1), h=n if h is None else h
         )
-        points.append(SweepPoint(params=dict(params), stats=stats))
-    return SweepResult(points=points)
+        stats = repeat_trials(
+            EngineTrial(create_engine(engine, protocol, config, delta)),
+            trials,
+            seed=seed,
+            measure=run_length,
+            workers=workers,
+            telemetry=telemetry,
+            resilience=resilience,
+            checkpoint_scope=f"sweep/n={n}",
+        )
+        rows.append(
+            {
+                "n": n,
+                "success_rate": stats.success_rate,
+                "median_rounds": stats.median,
+                "lower_bound": lower_bound_rounds(
+                    n, config.h, max(abs(s1 - s0), 1), delta,
+                    alphabet_size=alphabet_size,
+                ),
+                "upper_bound": upper_bound(config, delta),
+            }
+        )
+    return rows

@@ -105,6 +105,22 @@ def _default_measure(result: "object") -> float:
     return float(value)
 
 
+def run_length(result: "object") -> float:
+    """Per-trial measurement: the rounds the run executed.
+
+    Every engine report and baseline result carries ``rounds`` (see
+    :class:`~repro.results.RunReport`; async runs count activations).
+    """
+    return float(result.rounds)
+
+
+def _check_sizes(trials: int, workers: Optional[int]) -> None:
+    if trials < 1:
+        raise ValueError(f"trials must be positive, got {trials}")
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be a positive int, got {workers}")
+
+
 def _check_picklable(workers: int, **callables) -> None:
     for name, value in callables.items():
         try:
@@ -198,10 +214,7 @@ def repeat_trials(
         ``checkpoint_scope`` namespaces the checkpoint records when
         several trial batches share one file.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be positive, got {trials}")
-    if workers is not None and workers < 1:
-        raise ValueError(f"workers must be a positive int, got {workers}")
+    _check_sizes(trials, workers)
     workers = workers or 1
     seed = coerce_seed(seed, rng)
     if success is None:
@@ -220,26 +233,29 @@ def repeat_trials(
     return _aggregate(outcomes, tele)
 
 
-class _EngineTrial:
-    """Picklable adapter: one trial = one ``runner.run(rng=...)`` call.
+class EngineTrial:
+    """Picklable adapter: one trial = one ``runner.run(rng=..., **run_kwargs)`` call.
 
     A module-level class (unlike ``lambda g: runner.run(rng=g)``) survives
-    the pickle round-trip to pool workers; the runner itself ships along
-    as instance state.  The trial runner's recorder is threaded through to
-    engines whose ``run`` accepts ``telemetry=``.
+    the pickle round-trip to pool workers; the runner and ``run_kwargs``
+    (a service request's ``max_rounds``, a baseline's round budget) ship
+    along as instance state.  The trial runner's recorder is threaded
+    through to runners whose ``run`` accepts ``telemetry=``.
     """
 
-    def __init__(self, runner: "object") -> None:
+    def __init__(self, runner: "object", **run_kwargs) -> None:
         self.runner = runner
+        self.run_kwargs = run_kwargs
 
     def __call__(
         self,
         generator: np.random.Generator,
         telemetry: Optional[Telemetry] = None,
     ) -> "object":
+        kwargs = dict(self.run_kwargs)
         if telemetry is not None and _accepts_kw(self.runner.run, "telemetry"):
-            return self.runner.run(rng=generator, telemetry=telemetry)
-        return self.runner.run(rng=generator)
+            kwargs["telemetry"] = telemetry
+        return self.runner.run(rng=generator, **kwargs)
 
 
 def run_trials(
@@ -277,12 +293,11 @@ def run_trials(
     :func:`repeat_trials`, with the same ``rng``, ``telemetry`` and
     ``checkpoint_scope`` meaning.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be positive, got {trials}")
+    _check_sizes(trials, workers)
     seed = coerce_seed(seed, rng)
     if (
         resilience is None
-        and (workers is None or workers <= 1)
+        and (workers is None or workers == 1)
         and hasattr(runner, "run_batch")
         and getattr(runner, "can_batch", True)
     ):
@@ -303,7 +318,7 @@ def run_trials(
             outcomes.append((ok, measure(result) if ok else 0.0))
         return _aggregate(outcomes, tele)
     return repeat_trials(
-        _EngineTrial(runner),
+        EngineTrial(runner),
         trials,
         seed=seed,
         success=success,

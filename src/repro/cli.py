@@ -29,18 +29,14 @@ from typing import List, Optional
 
 import numpy as np
 
+from .analysis.sweep import scaling_sweep
 from .analysis.tables import format_table
-from .analysis.trials import repeat_trials
+from .analysis.trials import EngineTrial, repeat_trials, run_length
 from .baselines import NoisyMajorityDynamics, NoisyVoterModel
 from .exceptions import ConfigurationError
 from .model.config import PopulationConfig
 from .noise import NoiseMatrix, noise_reduction, reduction_delta
-from .protocols import (
-    FastSelfStabilizingSourceFilter,
-    FastSourceFilter,
-)
 from .telemetry import JsonlSink, SummarySink, Telemetry
-from .theory import lower_bound_rounds, sf_upper_bound_rounds
 from .types import SourceCounts
 
 
@@ -222,58 +218,6 @@ def _config(args: argparse.Namespace) -> PopulationConfig:
     )
 
 
-class _RunTrial:
-    """One ``run`` trial as a picklable callable (for ``--trials``).
-
-    SF/SSF trials route through the engine registry
-    (:func:`repro.engines.create_engine`); baseline dynamics keep their
-    budgeted direct path.  Accepts the trial runner's ``telemetry=`` so
-    SF/SSF phase timers and per-round events flow into the CLI's sinks.
-    """
-
-    def __init__(
-        self,
-        protocol: str,
-        config: PopulationConfig,
-        delta: float,
-        fault_model=None,
-        engine: str = "fast",
-        topology=None,
-    ) -> None:
-        self.protocol = protocol
-        self.config = config
-        self.delta = delta
-        self.fault_model = fault_model
-        self.engine = engine
-        self.topology = topology
-        if protocol in ("sf", "ssf"):
-            from .engines import create_engine
-
-            self.handle = create_engine(
-                engine,
-                protocol,
-                config,
-                delta,
-                fault_model=fault_model,
-                topology=topology,
-            )
-        else:
-            if topology is not None:
-                raise ConfigurationError(
-                    f"protocol {self.protocol!r} does not accept --topology; "
-                    "graph-structured sampling needs --protocol sf or ssf"
-                )
-            self.handle = None
-
-    def __call__(self, rng: np.random.Generator, telemetry=None) -> object:
-        if self.handle is not None:
-            return self.handle.run(rng=rng, telemetry=telemetry)
-        budget = max(int(8 * self.config.n * math.log(self.config.n)), 100)
-        if self.protocol == "voter":
-            return NoisyVoterModel(self.config, self.delta).run(budget, rng=rng)
-        return NoisyMajorityDynamics(self.config, self.delta).run(budget, rng=rng)
-
-
 def _build_topology(args: argparse.Namespace):
     """Resolve --topology/--topology-degree into a sampler spec."""
     spec = getattr(args, "topology", None)
@@ -295,18 +239,37 @@ def _cmd_run(args: argparse.Namespace) -> int:
             raise ConfigurationError(
                 f"--engine {engine} needs --protocol sf or ssf"
             )
-        # Registry construction is the validation seam: unsupported
-        # protocols, fault-on-agent-blind-engine combinations, and
-        # topology-on-agent-blind-engine combinations raise typed
-        # errors here, before any trial runs.
-        trial = _RunTrial(
-            args.protocol,
-            config,
-            protocol_delta,
-            fault_model,
-            engine,
-            topology=_build_topology(args),
-        )
+        topology = _build_topology(args)
+        if args.protocol in ("sf", "ssf"):
+            from .engines import create_engine
+
+            # Registry construction is the validation seam: unsupported
+            # protocols, fault-on-agent-blind-engine combinations, and
+            # topology-on-agent-blind-engine combinations raise typed
+            # errors here, before any trial runs.
+            trial = EngineTrial(
+                create_engine(
+                    engine,
+                    args.protocol,
+                    config,
+                    protocol_delta,
+                    fault_model=fault_model,
+                    topology=topology,
+                )
+            )
+        elif topology is not None:
+            raise ConfigurationError(
+                f"protocol {args.protocol!r} does not accept --topology; "
+                "graph-structured sampling needs --protocol sf or ssf"
+            )
+        else:
+            baseline = (
+                NoisyVoterModel if args.protocol == "voter" else NoisyMajorityDynamics
+            )
+            trial = EngineTrial(
+                baseline(config, protocol_delta),
+                max_rounds=max(int(8 * config.n * math.log(config.n)), 100),
+            )
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -316,7 +279,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             trial,
             trials=args.trials,
             seed=args.seed,
-            measure=_sweep_measure,
+            measure=run_length,
             workers=args.workers,
             telemetry=telemetry,
             resilience=_build_resilience(args),
@@ -345,65 +308,23 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-class _SweepTrial:
-    """One sweep trial as a picklable callable (a closure could not cross
-    the ``--workers`` process boundary)."""
-
-    def __init__(self, protocol: str, config: PopulationConfig, delta: float) -> None:
-        self.protocol = protocol
-        self.config = config
-        self.delta = delta
-
-    def __call__(self, rng: np.random.Generator, telemetry=None) -> object:
-        if self.protocol == "sf":
-            return FastSourceFilter(self.config, self.delta).run(
-                rng, telemetry=telemetry
-            )
-        return FastSelfStabilizingSourceFilter(self.config, self.delta).run(
-            rng=rng, telemetry=telemetry
-        )
-
-
-def _sweep_measure(result: object) -> float:
-    value = getattr(result, "total_rounds", None)
-    if value is None:
-        value = getattr(result, "rounds_executed", None)
-    if value is None:
-        value = result.rounds  # RunReport alias (async: activations)
-    return float(value)
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
     telemetry, finish = _build_telemetry(args)
-    resilience = _build_resilience(args)
-    rows = []
-    for exponent in range(args.min_exp, args.max_exp + 1):
-        n = 2**exponent
-        h = n if args.h is None else args.h
-        config = PopulationConfig(
-            n=n, sources=SourceCounts(s0=args.s0, s1=args.s1), h=h
-        )
-        stats = repeat_trials(
-            _SweepTrial(args.protocol, config, args.delta),
-            trials=args.trials,
-            seed=args.seed,
-            measure=_sweep_measure,
-            workers=args.workers,
-            telemetry=telemetry,
-            resilience=resilience,
-            checkpoint_scope=f"sweep/n={n}",
-        )
-        rows.append(
-            {
-                "n": n,
-                "success_rate": stats.success_rate,
-                "median_rounds": stats.median,
-                "lower_bound": lower_bound_rounds(
-                    n, h, max(abs(args.s1 - args.s0), 1), args.delta
-                ),
-                "upper_bound": sf_upper_bound_rounds(config, args.delta),
-            }
-        )
+    rows = scaling_sweep(
+        "fast",
+        args.protocol,
+        s0=args.s0,
+        s1=args.s1,
+        h=args.h,
+        delta=args.delta,
+        seed=args.seed,
+        trials=args.trials,
+        min_exp=args.min_exp,
+        max_exp=args.max_exp,
+        workers=args.workers,
+        telemetry=telemetry,
+        resilience=_build_resilience(args),
+    )
     print(format_table(rows, title=f"{args.protocol} scaling sweep (delta={args.delta})"))
     finish()
     return 0

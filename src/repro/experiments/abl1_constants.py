@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from ..analysis import repeat_trials
+from ..analysis import EngineTrial
 from ..model.config import PopulationConfig
 from ..protocols import (
     FastSelfStabilizingSourceFilter,
@@ -39,8 +39,8 @@ class ConstantAblation(Experiment):
         )
         for c1 in c1_grid:
             engine = FastSourceFilter(sf_config, 0.35, constant=c1)
-            stats = repeat_trials(
-                lambda g: engine.run(g), trials=trials, seed=seed + int(c1 * 100)
+            stats = self._trials(
+                EngineTrial(engine), trials, seed=seed + int(c1 * 100)
             )
             rows.append(
                 {
@@ -59,14 +59,11 @@ class ConstantAblation(Experiment):
         )
         for c2 in c2_grid:
             schedule = SSFSchedule.from_config(ssf_config, 0.15, constant=c2)
-
-            def run_one(g, schedule=schedule):
-                return FastSelfStabilizingSourceFilter(
-                    ssf_config, 0.15, schedule=schedule
-                ).run(rng=g)
-
-            stats = repeat_trials(
-                run_one, trials=max(trials // 2, 5), seed=seed + int(c2)
+            engine = FastSelfStabilizingSourceFilter(
+                ssf_config, 0.15, schedule=schedule
+            )
+            stats = self._trials(
+                EngineTrial(engine), max(trials // 2, 5), seed=seed + int(c2)
             )
             rows.append(
                 {

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..analysis import repeat_trials
+from ..analysis import EngineTrial
 from ..model.config import PopulationConfig
 from ..protocols import (
     FastAlternatingSourceFilter,
@@ -46,9 +46,7 @@ class DesignAblation(Experiment):
                 FastAlternatingSourceFilter(config, DELTA),
             ),
         ):
-            stats = repeat_trials(
-                lambda g: engine.run(g), trials=trials, seed=seed + 1
-            )
+            stats = self._trials(EngineTrial(engine), trials, seed=seed + 1)
             weak = float(
                 np.mean(
                     [
@@ -80,8 +78,8 @@ class DesignAblation(Experiment):
                 config1, DELTA, boost_numerator=numerator
             )
             engine = FastSourceFilter(config1, DELTA, schedule=schedule)
-            stats = repeat_trials(
-                lambda g: engine.run(g), trials=trials, seed=seed + int(numerator)
+            stats = self._trials(
+                EngineTrial(engine), trials, seed=seed + int(numerator)
             )
             window_rates[numerator] = stats.success_rate
             rows.append(
@@ -98,10 +96,8 @@ class DesignAblation(Experiment):
         loss_rates = {}
         for loss in losses:
             engine = FastSourceFilter(config1, DELTA, sample_loss=loss)
-            stats = repeat_trials(
-                lambda g: engine.run(g),
-                trials=trials,
-                seed=seed + int(loss * 100),
+            stats = self._trials(
+                EngineTrial(engine), trials, seed=seed + int(loss * 100)
             )
             loss_rates[loss] = stats.success_rate
             rows.append(

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from ..analysis import repeat_trials
+from ..analysis import EngineTrial
 from ..model.config import PopulationConfig
 from ..types import SourceCounts
 from .base import CheckResult, Experiment, ExperimentOutcome
@@ -35,10 +35,8 @@ class NoiseDependence(Experiment):
         for delta in deltas:
             config = PopulationConfig(n=n, sources=SourceCounts(0, 1), h=h)
             engine = self._engine_handle(config, delta)
-            stats = repeat_trials(
-                lambda g: engine.run(rng=g),
-                trials=trials,
-                seed=seed + int(delta * 1000),
+            stats = self._trials(
+                EngineTrial(engine), trials, seed=seed + int(delta * 1000)
             )
             rows.append(
                 {

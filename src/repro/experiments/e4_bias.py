@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..analysis import fit_loglog_slope, repeat_trials
+from ..analysis import EngineTrial, fit_loglog_slope
 from ..model.config import PopulationConfig
 from ..types import SourceCounts
 from .base import CheckResult, Experiment, ExperimentOutcome
@@ -34,9 +34,7 @@ class BiasDependence(Experiment):
         for s in biases:
             config = PopulationConfig(n=n, sources=SourceCounts(0, s), h=h)
             engine = self._engine_handle(config, DELTA)
-            stats = repeat_trials(
-                lambda g: engine.run(rng=g), trials=trials, seed=seed + s
-            )
+            stats = self._trials(EngineTrial(engine), trials, seed=seed + s)
             rows.append(
                 {
                     "bias_s": s,

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 
-from ..analysis import repeat_trials
+from ..analysis import EngineTrial
 from ..model.config import PopulationConfig
 from ..protocols import FastSourceFilter
 from ..theory import lower_bound_rounds
@@ -35,8 +35,8 @@ class LowerBoundTightness(Experiment):
             for h_label, h in (("1", 1), ("sqrt(n)", int(n**0.5)), ("n", n)):
                 config = PopulationConfig(n=n, sources=SourceCounts(0, 1), h=h)
                 engine = FastSourceFilter(config, DELTA)
-                stats = repeat_trials(
-                    lambda g: engine.run(g), trials=trials, seed=seed + n + h
+                stats = self._trials(
+                    EngineTrial(engine), trials, seed=seed + n + h
                 )
                 lower = lower_bound_rounds(n, h, 1, DELTA)
                 rows.append(

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..analysis import repeat_trials, time_average
+from ..analysis import EngineTrial, time_average
 from ..model import Population, PopulationConfig, PullEngine
 from ..noise import NoiseMatrix
 from ..protocols import (
@@ -64,16 +64,16 @@ class FaultTolerance(Experiment):
         loss_seed_records = []
         for index, loss in enumerate(losses):
             sf_seq, ssf_seq = loss_seeds[2 * index : 2 * index + 2]
-            sf_engine = FastSourceFilter(config, 0.2, sample_loss=loss)
-            sf_stats = repeat_trials(
-                lambda g: sf_engine.run(g), trials=trials,
+            sf_stats = self._trials(
+                EngineTrial(FastSourceFilter(config, 0.2, sample_loss=loss)),
+                trials,
                 seed=_seq_seed(sf_seq),
             )
-            ssf_stats = repeat_trials(
-                lambda g: FastSelfStabilizingSourceFilter(
-                    config, 0.1, sample_loss=loss
-                ).run(rng=g),
-                trials=trials,
+            ssf_stats = self._trials(
+                EngineTrial(
+                    FastSelfStabilizingSourceFilter(config, 0.1, sample_loss=loss)
+                ),
+                trials,
                 seed=_seq_seed(ssf_seq),
             )
             loss_seed_records.append(

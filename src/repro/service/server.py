@@ -42,13 +42,18 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from ..analysis import ResilienceConfig, repeat_trials
-from ..engines import capability_table, create_engine, list_engines
+from ..analysis import (
+    EngineTrial,
+    ResilienceConfig,
+    repeat_trials,
+    run_length,
+    scaling_sweep,
+)
+from ..engines import capability_table, create_engine, engine_spec
 from ..exceptions import ConfigurationError
 from ..model.config import PopulationConfig
 from ..net.ports import bound_port
 from ..telemetry import AggregatingSink, Telemetry
-from ..theory import lower_bound_rounds, sf_upper_bound_rounds
 from ..types import SourceCounts
 from .cache import ResultCache, canonical_key, code_version
 from .jobs import Job, JobStore
@@ -105,12 +110,7 @@ def _normalize_run(request: Dict[str, object]) -> Dict[str, object]:
         ("engine", "protocol", "n", "s0", "s1", "h", "delta", "seed",
          "trials", "max_rounds"),
     )
-    engine = str(request.get("engine", "fast"))
-    if engine not in list_engines():
-        raise ConfigurationError(
-            f"unknown engine {engine!r}; registered engines: "
-            f"{', '.join(list_engines())}"
-        )
+    engine = engine_spec(str(request.get("engine", "fast"))).name
     n = int(request.get("n", 1024))
     h = request.get("h")
     return {
@@ -134,12 +134,7 @@ def _normalize_sweep(request: Dict[str, object]) -> Dict[str, object]:
         ("engine", "protocol", "s0", "s1", "h", "delta", "seed",
          "trials", "min_exp", "max_exp"),
     )
-    engine = str(request.get("engine", "fast"))
-    if engine not in list_engines():
-        raise ConfigurationError(
-            f"unknown engine {engine!r}; registered engines: "
-            f"{', '.join(list_engines())}"
-        )
+    engine = engine_spec(str(request.get("engine", "fast"))).name
     min_exp = int(request.get("min_exp", 8))
     max_exp = int(request.get("max_exp", 10))
     if min_exp > max_exp:
@@ -170,12 +165,7 @@ def _normalize_experiment(request: Dict[str, object]) -> Dict[str, object]:
         raise ConfigurationError(
             f"scale must be 'quick' or 'full', got {scale!r}"
         )
-    engine = str(request.get("engine", "fast"))
-    if engine not in list_engines():
-        raise ConfigurationError(
-            f"unknown engine {engine!r}; registered engines: "
-            f"{', '.join(list_engines())}"
-        )
+    engine = engine_spec(str(request.get("engine", "fast"))).name
     return {
         "id": str(experiment_id),
         "scale": scale,
@@ -219,46 +209,6 @@ def _resilience_from(request: Dict[str, object]) -> Optional[ResilienceConfig]:
         trial_timeout=None if timeout is None else float(timeout),
         retries=ResilienceConfig.retries if retries is None else int(retries),
     )
-
-
-def _config_from(request: Dict[str, object], n: Optional[int] = None) -> PopulationConfig:
-    n = int(request["n"] if n is None else n)
-    h = request.get("h")
-    return PopulationConfig(
-        n=n,
-        sources=SourceCounts(s0=int(request["s0"]), s1=int(request["s1"])),
-        h=n if h is None else int(h),
-    )
-
-
-class _ServiceTrial:
-    """One registry-routed run as a picklable callable (process-pool safe)."""
-
-    def __init__(
-        self,
-        engine: str,
-        protocol: str,
-        config: PopulationConfig,
-        delta: float,
-        max_rounds: Optional[int] = None,
-    ) -> None:
-        self.max_rounds = max_rounds
-        self.handle = create_engine(engine, protocol, config, delta)
-
-    def __call__(self, rng: np.random.Generator, telemetry=None) -> object:
-        if self.max_rounds is None:
-            return self.handle.run(rng=rng, telemetry=telemetry)
-        return self.handle.run(self.max_rounds, rng=rng, telemetry=telemetry)
-
-
-def _measure(result: object) -> float:
-    """Per-trial round measurement across every report type."""
-    value = getattr(result, "total_rounds", None)
-    if value is None:
-        value = getattr(result, "rounds_executed", None)
-    if value is None:
-        value = result.rounds  # RunReport alias (async: activations)
-    return float(value)
 
 
 def _stats_payload(stats) -> Dict[str, object]:
@@ -325,11 +275,18 @@ def execute_run(
     resilience = _resilience_from(request)
 
     def compute() -> Dict[str, object]:
-        trial = _ServiceTrial(
-            normalized["engine"],
-            normalized["protocol"],
-            _config_from(normalized),
-            normalized["delta"],
+        config = PopulationConfig(
+            n=normalized["n"],
+            sources=SourceCounts(s0=normalized["s0"], s1=normalized["s1"]),
+            h=normalized["h"],
+        )
+        trial = EngineTrial(
+            create_engine(
+                normalized["engine"],
+                normalized["protocol"],
+                config,
+                normalized["delta"],
+            ),
             max_rounds=normalized["max_rounds"],
         )
         if trials > 1:
@@ -337,7 +294,7 @@ def execute_run(
                 trial,
                 trials=trials,
                 seed=seed,
-                measure=_measure,
+                measure=run_length,
                 workers=workers,
                 telemetry=telemetry,
                 resilience=resilience,
@@ -361,41 +318,12 @@ def execute_sweep(
     resilience = _resilience_from(request)
 
     def compute() -> Dict[str, object]:
-        rows = []
-        for exponent in range(normalized["min_exp"], normalized["max_exp"] + 1):
-            n = 2**exponent
-            config = _config_from(normalized, n=n)
-            stats = repeat_trials(
-                _ServiceTrial(
-                    normalized["engine"],
-                    normalized["protocol"],
-                    config,
-                    normalized["delta"],
-                ),
-                trials=normalized["trials"],
-                seed=seed,
-                measure=_measure,
-                workers=workers,
-                telemetry=telemetry,
-                resilience=resilience,
-                checkpoint_scope=f"sweep/n={n}",
-            )
-            rows.append(
-                {
-                    "n": n,
-                    "success_rate": stats.success_rate,
-                    "median_rounds": stats.median,
-                    "lower_bound": lower_bound_rounds(
-                        n,
-                        config.h,
-                        max(abs(normalized["s1"] - normalized["s0"]), 1),
-                        normalized["delta"],
-                    ),
-                    "upper_bound": sf_upper_bound_rounds(
-                        config, normalized["delta"]
-                    ),
-                }
-            )
+        rows = scaling_sweep(
+            **normalized,
+            workers=workers,
+            telemetry=telemetry,
+            resilience=resilience,
+        )
         return {"rows": _py(rows)}
 
     return _with_cache("sweep", normalized, seed is not None, cache, compute)

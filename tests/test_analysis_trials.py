@@ -210,6 +210,14 @@ class TestRunTrials:
         with pytest.raises(ValueError):
             run_trials(FakeRunner(), 0)
 
+    @pytest.mark.parametrize("engine", ["fast", "count"])
+    @pytest.mark.parametrize("workers", [0, -5])
+    def test_workers_checked_before_batching(self, engine, workers):
+        config = PopulationConfig(n=128, sources=SourceCounts(0, 8), h=16)
+        handle = create_engine(engine, "sf", config, 0.2)
+        with pytest.raises(ValueError, match="workers must be a positive int"):
+            run_trials(handle, 3, seed=1, workers=workers)
+
 
 def _fast_engine(protocol, **kwargs):
     config = PopulationConfig(n=128, sources=SourceCounts(0, 8), h=16)

@@ -2,7 +2,9 @@
 
 import pytest
 
+import repro.cli
 from repro.cli import build_parser, main
+from repro.service import execute_sweep
 
 
 class TestParser:
@@ -124,3 +126,21 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "scaling sweep" in out
         assert "64" in out and "128" in out
+
+
+class TestSweepMatchesTheService:
+    @pytest.mark.parametrize("protocol", ["sf", "ssf"])
+    def test_rows_equal_execute_sweep_rows(self, monkeypatch, protocol):
+        printed = []
+        monkeypatch.setattr(
+            repro.cli, "format_table", lambda rows, title: printed.append(rows)
+        )
+        assert main(
+            ["sweep", "--protocol", protocol, "--min-exp", "5", "--max-exp",
+             "6", "--trials", "2", "--seed", "5", "--s1", "2", "--delta", "0.1"]
+        ) == 0
+        rows = execute_sweep(
+            {"protocol": protocol, "s1": 2, "delta": 0.1, "seed": 5,
+             "trials": 2, "min_exp": 5, "max_exp": 6}
+        )["rows"]
+        assert printed == [rows]

@@ -9,6 +9,7 @@ from repro.experiments import (
     all_experiments,
     get_experiment,
 )
+from repro.telemetry import MemorySink, Telemetry
 
 ALL_IDS = [
     "FIG1",
@@ -105,3 +106,25 @@ class TestQuickRuns:
         a = get_experiment("FIG1").run(scale="quick", seed=3)
         b = get_experiment("FIG1").run(scale="quick", seed=3)
         assert a.rows == b.rows
+
+
+class TestTrialsRunThroughTheHarness:
+    """Monte-Carlo trials go through :meth:`Experiment._trials`, so the
+    harness's workers, resilience policy, checkpoint and recorder reach
+    them."""
+
+    @pytest.mark.parametrize(
+        "experiment_id", ["E3", "E4", "E6", "ABL1", "ABL2", "EXT2"]
+    )
+    def test_trials_are_recorded(self, experiment_id):
+        sink = MemorySink()
+        get_experiment(experiment_id).run(
+            scale="quick", seed=0, telemetry=Telemetry([sink])
+        )
+        assert sink.counters["trials.completed"] > 0
+
+    def test_rows_equal_serially_and_on_a_pool(self):
+        serial = get_experiment("E3").run(scale="quick", seed=0)
+        pooled = type(get_experiment("E3"))()
+        pooled.workers = 2
+        assert pooled.run(scale="quick", seed=0).rows == serial.rows

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from repro import PopulationConfig, SourceCounts
 from repro.exceptions import ConfigurationError
 from repro.results import report_from_dict
 from repro.service import (
@@ -261,6 +262,30 @@ class TestExecuteSweep:
         hit = execute_sweep(dict(request), cache=cache)
         assert hit["cached"] is True
         assert hit["rows"] == rows
+
+    @pytest.mark.parametrize("protocol", ["sf", "ssf"])
+    def test_bounds_are_the_protocols(self, protocol):
+        from repro.theory import (
+            lower_bound_rounds,
+            sf_upper_bound_rounds,
+            ssf_upper_bound_rounds,
+        )
+
+        (row,) = execute_sweep(
+            {"engine": "count", "protocol": protocol, "delta": 0.1, "seed": 0,
+             "trials": 2, "min_exp": 6, "max_exp": 6}
+        )["rows"]
+        config = PopulationConfig(n=64, sources=SourceCounts(0, 1), h=64)
+        if protocol == "sf":
+            upper, alphabet_size = sf_upper_bound_rounds(config, 0.1), 2
+        else:
+            # Theorem 5 at n = h = 64, delta = 0.1 (Theorem 4 reads 5.39).
+            upper, alphabet_size = ssf_upper_bound_rounds(config, 0.1), 4
+            assert round(upper, 2) == 2.16
+        assert row["upper_bound"] == upper
+        assert row["lower_bound"] == lower_bound_rounds(
+            64, 64, 1, 0.1, alphabet_size=alphabet_size
+        )
 
 
 @pytest.fixture(scope="module")
