@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.analysis import repeat_trials, run_trials
+from repro.analysis import repeat_trials
 from repro.model import BatchedPullEngine, Population, PopulationConfig, PullEngine
 from repro.noise import NoiseMatrix
 from repro.protocols import (
@@ -247,33 +247,3 @@ def test_perf_trial_runner_workers(n):
         f"2-worker pool {pool['seconds']:.3f}s ({speedup:.2f}x)"
     )
 
-
-def test_perf_run_trials_batch_backend():
-    """run_trials' run_batch backend vs the per-trial loop (fast SF)."""
-    config = PopulationConfig(n=512, sources=SourceCounts(1, 3), h=32)
-    engine = FastSourceFilter(config, 0.2)
-
-    start = time.perf_counter()
-    batched = run_trials(engine, 64, seed=11)
-    batched_s = time.perf_counter() - start
-
-    start = time.perf_counter()
-    serial = repeat_trials(lambda g: engine.run(rng=g), 64, seed=11)
-    serial_s = time.perf_counter() - start
-
-    assert batched.trials == serial.trials == 64
-    record_engine_throughput(
-        {
-            "case": "run_trials_fast_sf",
-            "n": 512,
-            "h": 32,
-            "trials": 64,
-            "serial_seconds": round(serial_s, 4),
-            "batched_seconds": round(batched_s, 4),
-            "speedup": round(serial_s / batched_s, 2),
-        }
-    )
-    print(
-        f"\n  fast-SF run_trials: serial {serial_s:.3f}s, "
-        f"batched {batched_s:.3f}s ({serial_s / batched_s:.1f}x)"
-    )

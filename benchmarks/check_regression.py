@@ -70,13 +70,17 @@ THROUGHPUT_SOURCES = [
 #: Source files whose behavior the service-load record measures —
 #: the HTTP front-end, cache, job ledger, and the registry seam the
 #: service routes every run through — plus what its cold jobs run: the
-#: agent-level engine and SF protocol, and the telemetry every job
-#: records into.
+#: trial adapter and loops every ``trials`` job runs, the sweep every
+#: ``/sweep`` runs, the agent-level engine and SF protocol, and the
+#: telemetry every job records into.
 SERVICE_SOURCES = [
     "src/repro/service/server.py",
     "src/repro/service/cache.py",
     "src/repro/service/jobs.py",
     "src/repro/service/client.py",
+    "src/repro/analysis/trials.py",
+    "src/repro/analysis/resilience.py",
+    "src/repro/analysis/sweep.py",
     "src/repro/engines.py",
     "src/repro/model/engine.py",
     "src/repro/model/sampling.py",

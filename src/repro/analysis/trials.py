@@ -8,8 +8,9 @@ returned :class:`TrialStats` is bit-identical for any worker count, with
 or without a resilience policy.  Both trial loops live in
 :mod:`repro.analysis.resilience`.
 
-:func:`run_trials` additionally runs an engine that simulates many
-replicas per call (``run_batch``) in one batched call.
+:func:`run_trials` runs an engine's trials the same way, or in one
+``run_batch`` call whose replica ``i`` runs on trial ``i``'s generator,
+so it too gives the same statistics for any worker count or policy.
 """
 
 from __future__ import annotations
@@ -271,27 +272,24 @@ def run_trials(
     resilience: Optional[ResilienceConfig] = None,
     checkpoint_scope: str = "",
 ) -> TrialStats:
-    """Monte-Carlo trials of an engine object, batched when it can batch.
+    """Monte-Carlo trials of an engine object: trial ``i`` is
+    ``runner.run`` on the generator :func:`repeat_trials` gives trial ``i``.
 
     ``runner`` is an engine exposing ``run(rng=...)`` — e.g.
-    :class:`~repro.protocols.FastSourceFilter` or
-    :class:`~repro.protocols.FastSelfStabilizingSourceFilter`.  A serial
-    call without a ``resilience`` policy, on a runner whose ``run_batch``
-    takes its configuration (``can_batch``; a runner without that
-    property is taken to — the fast engines report ``False`` for fault
-    models, graphs and lossy SSF), simulates every trial in one
-    ``runner.run_batch(trials, rng=seed)`` call, timed as
-    ``trials.batch_seconds``.  The count engines' ``run_batch`` is
-    spawn-mode: replica ``i`` runs on trial ``i``'s generator, so its
-    statistics are bit-identical to the per-trial run.  The fast
-    engines' draws from one shared stream: statistically equivalent and
-    reproducible for a fixed ``(seed, trials)``, but not bit-identical.
+    :class:`~repro.protocols.FastSourceFilter` or an
+    :class:`~repro.engines.EngineHandle`.  The trials run through
+    :func:`repeat_trials`, with the same ``workers``, ``rng``,
+    ``telemetry``, ``resilience`` and ``checkpoint_scope`` meaning.
 
-    Every other call — ``workers > 1``, a ``resilience`` policy (one
-    batched call has no per-trial unit to retry or checkpoint), or a
-    runner that cannot batch — runs trial by trial through
-    :func:`repeat_trials`, with the same ``rng``, ``telemetry`` and
-    ``checkpoint_scope`` meaning.
+    A serial call without a ``resilience`` policy (one batched call has
+    no per-trial unit to retry or checkpoint) on a runner with a
+    ``run_batch`` replica axis — the count engines — simulates every
+    trial in one ``runner.run_batch(trials, rng=seed)`` call, timed as
+    ``trials.batch_seconds``.  The one contract on ``run_batch``: for
+    each ``i``, its ``i``-th result is what ``run`` returns on
+    ``spawn_generators(seed, trials)[i]``.  So the batch changes the
+    cost, never the statistics: they are bit-identical for any worker
+    count, with or without a policy, on every engine.
     """
     _check_sizes(trials, workers)
     seed = coerce_seed(seed, rng)
@@ -299,7 +297,6 @@ def run_trials(
         resilience is None
         and (workers is None or workers == 1)
         and hasattr(runner, "run_batch")
-        and getattr(runner, "can_batch", True)
     ):
         if success is None:
             success = _default_success

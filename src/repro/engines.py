@@ -116,7 +116,7 @@ _REGISTRY: Dict[str, EngineSpec] = {
             name="fast",
             description="vectorized per-agent SF/SSF engine (O(n) per round)",
             protocols=("sf", "ssf"),
-            supports_batch=True,
+            supports_batch=False,
             agent_blind=False,
             fault_traits={
                 "sf": _PHASE_EXACT,
@@ -451,9 +451,7 @@ class EngineHandle:
         """Eagerly construct persistent backends; ``None`` for the
         agent-level ones that need a fresh population per run."""
         name, protocol = self.spec.name, self.protocol
-        kwargs = dict(self.engine_kwargs)
-        if self.constant is not None:
-            kwargs["constant"] = self.constant
+        kwargs = dict(self.engine_kwargs, constant=self.constant)
         if name == "fast":
             from .protocols import (
                 FastSelfStabilizingSourceFilter,
@@ -560,10 +558,9 @@ class EngineHandle:
         from .noise import uniform_level
         from .protocols import SFSchedule, SSFSchedule
 
-        kwargs = {} if self.constant is None else {"constant": self.constant}
         plan = SFSchedule if size == 2 else SSFSchedule
         return plan.from_config(
-            self.config, uniform_level(self.noise, size), **kwargs
+            self.config, uniform_level(self.noise, size), self.constant
         )
 
     def _noise_matrix(self, size: int):

@@ -206,9 +206,10 @@ class Experiment(abc.ABC):
     ) -> TrialStats:
         """:func:`run_trials` honoring :attr:`workers`.
 
-        Serial experiments get the engine's batched backend
-        (``run_batch``) when it has one; with :attr:`workers` set the
-        trials go to the process pool instead.
+        The rows are the same for any :attr:`workers` and with or
+        without a resilience policy: trial ``i`` runs on trial ``i``'s
+        generator whether it runs in process, on the pool, or in a
+        count engine's spawn-mode ``run_batch``.
         """
         return run_trials(
             runner, trials, seed=seed, workers=self.workers,

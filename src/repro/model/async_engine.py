@@ -93,7 +93,6 @@ class AsyncPullEngine:
         rng: RngLike = None,
         stop_on_consensus: bool = True,
         consensus_patience: int = 0,
-        check_every: int = None,
         telemetry: Optional[Telemetry] = None,
         fault_model=None,
         max_rounds: Optional[int] = None,
@@ -107,11 +106,11 @@ class AsyncPullEngine:
         must be given.  ``seed`` is the canonical alternative spelling
         of an integer ``rng`` (:func:`repro.types.coerce_seed`).
 
-        Consensus is checked every ``check_every`` activations (default:
-        ``n``, i.e. once per expected parallel round) to keep the check
-        cost amortized.  ``telemetry`` (optional, RNG-neutral) receives
-        one ``round`` event per consensus check — the round index is the
-        activation count — plus an ``async_engine.run`` phase timer.
+        Consensus is checked every ``n`` activations (once per expected
+        parallel round) to keep the check cost amortized.  ``telemetry``
+        (optional, RNG-neutral) receives one ``round`` event per
+        consensus check — the round index is the activation count — plus
+        an ``async_engine.run`` phase timer.
 
         ``fault_model`` (optional :class:`~repro.faults.FaultModel`)
         rewrites the sampled displays of each activation via
@@ -158,8 +157,6 @@ class AsyncPullEngine:
         n, h = population.n, population.h
         protocol.reset(population, generator)
         correct = population.correct_opinion
-        if check_every is None:
-            check_every = n
 
         eval_mask = None
         n_eval = n
@@ -170,7 +167,7 @@ class AsyncPullEngine:
             if eval_mask is not None:
                 n_eval = int(np.count_nonzero(eval_mask))
                 if n_eval == 0:
-                    raise ProtocolError(
+                    raise ConfigurationError(
                         "fault model excludes every agent from evaluation"
                     )
             if correct is not None:
@@ -180,15 +177,15 @@ class AsyncPullEngine:
                     fault_model.onset_round, fault_model.quasi_consensus_floor
                 )
 
-        # Pre-draw activation order and samples in blocks for speed.
-        block = max(check_every, 1)
+        # Pre-draw activation order and samples in blocks of n (one
+        # consensus check each) for speed.
         consensus_start: Optional[int] = None
         executed = 0
         timer = tele.phase("async_engine.run") if tele.enabled else None
         if timer is not None:
             timer.__enter__()
         while executed < max_activations:
-            todo = min(block, max_activations - executed)
+            todo = min(n, max_activations - executed)
             actors = generator.integers(0, n, size=todo)
             samples = generator.integers(0, n, size=(todo, h))
             for i in range(todo):

@@ -50,7 +50,7 @@ from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
-from ..exceptions import ProtocolError
+from ..exceptions import ConfigurationError, ProtocolError
 from ..telemetry import Telemetry, ensure_telemetry
 from ..types import merge_rng_seed, seed_of
 from .engine import RoundRecord, SimulationResult
@@ -297,7 +297,7 @@ class BatchedPullEngine:
             if eval_mask is not None:
                 n_eval = int(np.count_nonzero(eval_mask))
                 if n_eval == 0:
-                    raise ProtocolError(
+                    raise ConfigurationError(
                         "fault model excludes every agent from evaluation"
                     )
             if correct is not None:

@@ -126,7 +126,6 @@ class PullEngine:
         stop_on_consensus: bool = False,
         consensus_patience: int = 0,
         record_trace: bool = False,
-        skip_reset: bool = False,
         churn_rate: float = 0.0,
         telemetry: Optional[Telemetry] = None,
         fault_model=None,
@@ -145,10 +144,6 @@ class PullEngine:
             Extra consecutive all-correct rounds demanded before an early
             stop — guards against protocols that pass through consensus
             transiently.
-        skip_reset:
-            Do not call ``protocol.reset`` — used by the self-stabilization
-            experiments, where the adversary has already installed a
-            corrupted state.
         telemetry:
             Optional :class:`~repro.telemetry.Telemetry` recorder; when
             enabled the engine emits one ``round`` event per round
@@ -209,8 +204,7 @@ class PullEngine:
             from ..topology import resolve_topology
 
             sampler = resolve_topology(topology, population.n, generator)
-        if not skip_reset:
-            protocol.reset(population, generator)
+        protocol.reset(population, generator)
 
         correct = population.correct_opinion
         eval_mask = None

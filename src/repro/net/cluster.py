@@ -162,12 +162,8 @@ class ClusterRunner:
         self.max_retries = int(max_retries)
         if schedule is None:
             delta = self.noise.uniform_delta
-            if protocol == "sf":
-                kwargs = {} if constant is None else {"constant": constant}
-                schedule = SFSchedule.from_config(config, delta, **kwargs)
-            else:
-                kwargs = {} if constant is None else {"constant": constant}
-                schedule = SSFSchedule.from_config(config, delta, **kwargs)
+            plan = SFSchedule if protocol == "sf" else SSFSchedule
+            schedule = plan.from_config(config, delta, constant)
         self.schedule = schedule
         # Filled by the most recent run (introspection for tests).
         self.last_ports: List[int] = []

@@ -23,7 +23,7 @@ import dataclasses
 import functools
 import itertools
 import math
-from typing import NamedTuple, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from ..exceptions import ConfigurationError
 from ..model.config import PopulationConfig
@@ -143,16 +143,19 @@ class SFSchedule:
         cls,
         config: PopulationConfig,
         delta: float,
-        constant: float = DEFAULT_SF_CONSTANT,
+        constant: Optional[float] = None,
         boost_numerator: float = DEFAULT_BOOST_NUMERATOR,
         subphase_factor: float = DEFAULT_SUBPHASE_FACTOR,
         m: int = None,
     ) -> "SFSchedule":
         """Build the schedule from a population config and noise level.
 
+        ``constant=None`` is the calibrated :data:`DEFAULT_SF_CONSTANT`.
         Passing ``m`` explicitly overrides Eq. (19) (useful for ablations).
         """
         if m is None:
+            if constant is None:
+                constant = DEFAULT_SF_CONSTANT
             m = sf_sample_budget(config, delta, constant)
         else:
             _validate_sf(config, delta)
@@ -244,11 +247,16 @@ class SSFSchedule:
         cls,
         config: PopulationConfig,
         delta: float,
-        constant: float = DEFAULT_SSF_CONSTANT,
+        constant: Optional[float] = None,
         m: int = None,
     ) -> "SSFSchedule":
-        """Build the schedule from a population config and noise level."""
+        """Build the schedule from a population config and noise level.
+
+        ``constant=None`` is the calibrated :data:`DEFAULT_SSF_CONSTANT`.
+        """
         if m is None:
+            if constant is None:
+                constant = DEFAULT_SSF_CONSTANT
             m = ssf_sample_budget(config, delta, constant)
         if m < 1:
             raise ConfigurationError(f"sample budget m must be >= 1, got {m}")

@@ -15,7 +15,7 @@ round has (in expectation) half the population showing each symbol, and
 the per-pair step distribution differs slightly from block-SF's.  The
 engine below is the fast SF kernel with its own listening stage: the
 displays change every round, so it draws one per-round binomial instead
-of one per phase; boosting, ``run`` and ``run_batch`` are SF's.
+of one per phase; boosting and ``run`` are SF's.
 """
 
 from __future__ import annotations
@@ -44,10 +44,10 @@ class FastAlternatingSourceFilter(FastSourceFilter):
 
     then forms the weak opinion ``1{Counter1 > Counter0}`` and enters the
     identical Majority Boosting phase (inherited from
-    :class:`~repro.protocols.FastSourceFilter`, as are ``run`` and
-    ``run_batch``).  Sources display their preference throughout the
-    listening stage, split their counting rounds evenly (even rounds
-    count 1s, odd rounds count 0s) so their comparison stays symmetric.
+    :class:`~repro.protocols.FastSourceFilter`, as is ``run``).  Sources
+    display their preference throughout the listening stage, split their
+    counting rounds evenly (even rounds count 1s, odd rounds count 0s)
+    so their comparison stays symmetric.
     """
 
     def __init__(
@@ -63,7 +63,6 @@ class FastAlternatingSourceFilter(FastSourceFilter):
         self,
         rng: RngLike = None,
         *,
-        replicas: Optional[int] = None,
         observe: Optional[Observer] = None,
     ) -> np.ndarray:
         """Simulate the listening stage round by round (displays change
@@ -73,25 +72,20 @@ class FastAlternatingSourceFilter(FastSourceFilter):
         observe = observe or self._observe_uniform
         cfg, h = self.config, self.config.h
         num_sources = cfg.num_sources
-        # coins[:, i] = first-round display of non-source i.
-        coins = generator.integers(
-            0, 2, size=(replicas or 1, cfg.n - num_sources)
-        ).astype(np.int8)
-        displays = np.zeros((coins.shape[0], cfg.n), dtype=np.int8)
-        displays[:, cfg.s0 : num_sources] = 1
-        counting_ones = np.empty(displays.shape, dtype=bool)
-        counter1 = np.zeros(displays.shape, dtype=np.int64)
-        counter0 = np.zeros(displays.shape, dtype=np.int64)
+        # coins[i] = first-round display of non-source i.
+        coins = generator.integers(0, 2, size=cfg.n - num_sources).astype(np.int8)
+        displays = np.zeros(cfg.n, dtype=np.int8)
+        displays[cfg.s0 : num_sources] = 1
+        counting_ones = np.empty(cfg.n, dtype=bool)
+        counter1 = np.zeros(cfg.n, dtype=np.int64)
+        counter0 = np.zeros(cfg.n, dtype=np.int64)
         for t in range(2 * self.schedule.phase_rounds):
             parity = t % 2
-            displays[:, num_sources:] = coins ^ parity
-            observed_ones = generator.binomial(
-                h, observe(displays, t, 1), size=displays.shape
-            )
+            displays[num_sources:] = coins ^ parity
+            observed_ones = generator.binomial(h, observe(displays, t, 1), size=cfg.n)
             # Non-sources displaying 0 count 1s; so do sources on even t.
-            counting_ones[:, :num_sources] = parity == 0
-            counting_ones[:, num_sources:] = displays[:, num_sources:] == 0
+            counting_ones[:num_sources] = parity == 0
+            counting_ones[num_sources:] = displays[num_sources:] == 0
             counter1 += np.where(counting_ones, observed_ones, 0)
             counter0 += np.where(counting_ones, 0, h - observed_ones)
-        weak = majority_with_ties(counter1, counter0, generator)
-        return weak if replicas else weak[0]
+        return majority_with_ties(counter1, counter0, generator)

@@ -113,8 +113,7 @@ class CountSourceFilter(CountProtocol):
         self._honest = config.n - self._owned
         self._judged_n = config.n if self._judged_owned else self._honest
         if schedule is None:
-            kwargs = {} if constant is None else {"constant": constant}
-            schedule = SFSchedule.from_config(config, self.delta, **kwargs)
+            schedule = SFSchedule.from_config(config, self.delta, constant)
         self.schedule = schedule
         self.handoff = handoff
         # The stage plan, consumed in order by the engine.

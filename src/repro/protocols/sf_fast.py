@@ -10,7 +10,7 @@ Exploits two exactness facts to simulate whole phases at once:
 * Weak opinions depend only on the agent's own samples, noise and coin
   (Lemma 28), so they may be drawn i.i.d.
 
-One kernel writes this law over an ``(R, n)`` opinion array.  It is
+One kernel writes this law over one row of ``n`` opinions.  It is
 parameterised by the *observation law* that maps the displays in force
 to ``q``:
 
@@ -22,14 +22,13 @@ to ``q``:
 * a static graph: ``k/n`` becomes each agent's ``k_i/deg_i`` over its
   neighbourhood.
 
-:meth:`FastSourceFilter.run` is the kernel's one-replica call and
-:meth:`FastSourceFilter.run_batch` its R-replica call; both draw in the
-same order, so ``run_batch(1, rng=s)[0]`` is bit-identical to
-``run(rng=s)``.  The cost is ``O(R * n * num_subphases)`` regardless of
-``h`` or the round count, making the paper's whole ``(n, h, delta, s)``
-evaluation grid laptop-feasible.  Statistical equivalence with the
-agent-level implementation is enforced by
-``tests/test_cross_validation.py``.
+:meth:`FastSourceFilter.run` is the kernel's one call; independent
+trials are independent calls, each on its own generator
+(:func:`repro.analysis.run_trials`).  The cost is
+``O(n * num_subphases)`` regardless of ``h`` or the round count, making
+the paper's whole ``(n, h, delta, s)`` evaluation grid laptop-feasible.
+Statistical equivalence with the agent-level implementation is enforced
+by ``tests/test_cross_validation.py``.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from typing import Callable, List, Optional, Union
 
 import numpy as np
 
-from ..exceptions import ConfigurationError, UnsupportedFeatureError
+from ..exceptions import ConfigurationError
 from ..faults.base import validate_sample_loss
 from ..model.config import PopulationConfig
 from ..noise import NoiseMatrix, uniform_level, uniform_observation
@@ -82,17 +81,11 @@ class SFRunResult(RunReport):
     seed: Optional[int] = None
 
 
-def _p(q: np.ndarray) -> Union[float, np.ndarray]:
-    """``q`` as a scalar when it holds one value: numpy's scalar-``p``
-    path is faster and draws the same stream."""
-    return q.item() if q.size == 1 else q
-
-
 #: ``observe(displays, round_index, symbol)``: the probability that one
-#: noisy look of each agent shows ``symbol`` while the ``(R, n)`` array
-#: ``displays`` is in force — shape ``(R, 1)`` when every agent samples
-#: the same pool, ``(R, n)`` on a graph.
-Observer = Callable[[np.ndarray, int, int], np.ndarray]
+#: noisy look of each agent shows ``symbol`` while the ``(n,)`` array
+#: ``displays`` is in force — a float when every agent samples the same
+#: pool, an ``(n,)`` array on a graph.
+Observer = Callable[[np.ndarray, int, int], Union[float, np.ndarray]]
 
 
 class FastSourceFilter:
@@ -156,19 +149,8 @@ class FastSourceFilter:
         self.fault_model = fault_model
         self.topology = topology
         if schedule is None:
-            kwargs = {} if constant is None else {"constant": constant}
-            schedule = SFSchedule.from_config(config, self.delta, **kwargs)
+            schedule = SFSchedule.from_config(config, self.delta, constant)
         self.schedule = schedule
-
-    @property
-    def can_batch(self) -> bool:
-        """Whether :meth:`run_batch` accepts this configuration.
-
-        A non-null fault model resets (and may draw its faulty subset)
-        per run, and a graph spec may realize a fresh graph per run, so
-        both need one :meth:`run` per replica.
-        """
-        return self._fault is None and self._graph() is None
 
     def _graph(self):
         """The static graph sampler, or ``None`` under uniform sampling."""
@@ -184,12 +166,9 @@ class FastSourceFilter:
     # ------------------------------------------------------------------
     def _observe_uniform(
         self, displays: np.ndarray, round_index: int, symbol: int
-    ) -> np.ndarray:
-        # Per row in Python floats: for a handful of rows that is cheaper
-        # than array arithmetic, and the values are the same.
-        counts = (displays == symbol).sum(axis=1).tolist()
-        n = self.config.n
-        return np.array([[uniform_observation(k / n, self.delta, 2)] for k in counts])
+    ) -> float:
+        k = int(np.count_nonzero(displays == symbol))
+        return uniform_observation(k / self.config.n, self.delta, 2)
 
     def _observer(self, fault, sampler, generator: np.random.Generator):
         """This run's observation law and evaluation mask.
@@ -204,9 +183,7 @@ class FastSourceFilter:
             degrees = sampler.degrees().astype(np.float64)
 
             def observe_graph(displays, round_index, symbol):
-                k = np.stack(
-                    [sampler.neighbor_symbol_counts(row, symbol) for row in displays]
-                )
+                k = sampler.neighbor_symbol_counts(displays, symbol)
                 return uniform_observation(k / degrees, self.delta, 2)
 
             return observe_graph, None
@@ -225,12 +202,11 @@ class FastSourceFilter:
             )
 
         def observe_faulted(displays, round_index, symbol):
-            shown = (
-                np.asarray(fault.transform_displays(round_index, row, generator))[pool]
-                for row in displays
-            )
-            shares = [np.count_nonzero(row == symbol) / pool.size for row in shown]
-            return uniform_observation(np.array(shares)[:, None], delta, 2)
+            shown = np.asarray(
+                fault.transform_displays(round_index, displays, generator)
+            )[pool]
+            share = np.count_nonzero(shown == symbol) / pool.size
+            return uniform_observation(share, delta, 2)
 
         return observe_faulted, eval_mask
 
@@ -241,7 +217,6 @@ class FastSourceFilter:
         self,
         rng: RngLike = None,
         *,
-        replicas: Optional[int] = None,
         observe: Optional[Observer] = None,
     ) -> np.ndarray:
         """Draw the i.i.d. weak-opinion vector (end of Phase 1).
@@ -249,16 +224,15 @@ class FastSourceFilter:
         Counter1 counts 1s while sources display preferences and
         non-sources display 0 (so ``k = s1`` under uniform sampling);
         Counter0 counts 0s while non-sources display 1 (so ``k = s0``).
-        ``replicas`` adds a leading replica axis to the result and
-        ``observe`` replaces uniform sampling (both are the kernel's).
+        ``observe`` replaces uniform sampling (the kernel's).
         """
         generator = coerce_rng(rng)
         observe = observe or self._observe_uniform
         cfg, sched = self.config, self.schedule
-        phase0 = np.zeros((replicas or 1, cfg.n), dtype=np.int8)
-        phase0[:, cfg.s0 : cfg.num_sources] = 1
+        phase0 = np.zeros(cfg.n, dtype=np.int8)
+        phase0[cfg.s0 : cfg.num_sources] = 1
         phase1 = np.ones_like(phase0)
-        phase1[:, : cfg.s0] = 0
+        phase1[: cfg.s0] = 0
         # Fault injection (extension): each observation is independently
         # lost with probability sample_loss, so the count of counted
         # symbols among attempted samples is Binomial(samples, keep * q).
@@ -266,10 +240,9 @@ class FastSourceFilter:
         q1 = keep * observe(phase0, 0, 1)
         q0 = keep * observe(phase1, sched.phase_rounds, 0)
         samples = sched.phase_rounds * sched.h
-        counter1 = generator.binomial(samples, _p(q1), size=phase0.shape)
-        counter0 = generator.binomial(samples, _p(q0), size=phase0.shape)
-        weak = majority_with_ties(counter1, counter0, generator)
-        return weak if replicas else weak[0]
+        counter1 = generator.binomial(samples, q1, size=cfg.n)
+        counter0 = generator.binomial(samples, q0, size=cfg.n)
+        return majority_with_ties(counter1, counter0, generator)
 
     def boost_step(
         self,
@@ -282,29 +255,36 @@ class FastSourceFilter:
     ) -> np.ndarray:
         """One majority sub-phase: everyone displays, gathers, takes majority.
 
-        ``opinions`` is ``(n,)`` or ``(R, n)``; the result has its shape.
         ``observe`` replaces uniform sampling and ``round_index`` is the
         sub-phase's first round (both are the kernel's).
         """
         generator = coerce_rng(rng)
         observe = observe or self._observe_uniform
-        displays = np.reshape(opinions, (-1, self.config.n))
-        q = observe(displays, round_index, 1)
+        n = self.config.n
+        q = observe(opinions, round_index, 1)
         if self.sample_loss > 0.0:
             # Lost observations shrink each agent's window; the majority
             # is over the messages actually received.
-            window = generator.binomial(
-                window, 1.0 - self.sample_loss, size=displays.shape
-            )
-        counts = generator.binomial(window, _p(q), size=displays.shape)
-        new = majority_with_ties(2 * counts, window, generator)
-        return new.reshape(np.shape(opinions))
+            window = generator.binomial(window, 1.0 - self.sample_loss, size=n)
+        counts = generator.binomial(window, q, size=n)
+        return majority_with_ties(2 * counts, window, generator)
 
     # ------------------------------------------------------------------
-    def _run_replicas(
-        self, replicas: int, rng: RngLike, telemetry: Optional[Telemetry]
-    ) -> List[SFRunResult]:
-        """The phase-exact SF law over ``replicas`` rows of agents."""
+    def run(
+        self, rng: RngLike = None, telemetry: Optional[Telemetry] = None
+    ) -> SFRunResult:
+        """Execute one full SF run: the phase-exact law over ``n`` agents.
+
+        ``telemetry`` (optional, RNG-neutral) receives the per-phase
+        timers of Algorithm 1 — ``sf.phase01_weak`` for Phases 0/1 and
+        ``sf.boosting`` for the Majority Boosting phase — plus one
+        ``round`` event per boosting sub-phase, indexed by the last model
+        round the sub-phase occupies.  Within a sub-phase no displayed
+        message changes, so these events determine the opinion counts of
+        *every* model round, not just the sampled ones.  Under a fault
+        model, fractions are judged over the model's evaluation mask and
+        recovery metrics are emitted as ``faults.*`` telemetry.
+        """
         generator = coerce_rng(rng)
         tele = ensure_telemetry(telemetry)
         cfg, sched = self.config, self.schedule
@@ -318,47 +298,35 @@ class FastSourceFilter:
             from ..faults.metrics import RecoveryTracker
 
             tracker = RecoveryTracker(fault.onset_round, fault.quasi_consensus_floor)
-        phase_tags = {"replicas": replicas} if replicas > 1 else {}
-        if sampler is not None:
-            phase_tags["topology"] = sampler.kind
+        phase_tags = {} if sampler is None else {"topology": sampler.kind}
 
-        def fraction_correct(opinions: np.ndarray) -> np.ndarray:
+        def fraction_correct(opinions: np.ndarray) -> float:
             if correct is None:
-                return np.full(replicas, 0.5)
-            return (opinions[:, judged] == correct).sum(axis=1) / n_judged
+                return 0.5
+            return int(np.count_nonzero(opinions[judged] == correct)) / n_judged
 
-        def record(round_index: int, fractions, opinions, **tags) -> None:
+        def record(round_index: int, fraction: float, opinions, **tags) -> None:
             """Feed the recovery tracker and emit one ``round`` event."""
             if tracker is not None:
-                tracker.observe(round_index, 1.0 - float(fractions[0]))
-            if not tele.enabled:
-                return
-            if replicas > 1:
-                tags.update(
-                    replicas=replicas,
-                    mean_fraction_correct=float(np.mean(fractions)),
+                tracker.observe(round_index, 1.0 - fraction)
+            if tele.enabled:
+                tele.round(
+                    round_index, **tags,
+                    num_correct=int(round(fraction * n_judged)),
+                    fraction_correct=fraction, opinions=opinions,
                 )
-            else:
-                tags.update(
-                    num_correct=int(round(fractions[0] * n_judged)),
-                    fraction_correct=float(fractions[0]),
-                    opinions=opinions[0],
-                )
-            tele.round(round_index, **tags)
 
         with tele.phase(
             "sf.phase01_weak", rounds=2 * sched.phase_rounds, **phase_tags
         ):
-            weak = self.draw_weak_opinions(
-                generator, replicas=replicas, observe=observe
-            )
+            weak = self.draw_weak_opinions(generator, observe=observe)
         weak_fraction = fraction_correct(weak)
         if tele.enabled:
-            tele.gauge("sf.weak_fraction_correct", float(np.mean(weak_fraction)))
+            tele.gauge("sf.weak_fraction_correct", weak_fraction)
         record(2 * sched.phase_rounds - 1, weak_fraction, weak, phase="phase1")
 
         opinions = weak
-        traces: List[List[float]] = [[] for _ in range(replicas)]
+        trace: List[float] = []
         start = 2 * sched.phase_rounds
         with tele.phase("sf.boosting", rounds=sched.boosting_rounds, **phase_tags):
             for index, stage in enumerate(sched.stages()[2:]):
@@ -372,88 +340,24 @@ class FastSourceFilter:
                 start += stage.rounds
                 if correct is None:
                     continue
-                fractions = fraction_correct(opinions)
-                for trace, fraction in zip(traces, fractions):
-                    trace.append(float(fraction))
+                fraction = fraction_correct(opinions)
+                trace.append(fraction)
                 tags = {"subphase": index} if stage.kind == "boosting" else {}
-                record(start - 1, fractions, opinions, phase=stage.kind, **tags)
+                record(start - 1, fraction, opinions, phase=stage.kind, **tags)
 
-        converged = (
-            np.all(opinions[:, judged] == correct, axis=1)
-            if correct is not None
-            else np.zeros(replicas, dtype=bool)
-        )
+        converged = correct is not None and bool(np.all(opinions[judged] == correct))
         if tele.enabled:
-            tele.counter("sf.runs", replicas)
-            if converged.any():
-                tele.counter("sf.converged_runs", int(np.count_nonzero(converged)))
+            tele.counter("sf.runs", 1)
+            if converged:
+                tele.counter("sf.converged_runs", 1)
         if tracker is not None:
             tracker.emit(tele)
-        seed = seed_of(rng)
-        return [
-            SFRunResult(
-                converged=bool(converged[r]),
-                total_rounds=sched.total_rounds,
-                weak_opinions=weak[r],
-                weak_fraction_correct=float(weak_fraction[r]),
-                final_opinions=opinions[r],
-                boost_trace=traces[r],
-                seed=seed,
-            )
-            for r in range(replicas)
-        ]
-
-    def run(
-        self, rng: RngLike = None, telemetry: Optional[Telemetry] = None
-    ) -> SFRunResult:
-        """Execute one full SF run: the kernel's one-replica call.
-
-        ``telemetry`` (optional, RNG-neutral) receives the per-phase
-        timers of Algorithm 1 — ``sf.phase01_weak`` for Phases 0/1 and
-        ``sf.boosting`` for the Majority Boosting phase — plus one
-        ``round`` event per boosting sub-phase, indexed by the last model
-        round the sub-phase occupies.  Within a sub-phase no displayed
-        message changes, so these events determine the opinion counts of
-        *every* model round, not just the sampled ones.  Under a fault
-        model, fractions are judged over the model's evaluation mask and
-        recovery metrics are emitted as ``faults.*`` telemetry.
-        """
-        return self._run_replicas(1, rng, telemetry)[0]
-
-    def run_batch(
-        self,
-        replicas: int,
-        rng: RngLike = None,
-        telemetry: Optional[Telemetry] = None,
-    ) -> List[SFRunResult]:
-        """Execute ``replicas`` independent SF runs in batched numpy ops.
-
-        The kernel's R-replica call: every draw is the one :meth:`run`
-        makes, with a leading replica axis, so ``run_batch(1, rng=s)[0]``
-        is bit-identical to ``run(rng=s)``; for ``replicas > 1`` the
-        runs share one stream (reproducible for a fixed
-        ``(rng, replicas)`` pair, distributionally identical to
-        ``replicas`` calls of :meth:`run`).  ``telemetry`` (optional,
-        RNG-neutral) receives the same phase timers as :meth:`run`; for
-        ``replicas > 1`` the per-sub-phase ``round`` events carry the
-        batch-mean correct fraction.  Fault models and graph topologies
-        need :meth:`run` per replica (see :attr:`can_batch`).
-
-        Returns one :class:`SFRunResult` per replica, in replica order.
-        """
-        if replicas < 1:
-            raise ConfigurationError(
-                f"replicas must be a positive int, got {replicas}"
-            )
-        if self._fault is not None:
-            raise ConfigurationError(
-                "run_batch does not support fault models; call run() per "
-                "replica (or use BatchedPullEngine)"
-            )
-        if self._graph() is not None:
-            raise UnsupportedFeatureError(
-                "run_batch does not support graph topologies; call "
-                "run() per replica (each realizes its own graph) or "
-                "use BatchedPullEngine with topology="
-            )
-        return self._run_replicas(replicas, rng, telemetry)
+        return SFRunResult(
+            converged=converged,
+            total_rounds=sched.total_rounds,
+            weak_opinions=weak,
+            weak_fraction_correct=weak_fraction,
+            final_opinions=opinions,
+            boost_trace=trace,
+            seed=seed_of(rng),
+        )

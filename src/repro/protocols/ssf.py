@@ -105,8 +105,7 @@ class SelfStabilizingSourceFilterProtocol(PullProtocol):
     ) -> None:
         """Adversarially overwrite the corruptible state (Section 1.3).
 
-        Must be called after :meth:`reset` (the engine's ``skip_reset``
-        option lets the corrupted state survive into the run).
+        Must be called after :meth:`reset`.
         """
         self._require_reset()
         n = self._population.n

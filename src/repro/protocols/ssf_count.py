@@ -115,8 +115,7 @@ class CountSelfStabilizingSourceFilter(CountProtocol):
         self._honest = config.n - config.num_sources - self._owned
         self._judged_n = config.n - (0 if self._judged_owned else self._owned)
         if schedule is None:
-            kwargs = {} if constant is None else {"constant": constant}
-            schedule = SSFSchedule.from_config(config, self.delta, **kwargs)
+            schedule = SSFSchedule.from_config(config, self.delta, constant)
         self.schedule = schedule
         self.handoff = handoff
         self.weak_count = 0  # honest non-sources with weak opinion 1
@@ -214,7 +213,6 @@ class CountSelfStabilizingSourceFilter(CountProtocol):
         max_rounds: Optional[int] = None,
         rng: RngLike = None,
         stop_on_consensus: bool = True,
-        consensus_epochs: int = 2,
         telemetry: Optional[Telemetry] = None,
         record_trace: bool = False,
     ) -> CountSimulationResult:
@@ -222,7 +220,7 @@ class CountSelfStabilizingSourceFilter(CountProtocol):
 
         Mirrors :meth:`.FastSelfStabilizingSourceFilter.run` defaults:
         ``max_rounds = 20 * epoch_rounds`` and early stop once consensus
-        has held ``consensus_epochs`` whole epochs.
+        has held two whole epochs.
         """
         sched = self.schedule
         if max_rounds is None:
@@ -232,7 +230,7 @@ class CountSelfStabilizingSourceFilter(CountProtocol):
             max_rounds=max_rounds,
             rng=rng,
             stop_on_consensus=stop_on_consensus,
-            consensus_patience=consensus_epochs * sched.epoch_rounds,
+            consensus_patience=2 * sched.epoch_rounds,
             record_trace=record_trace,
             telemetry=telemetry,
         )
@@ -243,7 +241,6 @@ class CountSelfStabilizingSourceFilter(CountProtocol):
         max_rounds: Optional[int] = None,
         rng: RngLike = None,
         stop_on_consensus: bool = True,
-        consensus_epochs: int = 2,
         telemetry: Optional[Telemetry] = None,
         record_trace: bool = False,
     ) -> List[CountSimulationResult]:
@@ -267,7 +264,7 @@ class CountSelfStabilizingSourceFilter(CountProtocol):
             max_rounds,
             rngs,
             stop_on_consensus=stop_on_consensus,
-            consensus_patience=consensus_epochs * sched.epoch_rounds,
+            consensus_patience=2 * sched.epoch_rounds,
             record_trace=record_trace,
             telemetry=telemetry,
         )

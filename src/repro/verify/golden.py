@@ -311,20 +311,6 @@ def _fast_sf() -> Dict[str, object]:
     )
 
 
-def _fast_sf_batch() -> Dict[str, object]:
-    seed, replicas = 17, 3
-    config, schedule = _fast_sf_config()
-    engine = FastSourceFilter(config, 0.2, schedule=schedule)
-    results = engine.run_batch(replicas, rng=seed)
-    return _record(
-        "FastSourceFilter.run_batch",
-        seed,
-        _fast_params(config, 0.2, schedule, replicas=replicas),
-        trajectory_digest(*[p for r in results for p in _sf_parts(r)]),
-        {"converged": [bool(r.converged) for r in results]},
-    )
-
-
 def _fast_sf_faulted() -> Dict[str, object]:
     seed = 19
     config = PopulationConfig(n=256, sources=SourceCounts(0, 8), h=32)
@@ -397,21 +383,6 @@ def _fast_ssf() -> Dict[str, object]:
             "consensus_round": result.consensus_round,
             "rounds_executed": int(result.rounds_executed),
         },
-    )
-
-
-def _fast_ssf_batch() -> Dict[str, object]:
-    seed, replicas = 31, 3
-    config, schedule = _fast_ssf_config()
-    engine = FastSelfStabilizingSourceFilter(config, 0.1, schedule=schedule)
-    results = engine.run_batch(replicas, rng=seed)
-    return _record(
-        "FastSelfStabilizingSourceFilter.run_batch",
-        seed,
-        _fast_params(config, 0.1, schedule, replicas=replicas),
-        trajectory_digest(*[p for r in results for p in _ssf_parts(r)]),
-        {"consensus_rounds": [r.consensus_round for r in results],
-         "rounds_executed": [int(r.rounds_executed) for r in results]},
     )
 
 
@@ -649,11 +620,6 @@ GOLDEN_SCENARIOS: List[GoldenScenario] = [
         _fast_ssf,
     ),
     GoldenScenario(
-        "fast_sf_batch",
-        "FastSourceFilter.run_batch over three replicas (one shared stream)",
-        _fast_sf_batch,
-    ),
-    GoldenScenario(
         "fast_sf_faulted",
         "FastSourceFilter under a fixed Byzantine subset plus sample loss",
         _fast_sf_faulted,
@@ -667,11 +633,6 @@ GOLDEN_SCENARIOS: List[GoldenScenario] = [
         "fast_alternating_sf",
         "FastAlternatingSourceFilter (alternating-display listening stage)",
         _fast_alternating_sf,
-    ),
-    GoldenScenario(
-        "fast_ssf_batch",
-        "FastSelfStabilizingSourceFilter.run_batch over three replicas",
-        _fast_ssf_batch,
     ),
     GoldenScenario(
         "fast_ssf_crash",

@@ -11,7 +11,7 @@ import pytest
 from repro import PopulationConfig, SourceCounts
 from repro.analysis import ResilienceConfig, TrialStats, repeat_trials, run_trials
 from repro.engines import create_engine
-from repro.rng import spawn_seeds
+from repro.rng import spawn_generators, spawn_seeds
 
 
 @dataclasses.dataclass
@@ -121,7 +121,8 @@ def _picklable_run_one(rng):
 
 
 class FakeRunner:
-    """Engine stand-in with both per-trial and batched entry points."""
+    """Engine stand-in with both per-trial and batched entry points; its
+    ``run_batch`` is spawn-mode, as :func:`run_trials` requires."""
 
     def __init__(self):
         self.batch_calls = 0
@@ -131,8 +132,7 @@ class FakeRunner:
 
     def run_batch(self, replicas, rng=None):
         self.batch_calls += 1
-        generator = np.random.default_rng(rng)
-        return [_picklable_run_one(generator) for _ in range(replicas)]
+        return [self.run(g) for g in spawn_generators(rng, replicas)]
 
 
 class TestWorkers:
@@ -184,10 +184,7 @@ class TestRunTrials:
         runner = FakeRunner()
         stats = run_trials(runner, 10, seed=3)
         assert runner.batch_calls == 1
-        assert stats.trials == 10
-        # Batched draws are reproducible for a fixed (seed, trials).
-        again = run_trials(FakeRunner(), 10, seed=3)
-        assert stats.successes == again.successes and stats.values == again.values
+        assert stats == repeat_trials(_picklable_run_one, 10, seed=3)
 
     def test_workers_matches_serial_per_trial(self):
         runner = FakeRunner()
@@ -227,11 +224,11 @@ def _fast_engine(protocol, **kwargs):
 
 
 class TestRunTrialsFallsBackWhenTheEngineCannotBatch:
-    """Configurations ``run_batch`` rejects run trial by trial instead."""
+    """A fast engine has no ``run_batch``: faults, graphs and lossy SSF
+    run trial by trial, like every other configuration."""
 
     def _check(self, protocol, **kwargs):
         engine = _fast_engine(protocol, **kwargs)
-        assert not engine.can_batch
         stats = run_trials(engine, 4, seed=0)
         fresh = _fast_engine(protocol, **kwargs)
         baseline = repeat_trials(lambda g: fresh.run(rng=g), 4, seed=0)
@@ -250,10 +247,30 @@ class TestRunTrialsFallsBackWhenTheEngineCannotBatch:
     def test_ssf_sample_loss(self):
         self._check("ssf", sample_loss=0.1)
 
-    def test_batchable_engine_still_batches(self):
-        engine = _fast_engine("sf", sample_loss=0.1)
-        assert engine.can_batch
-        assert run_trials(engine, 3, seed=0).trials == 3
+
+def weak_fraction_correct(result) -> float:
+    """A per-trial SF measure (SF's default is its fixed horizon);
+    module-level so it pickles for ``workers=2``."""
+    return result.weak_fraction_correct
+
+
+class TestRunTrialsIgnoresScheduling:
+    """``run_trials`` gives one set of statistics whatever runs the
+    trials: one process, a pool, or a resilience policy."""
+
+    @pytest.mark.parametrize("protocol", ["sf", "ssf"])
+    @pytest.mark.parametrize("engine", ["fast", "count"])
+    def test_same_stats_with_workers_and_a_policy(self, engine, protocol):
+        config = PopulationConfig(n=256, sources=SourceCounts(0, 1), h=256)
+        handle = create_engine(engine, protocol, config, 0.1)
+        # Count SF reports a consensus round; fast SF only its horizon.
+        fast_sf = (engine, protocol) == ("fast", "sf")
+        measure = weak_fraction_correct if fast_sf else None
+        serial = run_trials(handle, 6, seed=3, measure=measure)
+        assert run_trials(handle, 6, seed=3, measure=measure, workers=2) == serial
+        assert run_trials(
+            handle, 6, seed=3, measure=measure, resilience=ResilienceConfig()
+        ) == serial
 
 
 def _token(seed_sequence) -> int:

@@ -123,8 +123,9 @@ class TestTrialsRunThroughTheHarness:
         )
         assert sink.counters["trials.completed"] > 0
 
-    def test_rows_equal_serially_and_on_a_pool(self):
-        serial = get_experiment("E3").run(scale="quick", seed=0)
-        pooled = type(get_experiment("E3"))()
+    @pytest.mark.parametrize("experiment_id", ["E3", "E1", "E2"])
+    def test_rows_equal_serially_and_on_a_pool(self, experiment_id):
+        serial = get_experiment(experiment_id).run(scale="quick", seed=0)
+        pooled = type(get_experiment(experiment_id))()
         pooled.workers = 2
         assert pooled.run(scale="quick", seed=0).rows == serial.rows

@@ -481,14 +481,22 @@ class TestEngineFaultBehavior:
         with pytest.raises(ConfigurationError, match="time-invariant"):
             FastSourceFilter(CONFIG, 0.2, fault_model=scheduled).run(rng=0)
 
-    def test_run_batch_rejects_non_null_faults(self):
-        fault = ByzantineDisplayFault(fraction=0.1)
-        with pytest.raises(ConfigurationError, match="run_batch"):
-            FastSourceFilter(CONFIG, 0.2, fault_model=fault).run_batch(2, rng=0)
-        with pytest.raises(ConfigurationError, match="run_batch"):
-            FastSelfStabilizingSourceFilter(
-                CONFIG, 0.1, fault_model=fault
-            ).run_batch(2, rng=0)
+    @pytest.mark.parametrize(
+        "engine, protocol",
+        [("serial", "sf"), ("batched", "sf"), ("async", "ssf"),
+         ("fast", "sf"), ("fast", "ssf")],
+    )
+    def test_empty_judged_set_is_a_configuration_error(self, engine, protocol):
+        class JudgesNobody(FaultModel):
+            def evaluation_mask(self):
+                return np.zeros(self._n, dtype=bool)
+
+        handle = create_engine(
+            engine, protocol, CONFIG, 0.2 if protocol == "sf" else 0.1,
+            fault_model=JudgesNobody(),
+        )
+        with pytest.raises(ConfigurationError, match="excludes every agent"):
+            handle.run(rng=0)
 
     def test_fast_ssf_crash_recovery_emits_metrics(self):
         probe = FastSelfStabilizingSourceFilter(CONFIG, 0.1)

@@ -1,19 +1,12 @@
 """Tests for the vectorized Source Filter engine."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.model.config import PopulationConfig
 from repro.noise import NoiseMatrix, uniform_observation
-from repro.protocols import (
-    FastAlternatingSourceFilter,
-    FastSelfStabilizingSourceFilter,
-    FastSourceFilter,
-    SFSchedule,
-)
+from repro.protocols import FastSourceFilter, SFSchedule
 from repro.theory import sf_step_distribution, weak_opinion_success_probability
 from repro.types import SourceCounts
 from repro.verify import assert_binomial_plausible, assert_success_probability
@@ -194,72 +187,6 @@ class TestRun:
             context="fast SF convergence reliability",
         )
         assert sum(outcomes) == 30  # deterministic regression on these seeds
-
-
-class TestRunBatch:
-    def test_shapes_and_replica_count(self):
-        engine = FastSourceFilter(config(n=128, h=8), 0.2)
-        results = engine.run_batch(5, rng=0)
-        assert len(results) == 5
-        for r in results:
-            assert r.final_opinions.shape == (128,)
-            assert r.weak_opinions.shape == (128,)
-            assert len(r.boost_trace) == engine.schedule.num_subphases + 1
-            assert r.total_rounds == engine.schedule.total_rounds
-
-    def test_reproducible(self):
-        engine = FastSourceFilter(config(n=128, h=8), 0.2)
-        a = engine.run_batch(6, rng=42)
-        b = engine.run_batch(6, rng=42)
-        for x, y in zip(a, b):
-            assert np.array_equal(x.final_opinions, y.final_opinions)
-            assert x.weak_fraction_correct == y.weak_fraction_correct
-            assert x.boost_trace == y.boost_trace
-
-    def test_converges_like_serial(self):
-        engine = FastSourceFilter(config(n=256), 0.2)
-        batch = engine.run_batch(8, rng=1)
-        assert all(r.converged for r in batch)
-        assert all(engine.run(rng=100 + i).converged for i in range(8))
-
-    def test_replicas_must_be_positive(self):
-        with pytest.raises(ConfigurationError):
-            FastSourceFilter(config(), 0.2).run_batch(0)
-
-    def test_with_sample_loss(self):
-        engine = FastSourceFilter(config(n=256), 0.2, sample_loss=0.1)
-        results = engine.run_batch(4, rng=2)
-        assert len(results) == 4
-        assert all(r.final_opinions.shape == (256,) for r in results)
-
-
-ONE_REPLICA_ENGINES = {
-    "sf": lambda: FastSourceFilter(config(n=192, s0=1, s1=3, h=16), 0.2),
-    "sf-sample-loss": lambda: FastSourceFilter(
-        config(n=192, s0=1, s1=3, h=16), 0.2, sample_loss=0.25
-    ),
-    "ssf-clean-start": lambda: FastSelfStabilizingSourceFilter(
-        config(n=96, s0=0, s1=3, h=16), 0.1
-    ),
-    "sf-alternating": lambda: FastAlternatingSourceFilter(
-        config(n=192, s0=1, s1=3, h=16), 0.2
-    ),
-}
-
-
-@pytest.mark.parametrize("seed", range(3))
-@pytest.mark.parametrize("engine", sorted(ONE_REPLICA_ENGINES))
-def test_run_is_the_one_replica_batch(engine, seed):
-    """``run(rng=s)`` equals ``run_batch(1, rng=s)[0]`` field for field."""
-    make = ONE_REPLICA_ENGINES[engine]
-    single = make().run(rng=seed)
-    (batched,) = make().run_batch(1, rng=seed)
-    for field in dataclasses.fields(single):
-        a, b = getattr(single, field.name), getattr(batched, field.name)
-        if isinstance(a, np.ndarray):
-            assert a.dtype == b.dtype and np.array_equal(a, b), field.name
-        else:
-            assert a == b, field.name
 
 
 def test_graph_sample_loss_thins_observations_once():

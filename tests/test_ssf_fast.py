@@ -168,60 +168,3 @@ class TestRun:
             context="fast SSF convergence reliability",
         )
         assert sum(outcomes) == 20  # deterministic regression on these seeds
-
-
-class TestRunBatch:
-    def test_shapes_and_replica_count(self):
-        engine = FastSelfStabilizingSourceFilter(config(n=128, h=16), 0.05)
-        results = engine.run_batch(4, rng=0)
-        assert len(results) == 4
-        for r in results:
-            assert r.final_opinions.shape == (128,)
-            assert r.final_weak_opinions.shape == (128,)
-            assert r.rounds_executed > 0
-
-    def test_reproducible(self):
-        engine = FastSelfStabilizingSourceFilter(config(n=128, h=16), 0.05)
-        a = engine.run_batch(5, rng=9)
-        b = engine.run_batch(5, rng=9)
-        for x, y in zip(a, b):
-            assert np.array_equal(x.final_opinions, y.final_opinions)
-            assert x.rounds_executed == y.rounds_executed
-            assert x.consensus_round == y.consensus_round
-            assert x.trace == y.trace
-
-    def test_converges_like_serial(self):
-        engine = FastSelfStabilizingSourceFilter(config(n=256), 0.05)
-        batch = engine.run_batch(6, rng=3)
-        assert all(r.converged for r in batch)
-        assert all(r.consensus_round is not None for r in batch)
-        serial = [engine.run(rng=50 + i) for i in range(6)]
-        assert all(r.converged for r in serial)
-        # Flush times come from the same shared epoch clock, so batched
-        # consensus rounds land on the same discrete grid as serial ones.
-        grid = {r.consensus_round for r in serial}
-        assert all(r.consensus_round in grid or r.consensus_round > max(grid)
-                   for r in batch)
-
-    def test_does_not_touch_serial_state(self):
-        engine = FastSelfStabilizingSourceFilter(config(n=128, h=16), 0.05)
-        before = engine.run(rng=7)
-        engine.run_batch(3, rng=1)
-        after = engine.run(rng=7)
-        assert np.array_equal(before.final_opinions, after.final_opinions)
-        assert before.rounds_executed == after.rounds_executed
-
-    def test_replicas_must_be_positive(self):
-        with pytest.raises(ConfigurationError):
-            FastSelfStabilizingSourceFilter(config(), 0.05).run_batch(0)
-
-    def test_sample_loss_unsupported(self):
-        engine = FastSelfStabilizingSourceFilter(config(), 0.05, sample_loss=0.2)
-        with pytest.raises(ConfigurationError):
-            engine.run_batch(2)
-
-    def test_respects_max_rounds(self):
-        engine = FastSelfStabilizingSourceFilter(config(n=128, h=16), 0.05)
-        budget = engine.schedule.epoch_rounds  # one epoch only
-        results = engine.run_batch(3, max_rounds=budget, rng=0)
-        assert all(r.rounds_executed <= budget for r in results)

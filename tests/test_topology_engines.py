@@ -202,11 +202,6 @@ class TestCapabilityGrid:
                 topology=ChurnTopology(degree=4),
             )
 
-    def test_fast_run_batch_rejects_graphs(self):
-        protocol = FastSourceFilter(CONFIG, DELTA, topology="regular")
-        with pytest.raises(UnsupportedFeatureError):
-            protocol.run_batch(replicas=2, rng=0)
-
     def test_spec_serialization_includes_topology(self):
         assert engine_spec("fast").to_dict()["graph_kinds"] == {
             "sf": ["static"], "ssf": [],
