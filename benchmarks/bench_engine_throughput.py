@@ -99,14 +99,13 @@ def _serial_sweep(population, noise, schedule, trials, rounds, seed):
     return results
 
 
-def _batched_sweep(population, noise, schedule, trials, rounds, seed, mode):
+def _batched_sweep(population, noise, schedule, trials, rounds, seed):
     engine = BatchedPullEngine(population, noise)
     return engine.run(
         BatchedSourceFilter(schedule),
         max_rounds=rounds,
         replicas=trials,
         rng=seed,
-        rng_mode=mode,
     )
 
 
@@ -117,16 +116,8 @@ def _batched_sweep(population, noise, schedule, trials, rounds, seed, mode):
 PAIRS = 20
 
 
-@pytest.mark.parametrize(
-    "n,h,mode",
-    [
-        (64, 2, "shared"),
-        (64, 2, "spawn"),
-        (128, 4, "shared"),
-        (1024, 16, "shared"),
-    ],
-)
-def test_perf_batched_vs_serial_sweep(n, h, mode):
+@pytest.mark.parametrize("n,h", [(64, 2), (128, 4), (1024, 16)])
+def test_perf_batched_vs_serial_sweep(n, h):
     """A 64-trial exact-engine sweep, serial loop vs batched replicas.
 
     Batching amortizes the per-round numpy dispatch overhead, so the
@@ -148,9 +139,7 @@ def test_perf_batched_vs_serial_sweep(n, h, mode):
 
     def timed_batched():
         start = time.perf_counter()
-        results = _batched_sweep(
-            population, noise, schedule, TRIALS, ROUNDS, seed=5, mode=mode
-        )
+        results = _batched_sweep(population, noise, schedule, TRIALS, ROUNDS, seed=5)
         return time.perf_counter() - start, results
 
     serial_times, batched_times, speedups = [], [], []
@@ -162,10 +151,9 @@ def test_perf_batched_vs_serial_sweep(n, h, mode):
             serial_s, serial = timed_serial()
             batched_s, batched = timed_batched()
         assert len(serial) == len(batched) == TRIALS
-        if mode == "spawn":
-            # The spawn discipline is bit-identical to the serial loop.
-            for s, b in zip(serial, batched):
-                assert np.array_equal(s.final_opinions, b.final_opinions)
+        # Replica r runs on the serial loop's generator r, bit for bit.
+        for s, b in zip(serial, batched):
+            assert np.array_equal(s.final_opinions, b.final_opinions)
         serial_times.append(serial_s)
         batched_times.append(batched_s)
         speedups.append(serial_s / batched_s)
@@ -176,7 +164,6 @@ def test_perf_batched_vs_serial_sweep(n, h, mode):
             "case": "batched_vs_serial",
             "n": n,
             "h": h,
-            "rng_mode": mode,
             "trials": TRIALS,
             "rounds": ROUNDS,
             "pairs": PAIRS,
@@ -188,7 +175,7 @@ def test_perf_batched_vs_serial_sweep(n, h, mode):
         }
     )
     print(
-        f"\n  n={n} h={h} mode={mode}: median of {PAIRS} pairs serial "
+        f"\n  n={n} h={h}: median of {PAIRS} pairs serial "
         f"{np.median(serial_times):.3f}s, batched {np.median(batched_times):.3f}s, "
         f"speedup {speedup:.2f}x ({min(speedups):.2f}-{max(speedups):.2f}x)"
     )

@@ -30,9 +30,9 @@ import time
 import numpy as np
 
 from repro.model import BatchedPullEngine, Population, PopulationConfig
-from repro.model.batched_engine import _spawn_generators
 from repro.noise import NoiseMatrix
 from repro.protocols import BatchedSourceFilter, SFSchedule
+from repro.rng import spawn_generators
 from repro.service import SpreadingService, execute_run
 from repro.telemetry import AggregatingSink, Telemetry
 from repro.types import SourceCounts
@@ -60,14 +60,14 @@ SERVICE_REPS = 11
 
 
 def _reference_batched_run(population, noise, protocol, max_rounds, replicas, seed):
-    """The BatchedPullEngine stage loop without telemetry, spawn mode.
+    """The BatchedPullEngine stage loop without telemetry.
 
     A faithful replica of the engine's hot path — same generators, same
     draws, same once-per-stage consensus bookkeeping, no telemetry or
     tracing — serving as the baseline the instrumented (but disabled)
     engine is measured against.
     """
-    generators = _spawn_generators(replicas, seed, None)
+    generators = spawn_generators(seed, replicas)
     n, h = population.n, population.h
     correct = population.correct_opinion
     protocol.reset(population, generators)

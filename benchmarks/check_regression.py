@@ -33,10 +33,15 @@ from typing import Dict, List, NamedTuple, Optional, Sequence
 
 REPO_ROOT = pathlib.Path(__file__).parent.parent
 
+#: The seeding code.  The throughput, count-engine, service and
+#: adversary records time runs whose streams come from
+#: ``spawn_generators``, ``spawn_seeds`` or ``coerce_seed``.
+SEEDING_SOURCES = ["src/repro/rng.py", "src/repro/types.py"]
+
 #: Source files whose behavior the count-engine record measures: its
 #: benchmark runs the count, mean-field, batched and fast engines.
 #: Editing any of these invalidates the committed record.
-COUNT_ENGINE_SOURCES = [
+COUNT_ENGINE_SOURCES = SEEDING_SOURCES + [
     "src/repro/model/engine.py",
     "src/repro/model/batched_engine.py",
     "src/repro/model/count_engine.py",
@@ -52,7 +57,7 @@ COUNT_ENGINE_SOURCES = [
 #: Exactly the modules the engine-throughput benchmark runs: the
 #: agent-level and batched engines, the fast engines and the trial
 #: runner with its loops.  It runs no count-engine code.
-THROUGHPUT_SOURCES = [
+THROUGHPUT_SOURCES = SEEDING_SOURCES + [
     "src/repro/model/engine.py",
     "src/repro/model/batched_engine.py",
     "src/repro/model/population.py",
@@ -73,7 +78,7 @@ THROUGHPUT_SOURCES = [
 #: trial adapter and loops every ``trials`` job runs, the sweep every
 #: ``/sweep`` runs, the agent-level engine and SF protocol, and the
 #: telemetry every job records into.
-SERVICE_SOURCES = [
+SERVICE_SOURCES = SEEDING_SOURCES + [
     "src/repro/service/server.py",
     "src/repro/service/cache.py",
     "src/repro/service/jobs.py",
@@ -127,7 +132,7 @@ RECORDS: Dict[str, Record] = {
     "BENCH_engine_throughput.json": Record(
         "bench_engine_throughput.py", THROUGHPUT_SOURCES, [
             # A regression fixed once and kept fixed.
-            Gate("batched vs serial n=1024 (mode={rng_mode})",
+            Gate("batched vs serial n=1024",
                  {"case": "batched_vs_serial", "n": 1024}, "speedup", ">=", 1.0,
                  "the batched engine is never slower than the serial loop"),
         ]),
@@ -177,11 +182,12 @@ RECORDS: Dict[str, Record] = {
         ]),
     "BENCH_adversary_search.json": Record(
         "bench_adversary_search.py",
-        ["src/repro/adversary_search/*.py", "src/repro/analysis/sequential.py",
-         "src/repro/engines.py",
-         "src/repro/model/count_engine.py", "src/repro/protocols/sf_count.py",
-         "src/repro/theory/tails.py", "src/repro/protocols/sf_fast.py",
-         "src/repro/faults/*.py"], [
+        SEEDING_SOURCES + [
+            "src/repro/adversary_search/*.py", "src/repro/analysis/sequential.py",
+            "src/repro/engines.py",
+            "src/repro/model/count_engine.py", "src/repro/protocols/sf_count.py",
+            "src/repro/theory/tails.py", "src/repro/protocols/sf_fast.py",
+            "src/repro/faults/*.py"], [
             # SPRT-gated candidate screening on the benchmark's mixed
             # benign/damaging pool (measured ~2-3x; 1.3 keeps the gate
             # robust to unlucky trial draws).

@@ -63,14 +63,12 @@ class EngineSpec:
     ``agent_blind`` engines collapse the population to exchangeable
     counts (or the deterministic limit), so they admit no graph and no
     fault that indexes agents beyond a subset that counts can carry
-    (the ``subset`` trait); ``supports_batch`` marks engines with a
-    vectorized ``run_batch`` replica axis.
+    (the ``subset`` trait).
     """
 
     name: str
     description: str
     protocols: Tuple[str, ...]
-    supports_batch: bool
     agent_blind: bool
     fault_traits: Mapping[str, FrozenSet[str]] = dataclasses.field(
         default_factory=dict)
@@ -83,7 +81,6 @@ class EngineSpec:
             "name": self.name,
             "description": self.description,
             "protocols": list(self.protocols),
-            "supports_batch": self.supports_batch,
             "agent_blind": self.agent_blind,
             "fault_traits": {
                 p: [t for t in FAULT_TRAITS if t in self.fault_traits.get(p, ())]
@@ -116,7 +113,6 @@ _REGISTRY: Dict[str, EngineSpec] = {
             name="fast",
             description="vectorized per-agent SF/SSF engine (O(n) per round)",
             protocols=("sf", "ssf"),
-            supports_batch=False,
             agent_blind=False,
             fault_traits={
                 "sf": _PHASE_EXACT,
@@ -128,7 +124,6 @@ _REGISTRY: Dict[str, EngineSpec] = {
             name="count",
             description="count-level engine, O(|Sigma|) per transition at any n",
             protocols=("sf", "ssf"),
-            supports_batch=True,
             agent_blind=True,
             fault_traits={"sf": _COUNT_EXACT, "ssf": _COUNT_EXACT},
         ),
@@ -136,14 +131,12 @@ _REGISTRY: Dict[str, EngineSpec] = {
             name="mean-field",
             description="deterministic n->infinity SF recursion",
             protocols=("sf",),
-            supports_batch=False,
             agent_blind=True,
         ),
         EngineSpec(
             name="serial",
             description="exact agent-level PULL(h) reference engine",
             protocols=("sf", "ssf"),
-            supports_batch=False,
             agent_blind=False,
             fault_traits={"sf": _EVERY_TRAIT, "ssf": _EVERY_TRAIT},
             graph_kinds={"sf": _ANY_GRAPH, "ssf": _ANY_GRAPH},
@@ -152,7 +145,6 @@ _REGISTRY: Dict[str, EngineSpec] = {
             name="batched",
             description="exact agent-level engine with a vectorized replica axis",
             protocols=("sf",),
-            supports_batch=True,
             agent_blind=False,
             fault_traits={"sf": _EVERY_TRAIT},
             graph_kinds={"sf": ("static",)},
@@ -161,7 +153,6 @@ _REGISTRY: Dict[str, EngineSpec] = {
             name="async",
             description="random-sequential-activation engine (SSF only)",
             protocols=("ssf",),
-            supports_batch=False,
             agent_blind=False,
             fault_traits={"ssf": _EVERY_TRAIT - {"global-displays"}},
         ),
@@ -171,7 +162,6 @@ _REGISTRY: Dict[str, EngineSpec] = {
                 "localhost asyncio UDP deployment: one real peer per agent"
             ),
             protocols=("sf", "ssf"),
-            supports_batch=False,
             agent_blind=False,
         ),
     )
@@ -615,14 +605,11 @@ class EngineHandle:
         schedule = self._schedule_for(2)
         engine = BatchedPullEngine(population, self._noise_matrix(2))
         replicas = kwargs.pop("replicas", 1)
-        # BatchedPullEngine spawns replica streams from a seed, not a
-        # live generator; derive one deterministically from the run RNG.
-        run_seed = int(generator.integers(0, 2**63 - 1))
         results = engine.run(
             BatchedSourceFilter(schedule),
             max_rounds=max_rounds or schedule.total_rounds,
             replicas=replicas,
-            rng=run_seed,
+            rng=generator,
             telemetry=telemetry,
             fault_model=self.fault_model,
             topology=self.topology,

@@ -19,46 +19,32 @@ tally at the stage's end.  Consensus, early stopping, traces, recovery
 trackers and telemetry are settled once per stage: inside a stage each
 replica's verdict can only change on the last round.
 
-Two seeding disciplines are offered (``rng_mode``):
-
-``"spawn"`` (default)
-    Replica ``r`` draws every variate from its own generator, seeded
-    from ``SeedSequence(seed).spawn(R)[r]`` — the exact discipline of
-    :func:`repro.rng.spawn_generators`.  A batched run is therefore
-    **bit-identical** to ``R`` serial :class:`PullEngine` runs with the
-    matching spawned seeds, and invariant under any split of ``R``
-    across batched calls (pass the corresponding ``seed_sequences``).
-    Each round costs one ``integers`` (or ``sampler.sample``) call and
-    one ``random`` call per replica; everything else is fully batched.
-
-``"shared"``
-    All replicas' samples are drawn from a single generator in one
-    ``Generator.integers`` call over ``(R, n, h)`` with ``int32`` index
-    dtype (halving sample memory at ``h = n``) and one uniform block for
-    the noise.  Fastest; reproducible for a fixed ``(seed, R)`` but not
-    stream-identical to serial runs.
-
-Replicas that satisfy the early-stopping rule leave the active set and
-stop consuming randomness, so ``"spawn"`` bit-identity survives early
-exits.
+Replica ``r`` draws every variate from its own generator,
+``spawn_generators(seed, R)[r]`` with ``seed = coerce_seed(None, rng)``
+— the streams :func:`repro.analysis.run_trials` gives its trials.  A
+batched run is therefore **bit-identical** to ``R`` serial
+:class:`PullEngine` runs on those generators.  Each round costs one
+``integers`` (or ``sampler.sample``) call and one ``random`` call per
+replica; everything else is fully batched.  Replicas that satisfy the
+early-stopping rule leave the active set and stop consuming randomness,
+so bit-identity survives early exits.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from ..exceptions import ConfigurationError, ProtocolError
+from ..rng import spawn_generators
 from ..telemetry import Telemetry, ensure_telemetry
-from ..types import merge_rng_seed, seed_of
+from ..types import RngLike, coerce_seed, merge_rng_seed
 from .engine import RoundRecord, SimulationResult
 from .population import Population
 
 __all__ = ["BatchedPullProtocol", "BatchedPullEngine"]
-
-SeedLike = Union[int, np.random.SeedSequence, None]
 
 
 class BatchedPullProtocol(abc.ABC):
@@ -71,7 +57,7 @@ class BatchedPullProtocol(abc.ABC):
     round, :meth:`end_stage` receives every agent's count of observed 1s
     over the stage (a sum of observations, so the contract is binary).
     Any replica-local coin flips (tie-breaking) must be drawn from that
-    replica's generator so that ``"spawn"`` runs stay bit-identical to
+    replica's generator so that batched runs stay bit-identical to
     serial ones.
     """
 
@@ -110,48 +96,12 @@ class BatchedPullProtocol(abc.ABC):
         """Current opinion matrix, ``(R, n)`` ints in {0, 1}."""
 
 
-def _spawn_generators(
-    replicas: Optional[int],
-    rng: SeedLike,
-    seed_sequences: Optional[Sequence[np.random.SeedSequence]],
-) -> List[np.random.Generator]:
-    """Resolve the per-replica generators from either seeding input."""
-    if seed_sequences is not None:
-        if replicas is not None and replicas != len(seed_sequences):
-            raise ValueError(
-                f"replicas={replicas} does not match "
-                f"{len(seed_sequences)} seed sequences"
-            )
-        return [np.random.default_rng(s) for s in seed_sequences]
-    if replicas is None or replicas < 1:
-        raise ValueError(f"replicas must be a positive int, got {replicas}")
-    if isinstance(rng, np.random.Generator):
-        raise TypeError(
-            "BatchedPullEngine needs a seed or SeedSequence, not a live "
-            "Generator: per-replica streams are spawned from the root so "
-            "results are reproducible and split-invariant"
-        )
-    root = rng if isinstance(rng, np.random.SeedSequence) else np.random.SeedSequence(rng)
-    return [np.random.default_rng(s) for s in root.spawn(replicas)]
-
-
-def _batch_generator(
-    rng: SeedLike,
-    seed_sequences: Optional[Sequence[np.random.SeedSequence]],
-    replicas: int,
-) -> np.random.Generator:
+def _batch_generator(seed: Optional[int], replicas: int) -> np.random.Generator:
     """The generator for batch-wide draws (a graph, a faulty subset):
-    child ``R`` of the root seed sequence, so it never collides with a
+    child ``R`` of ``SeedSequence(seed)``, so it never collides with a
     replica stream."""
-    if seed_sequences is not None:
-        root = seed_sequences[0].spawn(1)[0]
-    elif isinstance(rng, np.random.SeedSequence):
-        # _spawn_generators already consumed children 0..R-1 of this
-        # very object, so the next spawn is child R.
-        root = rng.spawn(1)[0]
-    else:
-        root = np.random.SeedSequence(rng).spawn(replicas + 1)[-1]
-    return np.random.default_rng(root)
+    root = np.random.SeedSequence(seed)
+    return np.random.default_rng(root.spawn(replicas + 1)[-1])
 
 
 class BatchedPullEngine:
@@ -174,10 +124,8 @@ class BatchedPullEngine:
         protocol: BatchedPullProtocol,
         max_rounds: int,
         replicas: Optional[int] = None,
-        rng: SeedLike = None,
+        rng: RngLike = None,
         *,
-        seed_sequences: Optional[Sequence[np.random.SeedSequence]] = None,
-        rng_mode: str = "spawn",
         stop_on_consensus: bool = False,
         consensus_patience: int = 0,
         record_trace: bool = False,
@@ -191,19 +139,13 @@ class BatchedPullEngine:
         Parameters
         ----------
         replicas:
-            Number of independent replicas R.  May be omitted when
-            ``seed_sequences`` is given.
+            Number of independent replicas R (required).
         rng:
-            Root seed (int, :class:`numpy.random.SeedSequence` or None);
-            replica ``r`` runs on ``SeedSequence(rng).spawn(R)[r]``.
-        seed_sequences:
-            Explicit per-replica seed sequences — use this to split one
-            logical batch across several calls (any split yields the
-            same per-replica results in ``"spawn"`` mode).
-        rng_mode:
-            ``"spawn"`` (bit-identical to serial runs) or ``"shared"``
-            (single-generator bulk sampling, fastest).  See the module
-            docstring.
+            Any :data:`~repro.types.RngLike`, resolved to one master
+            seed by :func:`~repro.types.coerce_seed` (a live generator
+            gives one draw); replica ``r`` runs on
+            ``spawn_generators(seed, R)[r]`` and every result's ``seed``
+            field is that master seed.
         stop_on_consensus / consensus_patience:
             Per-replica early exit with the same semantics as
             :meth:`PullEngine.run`: a replica stops once consensus has
@@ -217,22 +159,21 @@ class BatchedPullEngine:
             bit-identical with telemetry on or off.
         fault_model:
             Optional :class:`~repro.faults.FaultModel`.  One faulty
-            subset is resolved per *batch* (from a generator spawned off
-            the root seed — child ``R`` of the root sequence, so it
-            never collides with a replica stream) and shared by all
-            replicas; per-round display transforms run per replica with
-            that replica's generator in ``"spawn"`` mode.  ``None``
-            keeps the byte-identical legacy path, and a null model
-            counts as absent.  Models whose faulty set is random make
-            spawn-mode runs diverge from serial runs (the serial engine
+            subset is resolved per *batch* (from child ``R`` of
+            ``SeedSequence(seed)``, so it never collides with a replica
+            stream) and shared by all replicas; per-round display
+            transforms run per replica with that replica's generator.
+            ``None`` keeps the byte-identical legacy path, and a null
+            model counts as absent.  Models whose faulty set is random
+            make batched runs diverge from serial runs (the serial engine
             resolves the set from the run generator) — pass explicit
             ``agents=`` when cross-engine bit-identity matters.
         topology:
             Optional :class:`~repro.topology.TopologySampler` (or spec)
             restricting samples to graph neighbors.  The whole batch
             shares *one* realized graph (quenched disorder): an unbound
-            sampler binds from child ``R`` of the root sequence — the
-            same slot fault models use; use the serial engine per
+            sampler binds from child ``R`` of ``SeedSequence(seed)`` —
+            the same slot fault models use; use the serial engine per
             replica for independent graph draws.  Both seams pass
             :func:`repro.engines.admit_seams`: static graphs only (a
             dynamic one has no replica-safe evolution stream), never
@@ -244,8 +185,6 @@ class BatchedPullEngine:
         One :class:`SimulationResult` per replica, in replica order.
         """
         rng = merge_rng_seed(rng, seed)
-        if rng_mode not in ("spawn", "shared"):
-            raise ValueError(f"rng_mode must be 'spawn' or 'shared', got {rng_mode!r}")
         if protocol.alphabet_size != self.noise.size:
             raise ProtocolError(
                 f"protocol alphabet size {protocol.alphabet_size} does not match "
@@ -257,17 +196,11 @@ class BatchedPullEngine:
             "batched", None, fault_model, topology,
             alphabet_size=protocol.alphabet_size,
         )
-        generators = _spawn_generators(replicas, rng, seed_sequences)
-        num_replicas = len(generators)
+        if replicas is None or replicas < 1:
+            raise ValueError(f"replicas must be a positive int, got {replicas}")
+        seed = coerce_seed(None, rng)
+        generators = spawn_generators(seed, replicas)
         tele = ensure_telemetry(telemetry)
-        bulk: Optional[np.random.Generator] = None
-        if rng_mode == "shared":
-            root = (
-                rng
-                if isinstance(rng, np.random.SeedSequence)
-                else np.random.SeedSequence(rng)
-            )
-            bulk = np.random.default_rng(root)
 
         population = self.population
         n, h = population.n, population.h
@@ -278,9 +211,7 @@ class BatchedPullEngine:
             from ..topology import create_topology
 
             sampler = create_topology(topology)
-            sampler.ensure_bound(
-                n, _batch_generator(rng, seed_sequences, num_replicas)
-            )
+            sampler.ensure_bound(n, _batch_generator(seed, replicas))
 
         protocol.reset(population, generators)
 
@@ -291,7 +222,7 @@ class BatchedPullEngine:
             fault_model.reset(
                 population,
                 protocol.alphabet_size,
-                _batch_generator(rng, seed_sequences, num_replicas),
+                _batch_generator(seed, replicas),
             )
             eval_mask = fault_model.evaluation_mask()
             if eval_mask is not None:
@@ -308,7 +239,7 @@ class BatchedPullEngine:
                         fault_model.onset_round,
                         fault_model.quasi_consensus_floor,
                     )
-                    for _ in range(num_replicas)
+                    for _ in range(replicas)
                 ]
 
         def count_correct(rows: np.ndarray) -> np.ndarray:
@@ -325,15 +256,15 @@ class BatchedPullEngine:
             consensus_start[rows] = np.where(ok, np.where(since < 0, first, since), -1)
             streak[rows] = np.where(ok, streak[rows] + ran, 0)
 
-        active = np.arange(num_replicas)
-        streak = np.zeros(num_replicas, dtype=np.int64)
-        consensus_start = np.full(num_replicas, -1, dtype=np.int64)
-        rounds_executed = np.zeros(num_replicas, dtype=np.int64)
-        traces: List[List[RoundRecord]] = [[] for _ in range(num_replicas)]
+        active = np.arange(replicas)
+        streak = np.zeros(replicas, dtype=np.int64)
+        consensus_start = np.full(replicas, -1, dtype=np.int64)
+        rounds_executed = np.zeros(replicas, dtype=np.int64)
+        traces: List[List[RoundRecord]] = [[] for _ in range(replicas)]
         judging = correct is not None
         num_correct = count_correct(active) if judging else None
 
-        timer = tele.phase("batched_engine.run", replicas=num_replicas) if tele.enabled else None
+        timer = tele.phase("batched_engine.run", replicas=replicas) if tele.enabled else None
         if timer is not None:
             timer.__enter__()
         start = 0
@@ -353,7 +284,7 @@ class BatchedPullEngine:
                 last[early] = leave[early]
             ones = self._run_stage(
                 protocol.stage_displays(stage), start, end, entry, last,
-                generators, bulk, sampler, fault_model,
+                generators, sampler, fault_model,
             )
             rounds_executed[entry] = last + 1
             active = entry[last == end - 1]
@@ -382,8 +313,7 @@ class BatchedPullEngine:
         # recounted after every stage-end update, and nothing else
         # changes an opinion.
         final = np.asarray(protocol.opinions())
-        converged = num_correct == n_eval if judging else np.zeros(num_replicas, bool)
-        seed = seed_of(rng) if seed_sequences is None else None
+        converged = num_correct == n_eval if judging else np.zeros(replicas, bool)
         results = [
             SimulationResult(
                 converged=bool(converged[r]),
@@ -397,12 +327,12 @@ class BatchedPullEngine:
                 trace=traces[r],
                 seed=seed,
             )
-            for r in range(num_replicas)
+            for r in range(replicas)
         ]
         if timer is not None:
             timer.__exit__(None, None, None)
             tele.counter("batched_engine.runs")
-            tele.counter("batched_engine.replicas", num_replicas)
+            tele.counter("batched_engine.replicas", replicas)
             tele.counter(
                 "batched_engine.converged_replicas",
                 sum(result.converged for result in results),
@@ -414,7 +344,7 @@ class BatchedPullEngine:
         return results
 
     def _run_stage(
-        self, displays, start, end, entry, last, generators, bulk, sampler, fault_model
+        self, displays, start, end, entry, last, generators, sampler, fault_model
     ) -> np.ndarray:
         """Run rounds ``start..end-1`` of one stage; replica ``entry[i]``
         runs through round ``last[i]``.  Returns the ``(A, n, h)`` sum of
@@ -435,10 +365,10 @@ class BatchedPullEngine:
                 sampled = np.empty((members.size, n, h), dtype=np.int64)
                 uniforms = np.empty((members.size, n, h))
                 offsets = (np.arange(members.size, dtype=np.int64) * n)[:, None, None]
-                # Each member's generator (the bulk one in shared mode)
-                # and its rows of the sample and variate buffers.
+                # Each member's generator and its rows of the sample and
+                # variate buffers.
                 draws = [
-                    (generators[r] if bulk is None else bulk, sampled[i], uniforms[i])
+                    (generators[r], sampled[i], uniforms[i])
                     for i, r in enumerate(members)
                 ]
             round_rows, pool, visible = rows, n, None
@@ -454,31 +384,19 @@ class BatchedPullEngine:
                 ]
                 if any(out is not row for out, row in zip(faulted, rows)):
                     round_rows = np.stack(faulted)
-            # Spawn-mode generators are independent, so drawing every
+            # The replicas' generators are independent, so drawing every
             # replica's samples before any variates keeps each stream.
-            picks = sampled
             if sampler is not None:
                 for g, picked, _ in draws:
                     picked[...] = sampler.sample(None, h, g)
-            elif bulk is None:
+            else:
                 for g, picked, _ in draws:
                     picked[...] = g.integers(0, pool, size=(n, h))
-            else:
-                picks = bulk.integers(0, pool, size=sampled.shape, dtype=np.int32)
-            if bulk is None:
-                for g, _, uniform in draws:
-                    g.random(out=uniform)
-            else:
-                bulk.random(out=uniforms)
-            if visible is not None:
-                picks = visible[picks]
-            # One flat 1-D take — cheaper than take_along_axis — on intp
-            # indices: shared mode's int32 draws are widened by the
-            # offset sum instead of again inside take.
-            if picks.dtype == np.intp:
-                picks += offsets
-            else:
-                picks = picks + offsets
+            for g, _, uniform in draws:
+                g.random(out=uniform)
+            picks = sampled if visible is None else visible[sampled]
+            # One flat 1-D take — cheaper than take_along_axis.
+            picks += offsets
             gathered = round_rows.reshape(-1).take(picks)
             channel = self._matrix_at(t) if self._matrix_at else self.noise
             if fault_model is not None:

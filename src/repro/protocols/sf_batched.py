@@ -7,8 +7,8 @@ Phase 1 and at the end of each boosting sub-phase, so its stages are
 :meth:`SFSchedule.stages`: Phase 0, Phase 1, each short boosting
 sub-phase and the final sub-phase.  Replica-local coin flips (initial
 opinions, tie-breaking) are drawn from each replica's own generator in
-the same order as the serial protocol, which is what makes a
-``rng_mode="spawn"`` batched run bit-identical to serial runs.
+the same order as the serial protocol, which is what makes a batched
+run bit-identical to serial runs.
 """
 
 from __future__ import annotations

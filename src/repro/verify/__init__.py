@@ -3,7 +3,7 @@
 The correctness layer of the repo, in the spirit of ``numpy.testing``:
 
 * :mod:`repro.verify.conformance` — bit-identity checks between engine
-  generations (reference vs batched under ``rng_mode="spawn"``).
+  generations (reference vs batched).
 * :mod:`repro.verify.statistical` — exact-binomial / Hoeffding
   assertions with explicit confidence levels and a false-positive
   budget, replacing hand-rolled ``> 0.9``-style checks.

@@ -5,10 +5,10 @@ reference :class:`~repro.model.PullEngine`, the replica-axis
 :class:`~repro.model.BatchedPullEngine`, the fast SF/SSF engines and the
 asynchronous variants.  Two notions of equivalence apply:
 
-* **bit-identical** — the batched engine under ``rng_mode="spawn"``
-  consumes exactly the same random draws as serial runs seeded from
-  ``SeedSequence(seed).spawn(R)``, so whole trajectories must match
-  exactly.  :func:`assert_engines_equivalent` checks this.
+* **bit-identical** — the batched engine consumes exactly the same
+  random draws as serial runs on ``spawn_generators(seed, R)``, so
+  whole trajectories must match exactly.
+  :func:`assert_engines_equivalent` checks this.
 * **distributional** — the fast engines use exchangeability shortcuts
   (binomial/multinomial draws instead of per-agent samples), so only the
   laws agree; those pairs are checked with the statistical assertions in
@@ -111,9 +111,8 @@ def assert_engines_equivalent(
 
     ``serial_run(generator)`` must execute one trajectory with the given
     generator and return its :class:`SimulationResult`; ``batched_run(seed,
-    replicas)`` must execute ``replicas`` trajectories under
-    ``rng_mode="spawn"`` semantics (replica ``r`` seeded from
-    ``SeedSequence(seed).spawn(replicas)[r]``) and return their results in
+    replicas)`` must execute ``replicas`` trajectories, replica ``r`` on
+    ``spawn_generators(seed, replicas)[r]``, and return their results in
     replica order.  Every replica is compared field-by-field against the
     serial run with the matching spawned generator.
 

@@ -606,7 +606,8 @@ GOLDEN_SCENARIOS: List[GoldenScenario] = [
     ),
     GoldenScenario(
         "batched_sf_spawn",
-        "BatchedPullEngine under rng_mode='spawn' (bit-identity anchor)",
+        "BatchedPullEngine, replica r on spawn_generators(seed, R)[r] "
+        "(bit-identity anchor)",
         _batched_sf_spawn,
     ),
     GoldenScenario(

@@ -1,12 +1,10 @@
 """Tests for the replica-batched exact engine (repro.model.batched_engine).
 
-Every behavioural check compares a spawn-mode batched SF run with R
+Every behavioural check compares a batched SF run with R
 serial :class:`PullEngine` runs on the matching spawned generators,
 under the same run options: the serial engine is the oracle for early
 stopping, tracing, horizons and faults alike.
 """
-
-import hashlib
 
 import numpy as np
 import pytest
@@ -18,7 +16,7 @@ from repro.noise import NoiseMatrix
 from repro.protocols import BatchedSourceFilter, SFSchedule, SourceFilterProtocol
 from repro.telemetry import MemorySink, Telemetry
 from repro.topology import GeometricTopology, RandomRegularTopology
-from repro.types import SourceCounts
+from repro.types import SourceCounts, coerce_seed
 from repro.verify import ConformanceError, assert_engines_equivalent
 
 SEED = 421
@@ -56,7 +54,7 @@ def assert_matches_serial(
     population, noise, schedule, *, seed=SEED, replicas=REPLICAS,
     max_rounds=None, make_fault=None, **options
 ):
-    """Run batched spawn-mode SF and R serial runs with the same options
+    """Run batched SF and R serial runs with the same options
     and assert they agree field by field; returns the batched results.
 
     ``make_fault`` builds a fresh fault model per run, so neither engine
@@ -83,13 +81,13 @@ def assert_matches_serial(
 
     assert_engines_equivalent(
         serial_run, batched_run, replicas=replicas, seed=seed,
-        context=f"BatchedSourceFilter spawn mode {options}",
+        context=f"BatchedSourceFilter {options}",
     )
     return batched_results
 
 
 class TestSpawnModeBitIdentity:
-    """spawn mode must reproduce serial PullEngine runs exactly."""
+    """Batched runs must reproduce serial PullEngine runs exactly."""
 
     def test_full_run_bit_identical(self, population, noise, schedule):
         assert_matches_serial(population, noise, schedule)
@@ -124,95 +122,55 @@ class TestSpawnModeBitIdentity:
                 seed=SEED,
             )
 
-    def test_split_invariance(self, batched, schedule):
-        """Any split of R replicas across calls yields the same runs."""
-        whole = batched.run(
-            BatchedSourceFilter(schedule),
-            max_rounds=schedule.total_rounds,
-            replicas=REPLICAS,
-            rng=SEED,
-        )
-        seqs = np.random.SeedSequence(SEED).spawn(REPLICAS)
-        first = batched.run(
-            BatchedSourceFilter(schedule),
-            max_rounds=schedule.total_rounds,
-            seed_sequences=seqs[:1],
-        )
-        rest = batched.run(
-            BatchedSourceFilter(schedule),
-            max_rounds=schedule.total_rounds,
-            seed_sequences=seqs[1:],
-        )
-        split = first + rest
-        for a, b in zip(whole, split):
-            assert np.array_equal(a.final_opinions, b.final_opinions)
-            assert a.consensus_round == b.consensus_round
-
     def test_geometric_graph(self, config, population, noise, schedule):
         # Unequal degrees: the sampler's per-row offset path.
         sampler = GeometricTopology().bind(config.n, 5)
         assert len(set(sampler.degrees().tolist())) > 1
         assert_matches_serial(population, noise, schedule, topology=sampler)
 
-
-class TestSharedMode:
-    #: Digest of (final opinions, rounds, consensus round) of each
-    #: shared-mode replica, pinned per (seed, R, seam) so a change to the
-    #: shared stream's draw order shows up here.  Every case has a
-    #: replica that stops inside a stage (round 89, 159, 369, ...).
-    PINNED = {
-        (7, 3, "complete"): "85b32b6a4250e7f3",
-        (11, 2, "complete"): "4fed7f899b9150a1",
-        (5, 3, "regular"): "f08d86008589961c",
-        (3, 3, "byzantine-random"): "da50657552345f0f",
-        (13, 2, "crash-exclude"): "710f71f37632bdd7",
-    }
-
-    @staticmethod
-    def seam(name):
-        agents = [5, 9, 17, 30, 41]
-        if name == "regular":
-            return {"topology": RandomRegularTopology(degree=6).bind(48, 3)}
-        if name == "byzantine-random":
-            return {"fault_model": ByzantineDisplayFault(agents=agents, mode="random")}
-        if name == "crash-exclude":
-            return {"fault_model": CrashFault(
-                agents=agents, mode="exclude", crash_round=9, recovery_round=40
-            )}
-        return {}
-
-    def test_reproducible(self, batched, schedule):
-        kwargs = dict(
-            max_rounds=schedule.total_rounds, replicas=3, rng=7, rng_mode="shared"
+    def test_regular_graph_stops_inside_stages(
+        self, config, population, noise, schedule
+    ):
+        results = assert_matches_serial(
+            population, noise, schedule, stop_on_consensus=True,
+            consensus_patience=7,
+            topology=RandomRegularTopology(degree=6).bind(config.n, 3),
         )
-        a = batched.run(BatchedSourceFilter(schedule), **kwargs)
-        b = batched.run(BatchedSourceFilter(schedule), **kwargs)
-        for x, y in zip(a, b):
-            assert np.array_equal(x.final_opinions, y.final_opinions)
-            assert x.consensus_round == y.consensus_round
+        # Each stop falls seven rounds past a sub-phase's end (362, 572
+        # and 642), inside the next stage.
+        assert sorted({r.rounds_executed for r in results}) == [369, 579, 649]
 
-    @pytest.mark.parametrize("seed, replicas, seam", sorted(PINNED))
-    def test_outputs_pinned(self, batched, schedule, seed, replicas, seam):
-        results = batched.run(
-            BatchedSourceFilter(schedule), max_rounds=schedule.total_rounds,
-            replicas=replicas, rng=seed, rng_mode="shared",
-            stop_on_consensus=True, consensus_patience=7, **self.seam(seam)
-        )
-        hasher = hashlib.sha256()
-        for result in results:
-            hasher.update(result.final_opinions.astype(np.int64).tobytes())
-            stop = (result.rounds_executed, result.consensus_round)
-            hasher.update(repr(stop).encode())
-        assert hasher.hexdigest()[:16] == self.PINNED[(seed, replicas, seam)]
+    @pytest.mark.parametrize("kind", ["int", "generator", "seed-sequence"])
+    def test_rng_resolves_as_coerce_seed(self, batched, schedule, kind):
+        """Every rng is one master seed, resolved as ``coerce_seed``
+        resolves it: a live generator gives one draw, and a seed
+        sequence gives the same runs each time it is passed."""
+        make = {
+            "int": lambda: SEED,
+            "generator": lambda: np.random.default_rng(SEED),
+            "seed-sequence": lambda: np.random.SeedSequence(SEED),
+        }[kind]
+        rng, twin = make(), make()
 
-    def test_replicas_draw_independent_observations(self, batched, schedule):
-        protocol = BatchedSourceFilter(schedule)
-        batched.run(
-            protocol, max_rounds=2 * schedule.phase_rounds, replicas=6, rng=7,
-            rng_mode="shared",
-        )
-        weak = protocol.weak_opinions
-        assert any(not np.array_equal(weak[0], weak[i]) for i in range(1, 6))
+        def run(rng):
+            return batched.run(
+                BatchedSourceFilter(schedule), max_rounds=schedule.total_rounds,
+                replicas=3, rng=rng, stop_on_consensus=True,
+            )
+
+        def fields(results):
+            return [
+                (r.final_opinions.tolist(), r.rounds_executed,
+                 r.consensus_round, r.seed)
+                for r in results
+            ]
+
+        got = fields(run(rng))
+        assert got == fields(run(coerce_seed(None, twin)))
+        if kind == "generator":
+            assert rng.bit_generator.state == twin.bit_generator.state
+        if kind == "seed-sequence":
+            assert fields(run(rng)) == got
 
 
 class TestConsensusSemantics:
@@ -361,38 +319,9 @@ class TestTelemetry:
 
 
 class TestValidation:
-    def test_live_generator_rejected(self, batched, schedule):
-        with pytest.raises(TypeError):
-            batched.run(
-                BatchedSourceFilter(schedule),
-                max_rounds=2,
-                replicas=2,
-                rng=np.random.default_rng(0),
-            )
-
-    def test_replicas_seed_sequences_mismatch(self, batched, schedule):
-        seqs = np.random.SeedSequence(0).spawn(3)
-        with pytest.raises(ValueError):
-            batched.run(
-                BatchedSourceFilter(schedule),
-                max_rounds=2,
-                replicas=2,
-                seed_sequences=seqs,
-            )
-
     def test_missing_replicas(self, batched, schedule):
         with pytest.raises(ValueError):
             batched.run(BatchedSourceFilter(schedule), max_rounds=2, rng=0)
-
-    def test_bad_rng_mode(self, batched, schedule):
-        with pytest.raises(ValueError):
-            batched.run(
-                BatchedSourceFilter(schedule),
-                max_rounds=2,
-                replicas=2,
-                rng=0,
-                rng_mode="turbo",
-            )
 
     def test_alphabet_mismatch(self, population, schedule):
         engine = BatchedPullEngine(population, NoiseMatrix.uniform(0.1, 4))

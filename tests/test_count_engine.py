@@ -872,9 +872,6 @@ class TestCountRunBatch:
         assert replicas == set(range(5))
 
     def test_registry_batches_count_trials(self):
-        from repro.engines import engine_spec
-
-        assert engine_spec("count").supports_batch
         config = PopulationConfig(n=10**6, sources=SourceCounts(1, 3), h=16)
         handle = create_engine("count", "sf", config, 0.2)
         sink = MemorySink()

@@ -95,13 +95,12 @@ def render_capability_table() -> str:
         )
 
     lines = [
-        "| engine | protocols | batch | fault traits | graph kinds |",
-        "|---|---|---|---|---|",
+        "| engine | protocols | fault traits | graph kinds |",
+        "|---|---|---|---|",
     ]
     for row in capability_table():
         lines.append(
             f"| `{row['name']}` | {', '.join(row['protocols'])} | "
-            f"{'yes' if row['supports_batch'] else 'no'} | "
             f"{per_protocol(row['fault_traits'])} | "
             f"{per_protocol(row['graph_kinds'])} |"
         )

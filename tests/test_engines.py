@@ -69,7 +69,7 @@ class TestRegistry:
         for row in table:
             assert set(row) == {
                 "name", "description", "protocols", "fault_traits",
-                "supports_batch", "agent_blind", "graph_kinds",
+                "agent_blind", "graph_kinds",
             }
             assert row["protocols"], f"{row['name']} registers no protocol"
             assert set(row["fault_traits"]) == set(row["protocols"])

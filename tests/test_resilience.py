@@ -76,8 +76,8 @@ class TestChaosTrial:
         ) == _probe(np.random.default_rng(5))
 
     def test_wrapped_baseline_matches_unwrapped(self):
-        # Without a resilience policy the legacy serial backend never
-        # passes trial_info, so the same wrapper yields the baseline.
+        # Without a resilience policy the trial loop never passes
+        # trial_info, so the same wrapper yields the baseline.
         chaos = ChaosTrial(_probe, {0: "crash", 1: "raise"})
         assert _run(chaos, 10, seed=4) == _run(_probe, 10, seed=4)
 
