@@ -5,12 +5,10 @@ engine hierarchy: the exact engine costs O(n*h) per round, the batched
 exact engine amortizes the per-round dispatch overhead over R replicas,
 and the vectorized engines cost O(n) per *phase*.  These
 micro-benchmarks record all tiers so regressions in the hot paths are
-caught; the batched-vs-serial comparisons (each the median of
-interleaved pairs) are additionally written to
+caught; the batched-vs-serial comparisons (medians of interleaved,
+reference-scaled pairs) are additionally written to
 ``BENCH_engine_throughput.json`` at the repo root (see conftest).
 """
-
-import time
 
 import numpy as np
 import pytest
@@ -109,10 +107,10 @@ def _batched_sweep(population, noise, schedule, trials, rounds, seed):
     )
 
 
-#: Interleaved serial/batched pairs per case: one pair at n = 1024
-#: ranges 0.8-1.15x on a shared 2-vCPU host, so the recorded speedup is
-#: the median pair.  With twelve pairs that median moved 0.93-1.01
-#: between regenerations of one program; twenty narrow it.
+#: Interleaved serial/batched pairs per case.  One unscaled pair at
+#: n = 1024 ranged 0.59-1.66x on a shared 2-vCPU host, wider than the
+#: distance from the median to the gate's bound, so each pair's times
+#: are scaled by the reference loop run around them.
 PAIRS = 20
 
 
@@ -123,42 +121,35 @@ def test_perf_batched_vs_serial_sweep(n, h):
     Batching amortizes the per-round numpy dispatch overhead, so the
     speedup concentrates at small n*h (the exact engine's cross-
     validation regime) and fades once rounds are element-bound — both
-    ends are recorded to BENCH_engine_throughput.json.  Each case runs
-    ``PAIRS`` serial/batched pairs, alternating which side goes first,
-    and records the median pair's speedup with its range.
+    ends are recorded to BENCH_engine_throughput.json.  Each case times
+    ``PAIRS`` serial/batched pairs, alternating which side goes first
+    (:func:`interleaved_timings`, reference-loop scaled), and records
+    the ratio of the two medians with each side's range.
     """
     config = PopulationConfig(n=n, sources=SourceCounts(1, 3), h=h)
     population = Population(config, rng=np.random.default_rng(0))
     noise = NoiseMatrix.uniform(0.2, 2)
     schedule = SFSchedule.from_config(config, 0.2, m=10 * h)
+    serial_runs, batched_runs = [], []
 
-    def timed_serial():
-        start = time.perf_counter()
+    def serial():
         results = _serial_sweep(population, noise, schedule, TRIALS, ROUNDS, seed=5)
-        return time.perf_counter() - start, results
+        serial_runs.append([result.final_opinions for result in results])
 
-    def timed_batched():
-        start = time.perf_counter()
+    def batched():
         results = _batched_sweep(population, noise, schedule, TRIALS, ROUNDS, seed=5)
-        return time.perf_counter() - start, results
+        batched_runs.append([result.final_opinions for result in results])
 
-    serial_times, batched_times, speedups = [], [], []
-    for pair in range(PAIRS):
-        if pair % 2:
-            batched_s, batched = timed_batched()
-            serial_s, serial = timed_serial()
-        else:
-            serial_s, serial = timed_serial()
-            batched_s, batched = timed_batched()
-        assert len(serial) == len(batched) == TRIALS
+    serial_time, batched_time = interleaved_timings(
+        [serial, batched], repeats=PAIRS, scaled=True
+    )
+    for serial_opinions, batched_opinions in zip(serial_runs, batched_runs):
+        assert len(serial_opinions) == len(batched_opinions) == TRIALS
         # Replica r runs on the serial loop's generator r, bit for bit.
-        for s, b in zip(serial, batched):
-            assert np.array_equal(s.final_opinions, b.final_opinions)
-        serial_times.append(serial_s)
-        batched_times.append(batched_s)
-        speedups.append(serial_s / batched_s)
+        for s, b in zip(serial_opinions, batched_opinions):
+            assert np.array_equal(s, b)
 
-    speedup = float(np.median(speedups))
+    speedup = serial_time["seconds"] / batched_time["seconds"]
     record_engine_throughput(
         {
             "case": "batched_vs_serial",
@@ -166,18 +157,21 @@ def test_perf_batched_vs_serial_sweep(n, h):
             "h": h,
             "trials": TRIALS,
             "rounds": ROUNDS,
-            "pairs": PAIRS,
-            "serial_seconds": round(float(np.median(serial_times)), 4),
-            "batched_seconds": round(float(np.median(batched_times)), 4),
+            "repeats": PAIRS,
+            "serial_seconds": round(serial_time["seconds"], 4),
+            "serial_min": round(serial_time["min"], 4),
+            "serial_max": round(serial_time["max"], 4),
+            "batched_seconds": round(batched_time["seconds"], 4),
+            "batched_min": round(batched_time["min"], 4),
+            "batched_max": round(batched_time["max"], 4),
             "speedup": round(speedup, 2),
-            "speedup_min": round(min(speedups), 2),
-            "speedup_max": round(max(speedups), 2),
         }
     )
     print(
-        f"\n  n={n} h={h}: median of {PAIRS} pairs serial "
-        f"{np.median(serial_times):.3f}s, batched {np.median(batched_times):.3f}s, "
-        f"speedup {speedup:.2f}x ({min(speedups):.2f}-{max(speedups):.2f}x)"
+        f"\n  n={n} h={h}: median of {PAIRS} scaled pairs serial "
+        f"{serial_time['seconds']:.3f}s ({serial_time['min']:.3f}-{serial_time['max']:.3f}), "
+        f"batched {batched_time['seconds']:.3f}s "
+        f"({batched_time['min']:.3f}-{batched_time['max']:.3f}), speedup {speedup:.2f}x"
     )
 
 

@@ -16,6 +16,7 @@ import statistics
 import time
 from typing import Callable, Dict, List, Sequence
 
+import numpy as np
 import pytest
 
 from repro.analysis import format_table, write_csv
@@ -56,21 +57,52 @@ def median_timing(call: Callable[[], object], repeats: int = 9) -> Dict[str, obj
     return interleaved_timings([call], repeats)[0]
 
 
+def reference_loop() -> float:
+    """Seconds taken by a fixed mix of interpreted Python and small
+    NumPy calls (perfbench's plain reference loop).  Run beside timed
+    calls, it tracks how fast the shared host runs at the time."""
+    began = time.perf_counter()
+    total = 0
+    for i in range(20_000):
+        total += i * i % 7
+    symbols = np.arange(4096) % 3
+    for _ in range(50):
+        total += int(np.bincount(symbols, minlength=3)[1])
+    return time.perf_counter() - began
+
+
 def interleaved_timings(
-    calls: Sequence[Callable[[], object]], repeats: int = 9
+    calls: Sequence[Callable[[], object]], repeats: int = 9, scaled: bool = False
 ) -> List[Dict[str, object]]:
     """:func:`median_timing` of several calls measured side by side: one
     warm-up each, then ``repeats`` rounds that time every call once,
-    alternating the order, so host drift falls on all of them alike."""
+    alternating the order, so host drift falls on all of them alike.
+
+    ``scaled`` scales the times as perfbench does: :func:`reference_loop`
+    runs before the first timed call and after each one, and a call's
+    time is multiplied by the median loop time over the mean of the two
+    loops around it, so a stretch of slow host falls out of the samples
+    it touches."""
     for call in calls:
         call()
     times: List[List[float]] = [[] for _ in calls]
+    around: List[List[float]] = [[] for _ in calls]
+    loops = [reference_loop()] if scaled else []
     order = list(range(len(calls)))
     for repeat in range(repeats):
         for i in order if repeat % 2 == 0 else order[::-1]:
             start = time.perf_counter()
             calls[i]()
             times[i].append(time.perf_counter() - start)
+            if scaled:
+                loops.append(reference_loop())
+                around[i].append(0.5 * (loops[-2] + loops[-1]))
+    if scaled:
+        typical = statistics.median(loops)
+        times = [
+            [took * typical / loop for took, loop in zip(samples, loops_around)]
+            for samples, loops_around in zip(times, around)
+        ]
     return [
         {
             "seconds": round(statistics.median(samples), 6),

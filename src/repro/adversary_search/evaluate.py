@@ -10,10 +10,11 @@ of trials) — and charges its error mass to the search's shared
 Engine routing: candidates the count engine's capability row admits
 (:func:`repro.engines.admit_seams`) evaluate on the O(1) count engines:
 uniform-channel misspecifications and every exchangeable subset fault,
-fixed-symbol and anti-majority Byzantine displays included.  Everything
-else uses the fast phase-collapsed engines: the fast SSF engine handles
-scheduled crash/recovery windows exactly, which one count draw per
-epoch cannot price.
+fixed-symbol and anti-majority Byzantine displays and SSF's scheduled
+crash/recovery windows included (count SSF stops its gaps at the
+window's rounds and prices an epoch that straddles one as the sum of
+its parts).  Everything else, such as two composed subset faults, uses
+the fast phase-collapsed engines.
 
 Certification is *not* sequential: the final worst candidate gets a
 fixed-size fresh-seed run whose failure count yields an exact one-sided
@@ -147,12 +148,11 @@ class CandidateEvaluator:
         self.prefer_count = bool(prefer_count)
         self.epoch_rounds: Optional[int] = None
         if space.protocol == "ssf":
-            from ..protocols import FastSelfStabilizingSourceFilter
+            from ..protocols import SSFSchedule
 
-            probe = FastSelfStabilizingSourceFilter(
+            self.epoch_rounds = SSFSchedule.from_config(
                 config, space.assumed_delta
-            )
-            self.epoch_rounds = probe.schedule.epoch_rounds
+            ).epoch_rounds
 
     # ------------------------------------------------------------------
     def _engine_for(self, candidate: AdversaryConfig) -> Tuple[str, object, dict]:

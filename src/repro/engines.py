@@ -125,7 +125,9 @@ _REGISTRY: Dict[str, EngineSpec] = {
             description="count-level engine, O(|Sigma|) per transition at any n",
             protocols=("sf", "ssf"),
             agent_blind=True,
-            fault_traits={"sf": _COUNT_EXACT, "ssf": _COUNT_EXACT},
+            # SSF's gaps stop at transition rounds and price an epoch
+            # that straddles one as the sum of its parts.
+            fault_traits={"sf": _COUNT_EXACT, "ssf": _COUNT_EXACT | {"scheduled"}},
         ),
         EngineSpec(
             name="mean-field",
@@ -604,18 +606,18 @@ class EngineHandle:
         population = Population(self.config, rng=generator)
         schedule = self._schedule_for(2)
         engine = BatchedPullEngine(population, self._noise_matrix(2))
-        replicas = kwargs.pop("replicas", 1)
+        replicas = kwargs.pop("replicas", None)
         results = engine.run(
             BatchedSourceFilter(schedule),
             max_rounds=max_rounds or schedule.total_rounds,
-            replicas=replicas,
+            replicas=1 if replicas is None else replicas,
             rng=generator,
             telemetry=telemetry,
             fault_model=self.fault_model,
             topology=self.topology,
             **kwargs,
         )
-        return results[0] if replicas == 1 else results
+        return results[0] if replicas is None else results
 
     def _run_async(self, max_rounds, rng, telemetry, **kwargs):
         from .model import Population

@@ -20,7 +20,8 @@ engines run.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, FrozenSet, Optional, Sequence, Tuple
+import operator
+from typing import Callable, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,24 +37,39 @@ class CountView:
     """A subset fault as display counts see it.
 
     ``owned`` non-sources are faulty, a number read from the config with
-    no draw.  They show :attr:`shows` of two display-count vectors, the
-    honest agents' and their own honest displays, and stay in the
-    sampling pool when ``samplable``.  ``judged`` says whether consensus
-    counts them; only then do their own displays carry information, so
-    a view whose ``shows`` reads them must be ``judged``.
+    no draw.  While the view is :meth:`live` they show :attr:`shows` of
+    two display-count tuples, the honest agents' and their own honest
+    displays, and stay in the sampling pool when ``samplable``; before
+    ``live_from`` and from ``live_until`` on (a scheduled view) they
+    show their own displays.  ``judged`` says whether consensus counts
+    them; a view whose ``shows`` reads their own displays must be
+    ``judged``.  Counts are tuples of Python ints.
     """
 
     owned: int
-    shows: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    shows: Callable[[tuple, tuple], Sequence[int]]
     samplable: bool = True
     judged: bool = False
+    live_from: int = 0
+    live_until: Optional[int] = None
 
-    def pool(self, honest: np.ndarray, own: np.ndarray) -> np.ndarray:
-        """Display counts of the samplable agents, given the honest
-        agents' counts and the owned agents' own."""
+    @property
+    def scheduled(self) -> bool:
+        """Whether the view is live in a window of rounds only."""
+        return self.live_from > 0 or self.live_until is not None
+
+    def live(self, round_index: int) -> bool:
+        """Whether the fault rewrites displays in ``round_index``."""
+        return self.live_from <= round_index and (
+            self.live_until is None or round_index < self.live_until
+        )
+
+    def pool(self, honest: tuple, own: tuple) -> tuple:
+        """Display counts of the samplable agents while the view is
+        live, given the honest agents' counts and the owned agents' own."""
         if not self.samplable:
             return honest
-        return honest + self.shows(honest, own)
+        return tuple(map(operator.add, honest, self.shows(honest, own)))
 
 
 _OWNS_SOURCES = (
@@ -62,12 +78,9 @@ _OWNS_SOURCES = (
 )
 
 
-def _showing(symbol: int, owned: int, alphabet_size: int) -> np.ndarray:
-    """The read-only display counts of ``owned`` agents showing ``symbol``."""
-    shown = np.zeros(alphabet_size, dtype=np.int64)
-    shown[symbol] = owned
-    shown.flags.writeable = False
-    return shown
+def _showing(symbol: int, owned: int, alphabet_size: int) -> tuple:
+    """The display counts of ``owned`` agents showing ``symbol``."""
+    return tuple(owned if s == symbol else 0 for s in range(alphabet_size))
 
 
 class SubsetFault(FaultModel):
@@ -296,10 +309,9 @@ class ByzantineDisplayFault(SubsetFault):
         return symbol
 
     @staticmethod
-    def _anti_majority(honest_counts: np.ndarray) -> int:
+    def _anti_majority(counts: Sequence[int]) -> int:
         """The symbol opposing the majority opinion bit (the low bit in
         both alphabets) of the honest displays, given their counts."""
-        counts = honest_counts.tolist()
         anti = 0 if 2 * sum(counts[1::2]) >= sum(counts) else 1
         return anti if len(counts) == 2 else 2 + anti
 
@@ -342,7 +354,7 @@ class ByzantineDisplayFault(SubsetFault):
         # anti-majority: honest is the full pre-transform display vector
         # (transform_sampled_displays already refused above).
         counts = np.bincount(honest[~self._is_faulty], minlength=self._alphabet_size)
-        return np.full(count, self._anti_majority(counts), dtype=np.int64)
+        return np.full(count, self._anti_majority(counts.tolist()), dtype=np.int64)
 
 
 class CrashFault(SubsetFault):
@@ -431,6 +443,8 @@ class CrashFault(SubsetFault):
             owned, lambda honest, own: shown,
             samplable=self.mode != "exclude",
             judged=self.recovery_round is not None,
+            live_from=self.crash_round,
+            live_until=self.recovery_round,
         )
 
     def _active(self, round_index: int) -> bool:
@@ -539,12 +553,17 @@ class StuckAtFault(SubsetFault):
 
     def count_view(self, config, alphabet_size: int) -> CountView:
         self._check_bit(alphabet_size)
-        # Row s is the one-hot count of the symbol a display s sticks to.
-        sticks = np.eye(alphabet_size, dtype=np.int64)[self._stick(np.arange(alphabet_size))]
+        # Display s sticks to targets[s].
+        targets = self._stick(np.arange(alphabet_size)).tolist()
+
+        def shows(honest: tuple, own: tuple) -> List[int]:
+            shown = [0] * alphabet_size
+            for count, target in zip(own, targets):
+                shown[target] += count
+            return shown
+
         # Stuck agents keep their opinions, so consensus still counts them.
-        return CountView(
-            self._owned_in(config), lambda honest, own: own @ sticks, judged=True
-        )
+        return CountView(self._owned_in(config), shows, judged=True)
 
     def _stick(self, symbols: np.ndarray) -> np.ndarray:
         mask = 1 << self.bit

@@ -112,10 +112,10 @@ class CountProtocol(abc.ABC):
         mutable part of it anew (replicas share everything else)."""
 
     @abc.abstractmethod
-    def display_counts(self) -> np.ndarray:
-        """Current display counts of the samplable agents, shape
-        ``(alphabet_size,)``: they sum to n unless a fault takes agents
-        out of the sampling pool."""
+    def display_counts(self) -> tuple:
+        """Current display counts of the samplable agents, a tuple of
+        ``alphabet_size`` Python ints (the engine's memo key): they sum
+        to n unless a fault takes agents out of the sampling pool."""
 
     @abc.abstractmethod
     def gap(self, round_index: int) -> int:
@@ -340,13 +340,13 @@ class CountPullEngine:
         return self._uniform
 
     def _display_key(self, protocol: CountProtocol, size: int) -> tuple:
-        """``protocol``'s display counts as a tuple, shape-checked."""
-        counts = np.asarray(protocol.display_counts(), dtype=np.int64)
-        if counts.shape != (size,):
+        """``protocol``'s display counts as a tuple, length-checked."""
+        counts = tuple(protocol.display_counts())
+        if len(counts) != size:
             raise ConfigurationError(
-                f"display_counts must have shape ({size},), got {counts.shape}"
+                f"display_counts must have shape ({size},), got {len(counts)} counts"
             )
-        return tuple(counts.tolist())
+        return counts
 
     def _observation(self, key: tuple, noise: NoiseMatrix) -> np.ndarray:
         """The read-only ``q`` of display counts ``key``, memoized."""

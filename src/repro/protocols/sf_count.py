@@ -198,20 +198,20 @@ class CountSourceFilter(CountProtocol):
             self.faulty_ones = int(rng.binomial(self._owned, 0.5))
         self.weak_count = 0
 
-    def display_counts(self) -> np.ndarray:
+    def display_counts(self) -> tuple:
         kind = self._stages[self._stage_index].kind
         ones = self.shown_ones(kind, self.opinion_count)
         if self._view is None:
-            return np.array([self.config.n - ones, ones], dtype=np.int64)
+            return (self.config.n - ones, ones)
         # The faulty non-sources show 0 in Phase 0, 1 in Phase 1 and
         # their opinion in boosting, before the fault rewrites them.
         owned = self._owned
         own_ones = {"phase0": 0, "phase1": owned}.get(kind, self.faulty_ones)
         if kind == "phase1":
             ones -= owned
-        honest = np.array([self._honest - ones, ones], dtype=np.int64)
-        own = np.array([owned - own_ones, own_ones], dtype=np.int64)
-        return self._view.pool(honest, own)
+        return self._view.pool(
+            (self._honest - ones, ones), (owned - own_ones, own_ones)
+        )
 
     def gap(self, round_index: int) -> int:
         return self._stages[self._stage_index].rounds

@@ -3,8 +3,9 @@
 From a clean start every agent's buffer fills at ``h`` messages per
 round, so the flush clock is global and one epoch holds exactly
 ``T = ceil(m/h) * h`` observations per agent, i.i.d.
-``Multinomial(T, q)`` across agents given the display counts.  The two
-per-agent votes collapse to closed-form success probabilities:
+``Multinomial(T, q)`` across agents given the display counts (an epoch
+that a crash window's edge splits holds one such draw per part).  The
+two per-agent votes collapse to closed-form success probabilities:
 
 * **Opinion** — the vote compares ``M[N1] + M[S1]`` against
   ``M[0] + M[S0]``; the four tallies sum to ``T``, so the 1-side is
@@ -62,21 +63,26 @@ class CountSelfStabilizingSourceFilter(CountProtocol):
         approved draws become rounded expectations.
     fault_model:
         ``None``, null, or one whose fault traits are among ``subset``,
-        ``global-displays`` and ``uniform-channel``: a uniform 4-letter
-        :class:`~repro.faults.NoiseMisspecification`, a fixed or
-        anti-majority :class:`~repro.faults.ByzantineDisplayFault`, a
-        crash-stop :class:`~repro.faults.CrashFault` (no schedule) or a
-        :class:`~repro.faults.StuckAtFault`, one subset possibly composed
-        with a channel; :func:`repro.engines.admit_seams` refuses the
-        rest, scheduled crashes included (a crash window that opens
-        mid-epoch mixes two laws in one epoch's tallies).  The schedule
-        stays sized from the assumed ``noise`` while the dynamics run at
-        the true level.  A subset fault's
+        ``global-displays``, ``scheduled`` and ``uniform-channel``: a
+        uniform 4-letter :class:`~repro.faults.NoiseMisspecification`, a
+        fixed or anti-majority :class:`~repro.faults.ByzantineDisplayFault`,
+        a :class:`~repro.faults.CrashFault` (crash-stop or a crash window)
+        or a :class:`~repro.faults.StuckAtFault`, one subset possibly
+        composed with a channel; :func:`repro.engines.admit_seams` refuses
+        the rest.  The schedule stays sized from the assumed ``noise``
+        while the dynamics run at the true level.  A subset fault's
         :class:`~repro.faults.CountView` splits the non-sources in two:
         the honest ones, whose weak count the adapter keeps, and the
-        faulty ones, whose weak count it keeps only where they are
-        judged (stuck-at, whose displays read it).  Displays are counted
-        over the samplable pool and opinions over the judged agents.
+        faulty ones, whose weak count it keeps where their displays read
+        it: where they are judged (stuck-at), and outside a scheduled
+        view's window, where they show their own weak opinions.  Displays
+        are counted over the samplable pool and opinions over the judged
+        agents.  A crash window runs as the fast SSF engine runs it: gaps
+        stop at the fault's transition rounds, so an epoch that straddles
+        one arrives in parts, each with its own displays, and its votes
+        are priced as the sum of those parts
+        (:func:`~repro.theory.tails.majority_mixture_success_probability`,
+        :func:`~repro.theory.tails.multinomial_pair_mixture_gt_probability`).
     """
 
     alphabet_size = 4
@@ -99,6 +105,9 @@ class CountSelfStabilizingSourceFilter(CountProtocol):
 
         fault, _ = admit_seams("count", "ssf", fault_model)
         self._view = None
+        # The fault's transition rounds; a run with any tracks its round
+        # and the parts of the epoch in flight.
+        self._transitions: tuple = ()
         if fault is not None:
             # The gate admits only uniform true channels here.
             self.dynamics_delta = uniform_level(
@@ -106,11 +115,14 @@ class CountSelfStabilizingSourceFilter(CountProtocol):
             )
             self._dynamics_noise = self.dynamics_delta
             self._view = fault.count_view(config, 4)
+            self._transitions = fault.transition_rounds()
         view = self._view
         self._owned = 0 if view is None else view.owned
         # Judged faulty agents (stuck-at) keep a weak count of their
-        # own, which their displays may read.
+        # own, which their displays may read; so do the agents of a
+        # scheduled view, who show it outside the view's window.
         self._judged_owned = view is not None and view.judged
+        self._own_weak = view is not None and (view.judged or view.scheduled)
         # The honest non-sources, and the agents judged for consensus.
         self._honest = config.n - config.num_sources - self._owned
         self._judged_n = config.n - (0 if self._judged_owned else self._owned)
@@ -131,12 +143,16 @@ class CountSelfStabilizingSourceFilter(CountProtocol):
         # Bound here, not at import: a module-level theory import would
         # close the protocols -> theory -> analysis -> protocols cycle.
         from ..theory.tails import (
+            majority_mixture_success_probability,
             majority_success_probability,
             multinomial_pair_gt_probability,
+            multinomial_pair_mixture_gt_probability,
         )
 
         self._opinion_law = majority_success_probability
         self._weak_law = multinomial_pair_gt_probability
+        self._opinion_mixture = majority_mixture_success_probability
+        self._weak_mixture = multinomial_pair_mixture_gt_probability
 
     # ------------------------------------------------------------------
     # CountProtocol interface
@@ -150,29 +166,37 @@ class CountSelfStabilizingSourceFilter(CountProtocol):
         self.weak_count = free_ones
         self.opinion_count = cfg.s1 + free_ones
         self.faulty_weak = 0
-        if self._judged_owned:
+        if self._own_weak:
             self.faulty_weak = int(rng.binomial(self._owned, 0.5))
-            self.opinion_count += self.faulty_weak
+            if self._judged_owned:
+                self.opinion_count += self.faulty_weak
         self._fill = 0
+        if self._transitions:
+            self._round = 0
+            self._parts: List[tuple] = []  # (samples, q) of the epoch so far
 
-    def display_counts(self) -> np.ndarray:
+    def display_counts(self) -> tuple:
         cfg = self.config
-        counts = np.zeros(4, dtype=np.int64)
-        counts[SYMBOL_SOURCE_0] = cfg.s0
-        counts[SYMBOL_SOURCE_1] = cfg.s1
-        counts[SYMBOL_NONSOURCE_1] = self.weak_count
-        counts[0] = self._honest - self.weak_count
-        if self._view is None:
-            return counts
-        own = np.zeros(4, dtype=np.int64)
-        own[SYMBOL_NONSOURCE_1] = self.faulty_weak
-        own[0] = self._owned - self.faulty_weak
-        return self._view.pool(counts, own)
+        weak = self.weak_count
+        honest = (self._honest - weak, weak, cfg.s0, cfg.s1)
+        view = self._view
+        if view is None:
+            return honest
+        faulty_weak = self.faulty_weak
+        own = (self._owned - faulty_weak, faulty_weak, 0, 0)
+        if view.scheduled and not view.live(self._round):
+            return (honest[0] + own[0], weak + faulty_weak, cfg.s0, cfg.s1)
+        return view.pool(honest, own)
 
     def gap(self, round_index: int) -> int:
         sched = self.schedule
-        remaining = max(sched.m - self._fill, 1)
-        return max(int(np.ceil(remaining / sched.h)), 1)
+        gap = max(-(-(sched.m - self._fill) // sched.h), 1)
+        # Never let one gap straddle a transition: within it the
+        # displays stay constant, as the fast SSF engine's gaps do.
+        for boundary in self._transitions:
+            if round_index < boundary:
+                return min(gap, boundary - round_index)
+        return gap
 
     def advance(
         self,
@@ -183,21 +207,40 @@ class CountSelfStabilizingSourceFilter(CountProtocol):
     ) -> None:
         sched = self.schedule
         self._fill += gap * sched.h
+        if self._transitions:
+            self._round = round_index + gap
+            self._parts.append((gap * sched.h, q))
         if self._fill < sched.m:
-            # Truncated gap (engine hit max_rounds): buffers not yet due.
+            # A part of the epoch, or a gap the engine truncated at
+            # max_rounds: buffers not yet due.
             return
-        samples = self._fill
-        p_op = self._price(
-            self._opinion_law,
-            float(q[SYMBOL_NONSOURCE_1] + q[SYMBOL_SOURCE_1]), samples,
-        )
-        p_weak = self._price(
-            self._weak_law,
-            samples, float(q[SYMBOL_SOURCE_1]), float(q[SYMBOL_SOURCE_0]),
-        )
+        parts = ()
+        if self._transitions:
+            parts, self._parts = self._parts, []
+        if len(parts) > 1:
+            # The epoch straddled a transition: its tallies are the sum
+            # of its parts' independent multinomial draws.
+            p_op = self._price(self._opinion_mixture, tuple(
+                (samples, float(q[SYMBOL_NONSOURCE_1] + q[SYMBOL_SOURCE_1]))
+                for samples, q in parts
+            ))
+            p_weak = self._price(self._weak_mixture, tuple(
+                (samples, float(q[SYMBOL_SOURCE_1]), float(q[SYMBOL_SOURCE_0]))
+                for samples, q in parts
+            ))
+        else:
+            samples = self._fill
+            p_op = self._price(
+                self._opinion_law,
+                float(q[SYMBOL_NONSOURCE_1] + q[SYMBOL_SOURCE_1]), samples,
+            )
+            p_weak = self._price(
+                self._weak_law,
+                samples, float(q[SYMBOL_SOURCE_1]), float(q[SYMBOL_SOURCE_0]),
+            )
         self.opinion_count = self._draw(self._judged_n, p_op, rng)
         self.weak_count = self._draw(self._honest, p_weak, rng)
-        if self._judged_owned:
+        if self._own_weak:
             self.faulty_weak = self._draw(self._owned, p_weak, rng)
         self._fill = 0
 

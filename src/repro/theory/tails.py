@@ -10,7 +10,10 @@ multinomial tail events:
 * ``P(C1 > C0)`` for two independent binomial counters — SF's weak
   opinion (Counter1 vs Counter0 over the two listening phases);
 * ``P(M1 > M0)`` for two coordinates of one multinomial — SSF's weak
-  opinion (source-1 vs source-0 tallies in a flushed buffer).
+  opinion (source-1 vs source-0 tallies in a flushed buffer);
+* their *mixtures*: the same votes over a window whose observations
+  come in parts with different laws — an SSF epoch that straddles a
+  crash or recovery round.
 
 The theory oracles (weak opinions, majorities, the two-party error), the
 mean-field maps and the statistical assertions of :mod:`repro.verify`
@@ -35,6 +38,8 @@ __all__ = [
     "majority_success_probability",
     "binomial_vs_binomial_probability",
     "multinomial_pair_gt_probability",
+    "majority_mixture_success_probability",
+    "multinomial_pair_mixture_gt_probability",
 ]
 
 #: Above this many trials the pairwise-comparison laws switch from the
@@ -317,4 +322,93 @@ def multinomial_pair_gt_probability(
     diff = p_plus - p_minus
     mean = trials * diff
     variance = trials * (mass - diff * diff)
+    return _normal_gt_half_tie(mean, variance)
+
+
+def _sum_pmf(parts) -> np.ndarray:
+    """pmf of a sum of independent draws, each ``(trials, probs)`` part
+    adding ``trials`` draws that land on ``j`` with probability
+    ``probs[j]``: the convolution of the parts, taken through the FFT of
+    the product of their generating functions on the unit circle
+    (O(S log S) over the sum's S values; round-off ~1e-12)."""
+    values = 1 + sum(trials * (len(probs) - 1) for trials, probs in parts)
+    size = 1 << (values - 1).bit_length()  # a fast FFT length, no wrap
+    circle = np.exp(-2j * math.pi * np.arange(size // 2 + 1) / size)
+    generating = np.ones_like(circle)
+    for trials, probs in parts:
+        generating *= np.polynomial.polynomial.polyval(circle, probs) ** trials
+    return np.fft.irfft(generating, n=size)[:values]
+
+
+def _above_half(pmf: np.ndarray, total: int) -> float:
+    """``P(S > total/2) + P(S = total/2)/2`` for ``S`` on ``0..total``."""
+    half, odd = divmod(total, 2)
+    tie = 0.0 if odd else 0.5 * float(pmf[half])
+    return min(1.0, max(0.0, float(pmf[half + 1 :].sum()) + tie))
+
+
+def majority_mixture_success_probability(parts) -> float:
+    """:func:`majority_success_probability` over a window in parts.
+
+    ``parts`` lists ``(window, q)`` pairs: the vote counts ``X = sum_i
+    Bin(window_i, q_i)`` hits over ``w = sum_i window_i`` observations
+    and succeeds with ``P(X > w/2) + P(X = w/2)/2``.  One part is
+    :func:`majority_success_probability` itself.  Exact by convolution
+    up to :data:`EXACT_COMPARISON_LIMIT` total observations, then a
+    normal form of ``X - w/2`` with the parts' summed mean and variance
+    (tests/test_tails.py pins its measured error).
+    """
+    if len(parts) == 1:
+        ((window, q),) = parts
+        return majority_success_probability(q, window)
+    for window, q in parts:
+        if window < 0:
+            raise ConfigurationError(f"window must be non-negative, got {window}")
+        if not 0.0 <= q <= 1.0:
+            raise ConfigurationError(f"q must lie in [0, 1], got {q}")
+    total = sum(window for window, _ in parts)
+    if total <= EXACT_COMPARISON_LIMIT:
+        pmf = _sum_pmf([(window, (1.0 - q, q)) for window, q in parts])
+        return _above_half(pmf, total)
+    mean = sum(window * q for window, q in parts) - 0.5 * total
+    variance = sum(window * q * (1.0 - q) for window, q in parts)
+    return _normal_gt_half_tie(mean, variance)
+
+
+def multinomial_pair_mixture_gt_probability(parts) -> float:
+    """:func:`multinomial_pair_gt_probability` over a buffer in parts.
+
+    ``parts`` lists ``(trials, p_plus, p_minus)`` triples, one
+    multinomial draw each: the vote compares the summed ``M+`` and
+    ``M-`` tallies, ``P(D > 0) + P(D = 0)/2`` for ``D = sum_i (M+_i -
+    M-_i)``.  One part is :func:`multinomial_pair_gt_probability`
+    itself.  Exact by convolution up to :data:`EXACT_COMPARISON_LIMIT`
+    total trials, then a normal form of ``D`` with the parts' summed
+    mean and variance (tests/test_tails.py pins its measured error).
+    """
+    if len(parts) == 1:
+        ((trials, p_plus, p_minus),) = parts
+        return multinomial_pair_gt_probability(trials, p_plus, p_minus)
+    for trials, p_plus, p_minus in parts:
+        if trials < 0:
+            raise ConfigurationError(f"trials must be non-negative, got {trials}")
+        if not (0.0 <= p_plus <= 1.0 and 0.0 <= p_minus <= 1.0
+                and p_plus + p_minus <= 1.0 + 1e-12):
+            raise ConfigurationError(
+                f"p_plus={p_plus} and p_minus={p_minus} must be probabilities "
+                f"summing to at most 1"
+            )
+    total = sum(trials for trials, _, _ in parts)
+    if total <= EXACT_COMPARISON_LIMIT:
+        # D + total counts one step per trial: 0 (minus), 1 or 2 (plus).
+        pmf = _sum_pmf([
+            (trials, (p_minus, max(0.0, 1.0 - p_plus - p_minus), p_plus))
+            for trials, p_plus, p_minus in parts
+        ])
+        return _above_half(pmf, 2 * total)
+    mean = sum(trials * (p_plus - p_minus) for trials, p_plus, p_minus in parts)
+    variance = sum(
+        trials * (p_plus + p_minus - (p_plus - p_minus) ** 2)
+        for trials, p_plus, p_minus in parts
+    )
     return _normal_gt_half_tie(mean, variance)

@@ -336,16 +336,31 @@ def _law_faults(protocol: str) -> dict:
     so a stuck agent's display reads its own weak opinion.  Excluding
     5% of the non-sources moves the weak law by under 0.01, so the
     exclude rows take out 90%: the law then moves by about 0.35 (SF)
-    and 0.3 (SSF), past the rows' radius at ``--full``."""
+    and 0.3 (SSF), past the rows' radius at ``--full``.  SSF's window
+    rows open inside the first 8-round epoch, so it arrives in two
+    parts, or three when the window also closes in it."""
     from ..faults import ByzantineDisplayFault, CrashFault, StuckAtFault
 
-    return {
+    faults = {
         "byzantine-fixed": ByzantineDisplayFault(fraction=0.05),
         "anti-majority": ByzantineDisplayFault(fraction=0.05, mode="anti-majority"),
         "crash-symbol": CrashFault(fraction=0.05),
         "crash-exclude": CrashFault(fraction=0.9, mode="exclude"),
         "stuck-at": StuckAtFault(fraction=0.05, bit=0 if protocol == "sf" else 1),
     }
+    if protocol == "ssf":
+        faults.update({
+            "crash-window": CrashFault(
+                fraction=0.2, symbol=2, crash_round=3, recovery_round=12
+            ),
+            "crash-window-3": CrashFault(
+                fraction=0.2, symbol=2, crash_round=5, recovery_round=7
+            ),
+            "crash-exclude-window": CrashFault(
+                fraction=0.9, mode="exclude", crash_round=3, recovery_round=12
+            ),
+        })
+    return faults
 
 
 #: The non-null rows, for each ``_law_faults`` model: (engine, seed base
@@ -924,13 +939,14 @@ def _check_adversary(scale: str, budget: FalsePositiveBudget) -> str:
     configuration (Byzantine wrong-symbol displays at a fraction the
     protocol cannot absorb) is found by the search, and the certified
     frontier point is at least as damaging; (2) *certificates hold* —
-    every frontier point with a non-vacuous Clopper–Pearson lower bound
-    survives an independent fresh-seed exact-binomial re-evaluation on
-    the fast engine (``prefer_count=False``), whatever engine certified
-    it, charged to the shared verify :class:`FalsePositiveBudget` — so a
-    count certificate is checked across engines, a differential check of
-    the routing; (3) *determinism* — the same seed reproduces the
-    identical frontier.
+    every frontier point with a non-vacuous Clopper–Pearson lower bound,
+    of the SF search and of one SSF crash-window cell, survives an
+    independent fresh-seed exact-binomial re-evaluation on the fast
+    engine (``prefer_count=False``), whatever engine certified it,
+    charged to the shared verify :class:`FalsePositiveBudget` — so a
+    count certificate, a crash window's included, is checked across
+    engines, a differential check of the routing; (3) *determinism* —
+    the same seed reproduces the identical SF frontier.
     The search itself runs under its own error ledger (its SPRT
     accept/reject mass only affects which point is found, never the
     validity of a certificate).
@@ -978,21 +994,41 @@ def _check_adversary(scale: str, budget: FalsePositiveBudget) -> str:
             f"{worst.certified_failure_lower_bound if worst else None}"
         )
 
+    # One SSF crash-window cell: a window still open at the horizon's
+    # end breaks SSF, so the search certifies a failure on count SSF.
+    ssf_config = PopulationConfig(n=256, sources=SourceCounts(0, 16), h=256)
+    ssf_delta, ssf_budgets = 0.1, {"crash": [0.2]}
+    ssf_frontier = run_search(
+        "ssf", ssf_config, assumed_delta=ssf_delta, budgets=ssf_budgets,
+        seed=4321, settings=settings,
+    )
+
     # Independent re-evaluation of every non-vacuous certificate, on
     # the fast engine whatever engine certified it.
-    space = FaultConfigSpace(
-        protocol="sf", assumed_delta=delta, families=tuple(budgets)
-    )
-    evaluator = CandidateEvaluator(space, config, prefer_count=False)
     trials = 24 if scale == "quick" else 60
     confirmed = vacuous = 0
     engines = set()
-    for index, point in enumerate(frontier.points):
+    cells = (
+        ("sf", config, delta, budgets, frontier),
+        ("ssf", ssf_config, ssf_delta, ssf_budgets, ssf_frontier),
+    )
+    points = []
+    for protocol, cell_config, cell_delta, cell_budgets, cell_frontier in cells:
+        space = FaultConfigSpace(
+            protocol=protocol, assumed_delta=cell_delta,
+            families=tuple(cell_budgets),
+        )
+        evaluator = CandidateEvaluator(
+            space, cell_config, horizon_epochs=settings.horizon_epochs,
+            prefer_count=False,
+        )
+        points += [(protocol, evaluator, point) for point in cell_frontier.points]
+    for index, (protocol, evaluator, point) in enumerate(points):
         if point.certified_failure_lower_bound <= 0.0:
             vacuous += 1  # nothing is claimed; nothing to confirm
             continue
         candidate = AdversaryConfig(**point.config)
-        engines.add(point.engine)
+        engines.add(f"{point.engine} {protocol.upper()}")
         _, run_one = evaluator.failure_runner(candidate)
         failures = sum(
             bool(run_one(generator))
@@ -1004,8 +1040,8 @@ def _check_adversary(scale: str, budget: FalsePositiveBudget) -> str:
             point.certified_failure_lower_bound,
             confidence=1 - 1e-6,
             context=(
-                f"adversary frontier point {point.family}@{point.budget} "
-                f"re-evaluation"
+                f"adversary frontier point {protocol.upper()} "
+                f"{point.family}@{point.budget} re-evaluation"
             ),
             budget=budget,
         )
@@ -1020,7 +1056,7 @@ def _check_adversary(scale: str, budget: FalsePositiveBudget) -> str:
     return (
         f"planted worst case rediscovered (certified >= "
         f"{worst.certified_failure_lower_bound:.3f}); {confirmed} "
-        f"certificate(s) of {'/'.join(sorted(engines)) or 'no engine'} "
+        f"certificate(s) of {', '.join(sorted(engines)) or 'no engine'} "
         f"confirmed on {trials} fresh fast trials, {vacuous} vacuous; "
         f"frontier replay identical"
     )

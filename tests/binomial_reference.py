@@ -4,6 +4,8 @@ The library evaluates every binomial law in :mod:`repro.theory.tails`
 (an incomplete beta by continued fraction).  The tests check it against
 this module, which shares none of that machinery: it sums log-pmf terms,
 one ``math.lgamma`` evaluation per term, and so costs O(n) per tail.
+The votes over several independent parts (the mixture laws) convolve
+such pmf vectors directly.
 """
 
 from __future__ import annotations
@@ -58,15 +60,28 @@ def tail_le(k: int, n: int, p: float) -> float:
 
 def majority_success(q: float, window: int) -> float:
     """``P(Bin(window, q) > window/2) + P(tie)/2``."""
-    ks = np.arange(window + 1)
-    pmf = np.exp(log_pmf(ks, window, q))
-    return float(pmf[2 * ks > window].sum() + 0.5 * pmf[2 * ks == window].sum())
+    return _above_half(np.exp(log_pmf(np.arange(window + 1), window, q)), window)
 
 
-def trinomial_success(p_plus: float, p_minus: float, m: int) -> float:
-    """``P(M+ > M-) + P(M+ = M-)/2`` for ``(M+, M-, M0)`` one
-    ``Multinomial(m; p_plus, p_minus, 1 - p_plus - p_minus)`` draw,
-    summed over every outcome: O(m^2) terms, no conditioning."""
+def _above_half(pmf: np.ndarray, total: int) -> float:
+    """``P(S > total/2) + P(S = total/2)/2`` for ``S`` on ``0..total``."""
+    values = np.arange(pmf.size)
+    return float(pmf[2 * values > total].sum() + 0.5 * pmf[2 * values == total].sum())
+
+
+def majority_mixture_success(parts) -> float:
+    """``P(X > w/2) + P(X = w/2)/2`` for ``X = sum_i Bin(w_i, q_i)``:
+    the parts' log-pmf vectors convolved directly, O(prod w_i)."""
+    pmf = np.ones(1)
+    for window, q in parts:
+        pmf = np.convolve(pmf, np.exp(log_pmf(np.arange(window + 1), window, q)))
+    return _above_half(pmf, sum(window for window, _ in parts))
+
+
+def trinomial_difference_pmf(m: int, p_plus: float, p_minus: float) -> np.ndarray:
+    """pmf of ``M+ - M- + m`` on ``0..2m`` for one
+    ``Multinomial(m; p_plus, p_minus, rest)`` draw, summed over every
+    outcome: O(m^2) terms."""
     p_zero = max(1.0 - p_plus - p_minus, 0.0)
     lgam = np.array([math.lgamma(i + 1) for i in range(m + 1)])
     plus, minus = np.meshgrid(np.arange(m + 1), np.arange(m + 1), indexing="ij")
@@ -84,4 +99,21 @@ def trinomial_success(p_plus: float, p_minus: float, m: int) -> float:
         + xlogp(plus, p_plus) + xlogp(minus, p_minus) + xlogp(zero, p_zero)
     )
     pmf = np.where(feasible, np.exp(log_terms), 0.0)
-    return float(pmf[plus > minus].sum() + 0.5 * pmf[plus == minus].sum())
+    return np.bincount((plus - minus + m).ravel(), weights=pmf.ravel(), minlength=2 * m + 1)
+
+
+def trinomial_success(p_plus: float, p_minus: float, m: int) -> float:
+    """``P(M+ > M-) + P(M+ = M-)/2`` for ``(M+, M-, M0)`` one
+    ``Multinomial(m; p_plus, p_minus, 1 - p_plus - p_minus)`` draw,
+    summed over every outcome: O(m^2) terms, no conditioning."""
+    return _above_half(trinomial_difference_pmf(m, p_plus, p_minus), 2 * m)
+
+
+def pair_mixture_success(parts) -> float:
+    """``P(D > 0) + P(D = 0)/2`` for ``D = sum_i (M+_i - M-_i)``, one
+    multinomial draw per ``(m, p_plus, p_minus)`` part: each part's
+    difference pmf summed over its outcomes, then convolved."""
+    pmf = np.ones(1)
+    for m, p_plus, p_minus in parts:
+        pmf = np.convolve(pmf, trinomial_difference_pmf(m, p_plus, p_minus))
+    return _above_half(pmf, 2 * sum(m for m, _, _ in parts))

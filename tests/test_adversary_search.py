@@ -182,19 +182,24 @@ class TestCandidateEvaluator:
         for candidate in (mis, fixed, anti):
             engine, _ = evaluator.failure_runner(candidate)
             assert engine == "count"
-        # A crash window opening mid-epoch is not one count draw.
+        # Count SSF prices a crash window's straddled epochs in parts.
         ssf_space = FaultConfigSpace("ssf", 0.1, max_fraction=0.3)
         window = AdversaryConfig(
             family="crash", fraction=0.25, mode="symbol", symbol=1,
             crash_start=2.0, crash_length=2.0,
         )
         engine, _ = CandidateEvaluator(ssf_space, SSF_CONFIG).failure_runner(window)
-        assert engine == "fast"
+        assert engine == "count"
         # Two random subsets overlap: no count view covers them.
         composed = CandidateEvaluator(
             _ComposedSpace("sf", 0.2, families=("byzantine",)), SF_CONFIG
         )
         engine, _ = composed.failure_runner(fixed)
+        assert engine == "fast"
+        composed_ssf = CandidateEvaluator(
+            _ComposedSpace("ssf", 0.1, max_fraction=0.3), SSF_CONFIG
+        )
+        engine, _ = composed_ssf.failure_runner(window)
         assert engine == "fast"
         # prefer_count=False forces the agent-level engines.
         forced = CandidateEvaluator(space, SF_CONFIG, prefer_count=False)

@@ -14,6 +14,8 @@ Three layers of evidence that the exchangeability collapse is faithful:
   runs (counts non-negative, conserved, traces in [0, 1]).
 """
 
+from itertools import islice
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,6 +33,7 @@ from repro.telemetry import MemorySink, Telemetry
 from repro.theory import tails
 from repro.faults import (
     ByzantineDisplayFault,
+    CrashFault,
     IdentityFaultModel,
     NoiseMisspecification,
 )
@@ -48,7 +51,7 @@ from repro.protocols import (
     FastSelfStabilizingSourceFilter,
     FastSourceFilter,
 )
-from repro.rng import spawn_generators
+from repro.rng import generator_stream, spawn_generators
 from repro.types import SourceCounts
 from repro.verify import FalsePositiveBudget, assert_proportions_close
 from repro.verify.strategies import population_configs
@@ -531,9 +534,10 @@ class TestCountProperties:
         protocol = CountSelfStabilizingSourceFilter(config, delta)
         result = protocol.run(rng=seed)
         displays = protocol.display_counts()
-        assert displays.shape == (4,)
-        assert displays.min() >= 0
-        assert int(displays.sum()) == config.n
+        assert len(displays) == 4
+        assert all(type(count) is int for count in displays)
+        assert min(displays) >= 0
+        assert sum(displays) == config.n
         assert 0 <= protocol.weak_count <= config.n - config.num_sources
         final = result.final_opinion_counts
         assert final.min() >= 0
@@ -942,3 +946,92 @@ class TestTruncatedStage:
         assert protocol.boost_trace == trace
         assert (cut_short.final_opinion_counts.tolist()
                 == whole.final_opinion_counts.tolist())
+
+
+class TestCrashWindows:
+    """Count SSF runs a crash window as fast SSF does: its gaps stop at
+    the window's rounds and a straddled epoch is priced in parts."""
+
+    #: The adversary search's SSF configuration: 128-round epochs.
+    CONFIG = PopulationConfig(n=256, sources=SourceCounts(0, 16), h=256)
+
+    @staticmethod
+    def _window(recovery_round):
+        return CrashFault(
+            fraction=0.2, symbol=2, crash_round=640, recovery_round=recovery_round
+        )
+
+    def _converged(self, cls, recovery_round, trials):
+        protocol = cls(self.CONFIG, 0.1, fault_model=self._window(recovery_round))
+        rounds = 10 * protocol.schedule.epoch_rounds
+        return sum(
+            protocol.run(max_rounds=rounds, rng=generator, stop_on_consensus=False).converged
+            for generator in islice(generator_stream(11), trials)
+        )
+
+    @pytest.mark.parametrize("recovery_round,converges", [(1040, True), (1100, False)])
+    def test_count_and_fast_agree_on_the_search_config(self, recovery_round, converges):
+        """A window closed by round 1 040 leaves time to re-converge
+        before the horizon (1 280); one open until 1 100 does not, on
+        either engine: at least 57 of 60 trials each way (both read
+        60 of 60)."""
+        trials = 60
+        for cls in (CountSelfStabilizingSourceFilter, FastSelfStabilizingSourceFilter):
+            converged = self._converged(cls, recovery_round, trials)
+            agreeing = converged if converges else trials - converged
+            assert agreeing >= 57, (cls.__name__, recovery_round, converged)
+
+    def test_gaps_stop_at_the_window(self):
+        class Recording(CountSelfStabilizingSourceFilter):
+            def advance(self, round_index, gap, q, rng):
+                self.gaps.append((round_index, gap))
+                super().advance(round_index, gap, q, rng)
+
+        config = PopulationConfig(n=80, sources=SourceCounts(1, 3), h=8)
+        protocol = Recording(
+            config, 0.1, fault_model=CrashFault(fraction=0.2, crash_round=3, recovery_round=12)
+        )
+        protocol.gaps = []
+        assert protocol.schedule.epoch_rounds == 1109
+        protocol.run(max_rounds=2300, rng=5)
+        # The first epoch in three parts, at the window's edges.
+        assert protocol.gaps == [(0, 3), (3, 9), (12, 1097), (1109, 1109), (2218, 82)]
+
+    def test_late_crash_stop_weak_law_matches_fast(self):
+        """A crash-stop from round 3 of an 8-round epoch: its agents
+        show their own weak opinions first and are never judged, so the
+        weak law of the honest non-sources is the laws leg's, pooled the
+        same way and with its SSF tolerance."""
+        from repro.verify.runner import _weak_correct
+
+        tallies = {
+            engine: sum(
+                _weak_correct(
+                    engine, "ssf", np.random.default_rng(base + seed),
+                    CrashFault(fraction=0.2, symbol=2, crash_round=3),
+                )
+                for seed in range(60)
+            ).tolist()
+            for engine, base in (("fast", 0), ("count", 10_000))
+        }
+        assert_proportions_close(
+            *tallies["fast"], *tallies["count"], confidence=1 - 1e-5,
+            extra_tolerance=0.05, context="SSF weak law under a late crash-stop",
+            budget=BUDGET,
+        )
+
+    def test_run_batch_equals_the_trial_loop(self):
+        protocol = CountSelfStabilizingSourceFilter(
+            self.CONFIG, 0.1, fault_model=self._window(1066)
+        )
+        rounds = 10 * protocol.schedule.epoch_rounds
+        batch = protocol.run_batch(12, max_rounds=rounds, rng=3, stop_on_consensus=False)
+        loop = [
+            protocol.run(max_rounds=rounds, rng=generator, stop_on_consensus=False)
+            for generator in islice(generator_stream(3), 12)
+        ]
+        assert [
+            (r.converged, r.rounds_executed, r.final_opinion_counts.tolist()) for r in batch
+        ] == [
+            (r.converged, r.rounds_executed, r.final_opinion_counts.tolist()) for r in loop
+        ]

@@ -138,6 +138,22 @@ class TestCanonicalRunContract:
             with pytest.raises(UnsupportedFeatureError, match="max_rounds"):
                 handle.run(max_rounds=7, seed=0)
 
+    @pytest.mark.parametrize("replicas", [None, 1, 3])
+    def test_batched_returns_a_list_when_asked_for_replicas(self, replicas):
+        """One result without ``replicas``; a list of ``replicas``
+        results, replica 0 first, whenever the caller passes it."""
+        handle = create_engine("batched", "sf", _config(), 0.2,
+                               schedule=SFSchedule.from_config(_config(), 0.2, m=24))
+        single = handle.run(seed=4)
+        if replicas is None:
+            out = handle.run(seed=4)
+            assert not isinstance(out, list)
+            assert np.array_equal(out.final_opinions, single.final_opinions)
+            return
+        out = handle.run(seed=4, replicas=replicas)
+        assert isinstance(out, list) and len(out) == replicas
+        assert np.array_equal(out[0].final_opinions, single.final_opinions)
+
     def test_merge_rng_seed_contract(self):
         assert merge_rng_seed(None, 7) == 7
         assert merge_rng_seed(3, None) == 3
@@ -579,8 +595,8 @@ _PINNED_SEAM_MATRIX = {
         "byzantine-anti-majority": "accepted",
         "crash-symbol": "accepted",
         "crash-exclude": "accepted",
-        "crash-symbol-recovery": "create:UnsupportedFeatureError",
-        "crash-exclude-recovery": "create:UnsupportedFeatureError",
+        "crash-symbol-recovery": "accepted",
+        "crash-exclude-recovery": "accepted",
         "stuck-at": "accepted",
         "misspecified-uniform": "accepted",
         "misspecified-wrong-alphabet": "create:ConfigurationError",

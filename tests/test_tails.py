@@ -21,8 +21,10 @@ from repro.theory.tails import (
     EXACT_COMPARISON_LIMIT,
     binomial_tail_ge,
     binomial_vs_binomial_probability,
+    majority_mixture_success_probability,
     majority_success_probability,
     multinomial_pair_gt_probability,
+    multinomial_pair_mixture_gt_probability,
     regularized_incomplete_beta,
 )
 from repro.verify import binomial_cdf, binomial_sf
@@ -195,6 +197,67 @@ class TestMultinomialPairGt:
 
 
 # ----------------------------------------------------------------------
+# Mixture laws: one vote over a window whose parts have different laws
+# ----------------------------------------------------------------------
+#: (opinion parts, weak parts) below the switch: two and three parts,
+#: a tiny part, a certain part and a part with no weight.
+MIXTURE_CASES = [
+    (((40, 0.45), (24, 0.7)), ((40, 0.1, 0.12), (24, 0.4, 0.05))),
+    (((1, 0.9), (300, 0.49), (3, 0.0)), ((1, 0.3, 0.0), (300, 0.02, 0.03), (3, 0.0, 0.0))),
+    (((500, 0.505), (499, 0.5), (0, 0.2)), ((250, 0.2, 0.19), (249, 0.1, 0.12), (0, 0.5, 0.5))),
+    (((900, 0.48), (1100, 0.515)), ((120, 0.001, 0.002), (180, 0.25, 0.24))),
+]
+
+
+class TestMixtureLaws:
+    @pytest.mark.parametrize("opinion,weak", MIXTURE_CASES)
+    def test_exact_branch_matches_direct_convolution(self, opinion, weak):
+        assert majority_mixture_success_probability(opinion) == pytest.approx(
+            ref.majority_mixture_success(opinion), abs=1e-12
+        )
+        assert multinomial_pair_mixture_gt_probability(weak) == pytest.approx(
+            ref.pair_mixture_success(weak), abs=1e-12
+        )
+
+    @pytest.mark.parametrize("window", [1, 2, 7, 64, 333, 5000])
+    def test_one_part_is_the_plain_law_bit_for_bit(self, window):
+        for q in (0.0, 0.3, 0.5, 0.51, 1.0):
+            assert majority_mixture_success_probability(((window, q),)) == (
+                majority_success_probability(q, window)
+            )
+        for p_plus, p_minus in ((0.1, 0.05), (0.2, 0.2), (0.0, 0.3)):
+            assert multinomial_pair_mixture_gt_probability(
+                ((window, p_plus, p_minus),)
+            ) == multinomial_pair_gt_probability(window, p_plus, p_minus)
+
+    def test_parts_with_one_law_are_one_window(self):
+        # Bin(a, q) + Bin(b, q) is Bin(a + b, q), at the switch too.
+        for a, b in ((3, 4), (100, 57), (EXACT_COMPARISON_LIMIT - 5000, 5000)):
+            assert majority_mixture_success_probability(
+                ((a, 0.497), (b, 0.497))
+            ) == pytest.approx(majority_success_probability(0.497, a + b), abs=1e-11)
+            assert multinomial_pair_mixture_gt_probability(
+                ((a, 0.011, 0.01), (b, 0.011, 0.01))
+            ) == pytest.approx(
+                multinomial_pair_gt_probability(a + b, 0.011, 0.01), abs=1e-11
+            )
+
+    def test_empty_window_is_coin_flip(self):
+        assert majority_mixture_success_probability(((0, 0.9), (0, 0.1))) == 0.5
+        assert multinomial_pair_mixture_gt_probability(((0, 0.9, 0.1), (0, 0.0, 0.0))) == 0.5
+
+    def test_validation(self):
+        with pytest.raises(ConfigurationError):
+            majority_mixture_success_probability(((10, 0.5), (-1, 0.5)))
+        with pytest.raises(ConfigurationError):
+            majority_mixture_success_probability(((10, 0.5), (3, 1.5)))
+        with pytest.raises(ConfigurationError):
+            multinomial_pair_mixture_gt_probability(((10, 0.8, 0.3), (3, 0.1, 0.1)))
+        with pytest.raises(ConfigurationError):
+            multinomial_pair_mixture_gt_probability(((10, 0.1, 0.1), (-3, 0.1, 0.1)))
+
+
+# ----------------------------------------------------------------------
 # The normal branch above EXACT_COMPARISON_LIMIT: a measured error bound
 # ----------------------------------------------------------------------
 #: Worst absolute error of each comparison law's normal branch against
@@ -205,6 +268,13 @@ class TestMultinomialPairGt:
 #: about as 1/trials (docs/performance.md).
 BINOMIAL_NORMAL_ERROR = 4.5e-3
 MULTINOMIAL_NORMAL_ERROR = 1.9e-3
+#: The same for the mixture laws, over the grid of
+#: ``test_mixture_errors_are_bounded``.  The opinion law's worst case
+#: sits at the switch, three parts, q near 1/2 and mean 0 (an odd
+#: window's half-step); the pair law's at the switch, base level 0.001
+#: and mean -3 sd, as for one part.
+OPINION_MIXTURE_NORMAL_ERROR = 2.4e-5
+PAIR_MIXTURE_NORMAL_ERROR = 1.6e-3
 
 
 def _normal_and_exact(monkeypatch, law, *args):
@@ -261,6 +331,56 @@ class TestNormalApproximationError:
             worst = max(worst, abs(normal - exact))
         assert worst <= MULTINOMIAL_NORMAL_ERROR
         assert worst > 0.9 * MULTINOMIAL_NORMAL_ERROR
+
+    def test_mixture_errors_are_bounded(self, monkeypatch):
+        """Over two- and three-part windows just above the switch and at
+        2**15 (the adversary search's SSF epochs hold 32 768 samples),
+        parts whose laws differ by half their base level, and means at
+        -3, 0 and +3 standard deviations."""
+        worst_opinion = worst_pair = 0.0
+        for total, shares, base, z in itertools.product(
+            (EXACT_COMPARISON_LIMIT + 1, 2**15),
+            ((0.5, 0.5), (0.375, 0.25, 0.375)),
+            (0.001, 0.3),
+            (-3.0, 0.0, 3.0),
+        ):
+            sizes = [int(total * share) for share in shares[:-1]]
+            sizes.append(total - sum(sizes))
+            offsets = [(-1) ** i * 0.5 * base for i in range(len(sizes))]
+            spread = sum(w * o for w, o in zip(sizes, offsets))
+
+            def opinion(shift):
+                return tuple(
+                    (w, min(max(0.5 + o + shift, 0.0), 1.0))
+                    for w, o in zip(sizes, offsets)
+                )
+
+            def pair(shift):
+                return tuple(
+                    (w, min(max(base + o + shift, 0.0), 1.0 - base), base)
+                    for w, o in zip(sizes, offsets)
+                )
+
+            shift = 0.0
+            for _ in range(50):
+                variance = sum(w * q * (1 - q) for w, q in opinion(shift))
+                shift = (z * math.sqrt(variance) - spread) / total
+            normal, exact = _normal_and_exact(
+                monkeypatch, majority_mixture_success_probability, opinion(shift)
+            )
+            worst_opinion = max(worst_opinion, abs(normal - exact))
+            shift = 0.0
+            for _ in range(50):
+                variance = sum(
+                    t * (pp + pm - (pp - pm) ** 2) for t, pp, pm in pair(shift)
+                )
+                shift = (z * math.sqrt(variance) - spread) / total
+            normal, exact = _normal_and_exact(
+                monkeypatch, multinomial_pair_mixture_gt_probability, pair(shift)
+            )
+            worst_pair = max(worst_pair, abs(normal - exact))
+        assert 0.9 * OPINION_MIXTURE_NORMAL_ERROR < worst_opinion <= OPINION_MIXTURE_NORMAL_ERROR
+        assert 0.9 * PAIR_MIXTURE_NORMAL_ERROR < worst_pair <= PAIR_MIXTURE_NORMAL_ERROR
 
     def test_exact_branch_below_the_switch(self, monkeypatch):
         # At the limit itself the law is already the exact convolution.

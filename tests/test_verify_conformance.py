@@ -293,15 +293,19 @@ class TestOracleCoverage:
             assert pair in pairs and pair not in ORACLE_LINKS and reason
 
     def test_every_count_admitted_subset_model_has_a_law_row(self):
-        """Each subset fault model (class and mode) the count row admits
-        faces the oracle in the ``laws`` leg, on fast and count alike."""
+        """Each subset fault model (class, mode and whether it is
+        scheduled) the count row admits faces the oracle in the
+        ``laws`` leg, on fast and count alike."""
         from repro.engines import admit_seams
         from repro.exceptions import UnsupportedFeatureError
         from repro.faults import ByzantineDisplayFault, CrashFault, StuckAtFault
         from repro.verify.runner import _FAULT_LAWS, _law_faults
 
         def kind(fault):
-            return type(fault).__name__, getattr(fault, "mode", None)
+            return (
+                type(fault).__name__, getattr(fault, "mode", None),
+                bool(fault.transition_rounds()),
+            )
 
         models = [
             ByzantineDisplayFault(fraction=0.1, mode=mode)
@@ -324,4 +328,5 @@ class TestOracleCoverage:
                 assert kind(fault) in rows, (protocol, kind(fault))
             for fault in _law_faults(protocol).values():
                 admit_seams("fast", protocol, fault)  # raises if refused
-        assert admitted == 10  # five models on each protocol
+        # Five models on each protocol, and SSF's two crash windows.
+        assert admitted == 12
